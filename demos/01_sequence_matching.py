@@ -45,10 +45,8 @@ print(f"auditor agrees: {abs(audit.total - solution.total_cost) < 1e-9}")
 
 # 5. Long targets are split into chunks and each chunk is solved
 #    independently; a length-1 remainder merges into the previous chunk.
-seq_q = sr.Sequence(id="query", frames=query)
-seq_t = sr.Sequence(id="target", frames=np.tile(target, (3, 1)))
-model = sr.init_embedding_model(2, 16, 8, sr.RngState(0))
-per_chunk = sr.match_pair(seq_q, seq_t, model, chunk_len=40)
-print(f"\n{len(seq_t)}-frame target at chunk_len=40 "
+long_target = np.tile(target, (3, 1))
+per_chunk = sr.match_features(query, long_target, chunk_len=40)
+print(f"\n{len(long_target)}-frame target at chunk_len=40 "
       f"-> {len(per_chunk)} chunk matchings at offsets "
       f"{[m.target_offset for m in per_chunk]}")

@@ -12,7 +12,7 @@ import seqrep as sr
 
 # 1. Generate the reference benchmark (12 sequences, 64-dim features,
 #    2-dim latent). Same config + seed => bit-identical data.
-cfg = sr.reference_config()
+cfg = sr.reference_run_config().generator
 ds = sr.generate_dataset(cfg)
 again = sr.generate_dataset(cfg)
 print(f"{len(ds)} sequences, feature dim {ds.dimension}, "

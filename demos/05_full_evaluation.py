@@ -37,14 +37,9 @@ curve = sr.knn_prediction_curve(ds, model, pred, k_max=5)
 print(f"prediction error       {curve.prediction_error_mean:.3f} "
       f"(2nd-NN bar {curve.knn_mean[1]:.3f})")
 
-pair_cfg = sr.alignment_pair_config(cfg)
-accs = []
-for i in range(5):
-    q, t, truth = sr.resample_pair(pair_cfg, seed=i)
-    qe, te = sr.embed_batch(model, q.frames), sr.embed_batch(model, t.frames)
-    sol = sr.solve_exact_dp(qe, te, sr.default_penalties(qe, te))
-    accs.append(sr.alignment_accuracy(sol, truth))
-print(f"alignment accuracy     {np.mean(accs):.3f} over 5 pairs")
+dp_accs, nn_accs = sr.alignment_benchmark(model, cfg, pairs=5, seed=0)
+print(f"alignment accuracy     {np.mean(dp_accs):.3f} over 5 pairs "
+      f"(per-frame nearest neighbor {np.mean(nn_accs):.3f})")
 
 proj = sr.pca_project_2d(ds, model)
 print(f"2D projection explains {sum(proj.explained_variance_ratio):.0%} of variance")

@@ -17,17 +17,15 @@ from .core import (
     RngState,
     Sequence,
     l2_normalize,
-    squared_l2,
+    pairwise_sqdist,
 )
 from .align import (
-    Chunk,
     CostBreakdown,
     Matching,
     MatchPenalties,
+    PenaltyConfig,
     alignment_cost,
-    chunk_target,
     default_penalties,
-    match_pair,
     match_features,
     solve_bruteforce,
     solve_exact_dp,
@@ -36,21 +34,17 @@ from .embed import (
     EmbeddingModel,
     TrainConfig,
     TrainLog,
-    Triplet,
     Whitener,
     augment,
     embed_batch,
-    embed_forward,
     fit_whitener,
     init_embedding_model,
-    sample_triplets,
     sequence_neighbors,
     train,
     triplet_grad,
     triplet_loss,
 )
 from .dynamics import (
-    Context,
     PredictorConfig,
     RecurrentPredictor,
     init_predictor,
@@ -58,7 +52,6 @@ from .dynamics import (
     predict_next,
     rnn_forward,
     rnn_forward_batch,
-    rnn_loss,
     synthesize,
     train_predictor,
 )
@@ -67,13 +60,13 @@ from .synthdata import (
     alignment_pair_config,
     generate_dataset,
     max_latent_step,
-    reference_config,
     resample_pair,
 )
 from .evaluate import (
     EvalReport,
     agglomerative_representatives,
     alignment_accuracy,
+    alignment_benchmark,
     default_pose_epsilon,
     knn_prediction_curve,
     merge_chunk_assignments,
@@ -94,7 +87,6 @@ from .seqpack import (
 )
 from .config import (
     EvalConfig,
-    PenaltyConfig,
     RunConfig,
     load_config,
     reference_run_config,

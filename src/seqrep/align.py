@@ -16,7 +16,6 @@ each outlier frame pays a flat ``outlier_cost`` instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,8 @@ from .core import (
     ConfigError,
     DimensionError,
     ResourceLimitError,
-    Sequence,
     as_frames,
+    pairwise_sqdist,
 )
 
 BRUTEFORCE_LIMIT = 10**7
@@ -97,27 +96,11 @@ class Matching:
                 f"{self.breakdown.total}"
             )
 
-    @property
-    def matched_fraction(self) -> float:
-        return float(np.mean(self.pi > 0))
-
     def global_pi(self) -> np.ndarray:
         """pi re-indexed into the full target (offset applied, 0 preserved)."""
         out = self.pi.copy()
         out[out > 0] += self.target_offset
         return out
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A contiguous slice of a target sequence."""
-
-    offset: int
-    frames: np.ndarray
-    sequence_id: str = ""
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
 
 
 def _check_instance(query_emb, target_emb) -> tuple[np.ndarray, np.ndarray]:
@@ -128,14 +111,6 @@ def _check_instance(query_emb, target_emb) -> tuple[np.ndarray, np.ndarray]:
             f"dimension mismatch: query {q.shape[1]} vs target {t.shape[1]}"
         )
     return q, t
-
-
-def _sqdist_matrix(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(n, m) matrix of squared euclidean distances."""
-    qq = np.sum(q * q, axis=1)[:, None]
-    tt = np.sum(t * t, axis=1)[None, :]
-    d2 = qq + tt - 2.0 * (q @ t.T)
-    return np.maximum(d2, 0.0)
 
 
 def alignment_cost(query_emb, target_emb, pi, penalties: MatchPenalties) -> CostBreakdown:
@@ -171,13 +146,38 @@ def alignment_cost(query_emb, target_emb, pi, penalties: MatchPenalties) -> Cost
 def default_penalties(query_emb, target_emb) -> MatchPenalties:
     """Instance-relative penalty defaults, scaled by the mean pairwise data cost."""
     q, t = _check_instance(query_emb, target_emb)
-    e_unary = float(np.mean(_sqdist_matrix(q, t)))
+    e_unary = float(np.mean(pairwise_sqdist(q, t)))
     return MatchPenalties(
         lambda1=10.0 * e_unary,
         lambda2=0.5 * e_unary,
         lambda3=0.1 * e_unary,
         outlier_cost=2.0 * e_unary,
     )
+
+
+@dataclass(frozen=True)
+class PenaltyConfig:
+    """Configured matching penalties; an unset field resolves per instance.
+
+    :meth:`resolve` takes each unset weight from :func:`default_penalties`
+    of the instance at hand, so a partly set configuration keeps its set
+    weights and scales the rest with the data.
+    """
+
+    lambda1: float | None = None
+    lambda2: float | None = None
+    lambda3: float | None = None
+    outlier_cost: float | None = None
+
+    def resolve(self, query_feats, target_feats) -> MatchPenalties:
+        base = default_penalties(query_feats, target_feats)
+        return MatchPenalties(
+            lambda1=self.lambda1 if self.lambda1 is not None else base.lambda1,
+            lambda2=self.lambda2 if self.lambda2 is not None else base.lambda2,
+            lambda3=self.lambda3 if self.lambda3 is not None else base.lambda3,
+            outlier_cost=(self.outlier_cost if self.outlier_cost is not None
+                          else base.outlier_cost),
+        )
 
 
 def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matching:
@@ -196,7 +196,7 @@ def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matchi
         )
 
     # Per-position assignment cost: column 0 is the outlier price.
-    d2 = _sqdist_matrix(q, t)
+    d2 = pairwise_sqdist(q, t)
     unary = np.concatenate(
         [np.full((n, 1), penalties.outlier_cost), d2], axis=1
     )
@@ -254,7 +254,7 @@ def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties) -> Matching
 
     unary = np.empty((n, m + 1))
     unary[:, 0] = penalties.outlier_cost
-    unary[:, 1:] = _sqdist_matrix(q, t)
+    unary[:, 1:] = pairwise_sqdist(q, t)
     w = _transition_matrix(m, penalties)
 
     parent = np.empty((n, m + 1), dtype=np.int64)
@@ -289,63 +289,22 @@ def _chunk_bounds(n: int, chunk_len: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def chunk_target(target: Sequence, chunk_len: int) -> list[Chunk]:
-    """Partition a target sequence into contiguous chunks of ``chunk_len``.
-
-    The final remainder is kept if it has >= 2 frames and merged into the
-    previous chunk if it would be a single frame.
-    """
-    return [
-        Chunk(offset=s, frames=target.frames[s:e], sequence_id=target.id)
-        for s, e in _chunk_bounds(len(target), chunk_len)
-    ]
-
-
 def match_features(
     query_feats,
     target_feats,
     penalties: MatchPenalties | None = None,
     chunk_len: int = 40,
-    workers: int = 1,
 ) -> list[Matching]:
-    """Solve the full query against every chunk of an already-featured target."""
+    """Solve the full query against every chunk of an already-featured target.
+
+    Returns one Matching per chunk of :func:`_chunk_bounds`, in offset order.
+    """
     q, t = _check_instance(query_feats, target_feats)
     if penalties is None:
         penalties = default_penalties(q, t)
-    bounds = _chunk_bounds(t.shape[0], chunk_len)
-
-    def solve(se):
-        s, e = se
+    out = []
+    for s, e in _chunk_bounds(t.shape[0], chunk_len):
         sol = solve_exact_dp(q, t[s:e], penalties)
-        return Matching(
-            pi=sol.pi,
-            total_cost=sol.total_cost,
-            breakdown=sol.breakdown,
-            target_offset=s,
-        )
-
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve, bounds))
-    return [solve(se) for se in bounds]
-
-
-def match_pair(
-    query: Sequence,
-    target: Sequence,
-    model,
-    penalties: MatchPenalties | None = None,
-    chunk_len: int = 40,
-    workers: int = 1,
-) -> list[Matching]:
-    """Embed both sequences and match the query against each target chunk.
-
-    Returns one Matching per chunk, ordered by chunk offset. Chunk solves
-    are independent and may run concurrently.
-    """
-    from .embed import embed_batch  # local import: embed trains on matchings
-
-    q = embed_batch(model, query.frames)
-    t = embed_batch(model, target.frames)
-    return match_features(q, t, penalties=penalties, chunk_len=chunk_len,
-                          workers=workers)
+        out.append(Matching(pi=sol.pi, total_cost=sol.total_cost,
+                            breakdown=sol.breakdown, target_offset=s))
+    return out

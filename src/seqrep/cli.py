@@ -12,7 +12,6 @@ import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .core import (
     DimensionError,
     FormatError,
     RngState,
+    write_file,
 )
 from . import align as align_mod
 from . import dynamics, embed, evaluate, seqpack, synthdata
@@ -55,8 +55,6 @@ def _load_run_config(args) -> RunConfig:
         cfg = cfg.with_seed(args.seed)
     if getattr(args, "chunk_len", None) is not None:
         cfg = dataclasses.replace(cfg, chunk_len=args.chunk_len)
-    if getattr(args, "threads", None) is not None:
-        cfg = dataclasses.replace(cfg, threads=args.threads)
     return cfg
 
 
@@ -78,12 +76,6 @@ def _matching_payload(matchings) -> list[dict]:
     ]
 
 
-def _write_json(path, payload):
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _cmd_gen(args) -> int:
     cfg = _load_run_config(args)
     dataset = synthdata.generate_dataset(cfg.generator)
@@ -100,17 +92,16 @@ def _cmd_align(args) -> int:
     target = dataset.by_id(args.target)
     q = embed.embed_batch(model, query.frames)
     t = embed.embed_batch(model, target.frames)
-    penalties = cfg.penalties.explicit() or cfg.penalties.resolve(q, t)
+    penalties = cfg.penalties.resolve(q, t)
     matchings = align_mod.match_features(q, t, penalties=penalties,
-                                         chunk_len=cfg.chunk_len,
-                                         workers=cfg.threads)
-    _write_json(args.out, {
+                                         chunk_len=cfg.chunk_len)
+    write_file(args.out, json.dumps({
         "query": args.query,
         "target": args.target,
         "chunk_len": cfg.chunk_len,
         "penalties": dataclasses.asdict(penalties),
         "matchings": _matching_payload(matchings),
-    })
+    }, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(matchings)} chunk matchings to {args.out}")
     return 0
 
@@ -119,7 +110,7 @@ def _cmd_train_embed(args) -> int:
     cfg = _load_run_config(args)
     dataset = seqpack.read_seqpack(args.data)
     model, log = embed.train(dataset, cfg.train,
-                             penalties=cfg.penalties.explicit(),
+                             penalties=cfg.penalties,
                              chunk_len=cfg.chunk_len,
                              rng=RngState(cfg.seed).split(10))
     seqpack.save_model(model, args.out)
@@ -214,18 +205,8 @@ def _cmd_eval_predict(args, cfg: RunConfig) -> int:
 def _cmd_eval_alignment(args, cfg: RunConfig) -> int:
     model = seqpack.load_model(args.model)
     ev = cfg.eval
-    pair_cfg = synthdata.alignment_pair_config(cfg.generator)
-    dp_scores, nn_scores = [], []
-    for i in range(ev.alignment_pairs):
-        query, target, truth = synthdata.resample_pair(pair_cfg,
-                                                       seed=cfg.seed + i)
-        q = embed.embed_batch(model, query.frames)
-        t = embed.embed_batch(model, target.frames)
-        penalties = cfg.penalties.explicit() or cfg.penalties.resolve(q, t)
-        sol = align_mod.solve_exact_dp(q, t, penalties)
-        dp_scores.append(evaluate.alignment_accuracy(sol, truth))
-        nn_scores.append(evaluate.alignment_accuracy(
-            evaluate.nearest_neighbor_assignment(q, t), truth))
+    dp_scores, nn_scores = evaluate.alignment_benchmark(
+        model, cfg.generator, ev.alignment_pairs, cfg.seed, cfg.penalties)
     report = evaluate.EvalReport(
         metric="alignment_accuracy",
         values={"dp_mean": float(np.mean(dp_scores)),
@@ -256,15 +237,13 @@ def _cmd_project(args) -> int:
     dataset = seqpack.read_seqpack(args.data)
     model = seqpack.load_model(args.model)
     proj = evaluate.pca_project_2d(dataset, model)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["# sequence frame x y  "
              f"(explained variance {proj.explained_variance_ratio[0]:.4f} "
              f"{proj.explained_variance_ratio[1]:.4f})"]
     for (sid, idx), (x, y) in zip(proj.frame_refs, proj.coords):
         lines.append(f"{sid} {idx} {x!r} {y!r}")
-    out.write_text("\n".join(lines) + "\n")
-    print(f"projected {len(proj.frame_refs)} frames to {out}")
+    write_file(args.out, "\n".join(lines) + "\n")
+    print(f"projected {len(proj.frame_refs)} frames to {args.out}")
     return 0
 
 
@@ -281,10 +260,8 @@ def _cmd_synth(args) -> int:
         )
     seed_frames = seq.frames[:pred.context_len]
     trail = dynamics.synthesize(pred, model, seed_frames, args.steps, dataset)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(f"{sid} {idx}" for sid, idx in trail) + "\n")
-    print(f"synthesized {len(trail)} steps to {out}")
+    write_file(args.out, "\n".join(f"{sid} {idx}" for sid, idx in trail) + "\n")
+    print(f"synthesized {len(trail)} steps to {args.out}")
     return 0
 
 
@@ -292,13 +269,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="seqrep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap concurrent chunk solves")
-        if config:
-            p.add_argument("--config", default=None, help="run config JSON")
+        p.add_argument("--config", default=None, help="run config JSON")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     common(p)

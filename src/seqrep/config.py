@@ -9,47 +9,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .core import ConfigError
-from .align import MatchPenalties, default_penalties
+from .align import PenaltyConfig
 from .embed import TrainConfig
 from .dynamics import PredictorConfig
 from .synthdata import GeneratorConfig
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Matching penalties; unset fields fall back to instance-relative defaults."""
-
-    lambda1: float | None = None
-    lambda2: float | None = None
-    lambda3: float | None = None
-    outlier_cost: float | None = None
-
-    def resolve(self, query_feats, target_feats) -> MatchPenalties:
-        base = default_penalties(query_feats, target_feats)
-        return MatchPenalties(
-            lambda1=self.lambda1 if self.lambda1 is not None else base.lambda1,
-            lambda2=self.lambda2 if self.lambda2 is not None else base.lambda2,
-            lambda3=self.lambda3 if self.lambda3 is not None else base.lambda3,
-            outlier_cost=(self.outlier_cost if self.outlier_cost is not None
-                          else base.outlier_cost),
-        )
-
-    @property
-    def fully_specified(self) -> bool:
-        return None not in (self.lambda1, self.lambda2, self.lambda3, self.outlier_cost)
-
-    def explicit(self) -> MatchPenalties | None:
-        """Absolute penalties when all four are set, else None (resolve per instance)."""
-        if self.fully_specified:
-            return MatchPenalties(self.lambda1, self.lambda2, self.lambda3,
-                                  self.outlier_cost)
-        return None
 
 
 @dataclass(frozen=True)
@@ -59,7 +30,6 @@ class EvalConfig:
     k_max: int = 10
     exclusion_window: int = 2
     alignment_pairs: int = 20
-    num_clusters: int = 16
 
     def __post_init__(self):
         if self.num_queries < 1 or self.k_max < 1 or self.alignment_pairs < 1:
@@ -71,7 +41,6 @@ class RunConfig:
     seed: int = 0
     chunk_len: int = 40
     context_len: int = 4
-    threads: int = 1
     penalties: PenaltyConfig = field(default_factory=PenaltyConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -83,8 +52,6 @@ class RunConfig:
             raise ConfigError(f"chunk_len must be >= 2, got {self.chunk_len}")
         if self.context_len < 1:
             raise ConfigError("context_len must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Override every seed in the configuration."""
@@ -94,53 +61,47 @@ class RunConfig:
         )
 
 
-_TUPLE_FIELDS = {"frames_range", "cycles_range"}
+def _check_type(value, tp, name: str):
+    """``value`` if JSON gave the declared type ``tp``; lists become tuples.
 
-
-def _coerce(name: str, value, where: str):
-    if name in _TUPLE_FIELDS:
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise ConfigError(f"{where}.{name} must be a 2-element list")
-        return tuple(value)
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}.{name}: booleans are not accepted here")
+    A float field takes any number, an int field only integers; booleans
+    are never numbers here.
+    """
+    if typing.get_origin(tp) is tuple:
+        elems = typing.get_args(tp)
+        if not isinstance(value, (list, tuple)) or len(value) != len(elems):
+            raise ConfigError(f"{name} must be a {len(elems)}-element list")
+        return tuple(_check_type(v, e, name) for v, e in zip(value, elems))
+    allowed = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{name} must be {getattr(tp, '__name__', tp)}, got {value!r}")
     return value
 
 
-def _build(cls, data: dict, where: str):
+def _build(cls, data, where: str):
+    """Instantiate config dataclass ``cls`` from a JSON object, section by section."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {where!r} must be an object")
     names = {f.name for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
+        name = f"{where}.{key}" if where else key
         if key not in names:
-            raise ConfigError(f"unknown config key {where}.{key}")
-        kwargs[key] = _coerce(key, value, where)
+            raise ConfigError(f"unknown config key {name}")
+        if dataclasses.is_dataclass(hints[key]):
+            kwargs[key] = _build(hints[key], value, name)
+        else:
+            kwargs[key] = _check_type(value, hints[key], name)
     return cls(**kwargs)
-
-
-_SECTIONS = {
-    "penalties": PenaltyConfig,
-    "generator": GeneratorConfig,
-    "train": TrainConfig,
-    "predictor": PredictorConfig,
-    "eval": EvalConfig,
-}
 
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    top = {f.name for f in dataclasses.fields(RunConfig)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in top:
-            raise ConfigError(f"unknown config key {key}")
-        if key in _SECTIONS:
-            kwargs[key] = _build(_SECTIONS[key], value, key)
-        else:
-            kwargs[key] = _coerce(key, value, "<root>")
-    return RunConfig(**kwargs)
+    return _build(RunConfig, data, "")
 
 
 def load_config(path) -> RunConfig:

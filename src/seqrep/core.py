@@ -8,6 +8,7 @@ the conventions fixed here: frames are 1-D float64 vectors, sequences are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -54,14 +55,23 @@ def as_frames(x, name: str = "frames") -> np.ndarray:
     return a
 
 
-def squared_l2(a, b) -> float:
-    """Squared euclidean distance between two equal-dimension vectors."""
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a - b
-    return float(d @ d)
+def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) squared euclidean distances between the rows of (n, d) ``a`` and (m, d) ``b``.
+
+    Expanded as |a|^2 + |b|^2 - 2 a.b so no (n, m, d) difference array is
+    built; the rounding residue below zero is clipped.
+    """
+    aa = np.sum(a * a, axis=1)[:, None]
+    bb = np.sum(b * b, axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def write_file(path, data: bytes | str) -> Path:
+    """Write ``data`` to ``path`` (text as UTF-8), creating the parent directory."""
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    p.write_bytes(data.encode() if isinstance(data, str) else data)
+    return p
 
 
 def l2_normalize(a, eps: float = 1e-12) -> np.ndarray:

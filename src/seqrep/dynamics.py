@@ -24,7 +24,6 @@ from .core import (
     Sequence,
     as_frames,
     l2_normalize,
-    squared_l2,
 )
 from .embed import EmbeddingModel, embed_batch
 
@@ -112,20 +111,6 @@ def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
     )
 
 
-@dataclass(frozen=True)
-class Context:
-    """An ordered window of embedded frames ending at ``source`` (seq id, index)."""
-
-    frames: np.ndarray
-    source: tuple[str, int] = ("", -1)
-
-    def __post_init__(self):
-        frames = as_frames(self.frames, "context frames")
-        frames = frames.copy()
-        frames.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
-
-
 def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
     """Run the cell over (B, l, d) inputs; returns outputs and BPTT cache."""
     batch, steps, d = x.shape
@@ -180,7 +165,7 @@ def rnn_forward(pred: RecurrentPredictor, ctx) -> np.ndarray:
     The context runs through the gated cell from a zero initial state; the
     head output is returned as-is (not re-normalized).
     """
-    frames = ctx.frames if isinstance(ctx, Context) else as_frames(ctx, "context")
+    frames = as_frames(ctx, "context")
     if frames.shape[1] != pred.embed_dim:
         raise DimensionError(
             f"context dimension {frames.shape[1]} != predictor dim {pred.embed_dim}"
@@ -196,11 +181,6 @@ def rnn_forward_batch(pred: RecurrentPredictor, contexts: np.ndarray) -> np.ndar
         raise DimensionError(f"contexts must be (B, l, {pred.embed_dim})")
     y, _, _ = _cell_forward(pred, contexts)
     return y
-
-
-def rnn_loss(prediction, target_embedding) -> float:
-    """Squared euclidean regression loss."""
-    return squared_l2(prediction, target_embedding)
 
 
 def batch_loss_and_grad(pred: RecurrentPredictor, contexts: np.ndarray,

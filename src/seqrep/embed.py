@@ -22,11 +22,11 @@ from .core import (
     DimensionError,
     Dataset,
     RngState,
-    Sequence,
     as_frames,
     as_vector,
+    pairwise_sqdist,
 )
-from .align import Chunk, MatchPenalties, Matching, _chunk_bounds, match_features
+from .align import PenaltyConfig, _chunk_bounds, match_features
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2")
 
@@ -109,14 +109,12 @@ def embed_batch(model: EmbeddingModel, frames) -> np.ndarray:
     return y
 
 
-def embed_forward(model: EmbeddingModel, x) -> np.ndarray:
-    """Embed a single frame to a unit-norm vector."""
-    v = as_vector(x)
-    return embed_batch(model, v[None, :])[0]
-
-
 def triplet_loss(pa, pp, pn, delta: float) -> float:
-    """Margin ranking hinge on squared distances: max(0, d(a,p) - d(a,n) + delta)."""
+    """Margin ranking hinge on squared distances: max(0, d(a,p) - d(a,n) + delta).
+
+    The single-triplet reference that tests hold :func:`triplet_grad`'s
+    batch loss against.
+    """
     if delta <= 0:
         raise ConfigError(f"margin must be positive, got {delta}")
     pa, pp, pn = as_vector(pa), as_vector(pp), as_vector(pn)
@@ -175,21 +173,6 @@ def triplet_grad(model: EmbeddingModel, anchors, positives, negatives,
     return loss, _backprop(model, cache, d_y)
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """Frame references (sequence id, frame index) for one ranking constraint."""
-
-    anchor: tuple[str, int]
-    positive: tuple[str, int]
-    negative: tuple[str, int]
-
-    def __post_init__(self):
-        if self.positive == self.negative:
-            raise ValueError("positive and negative must be distinct frames")
-        if self.anchor[0] == self.positive[0]:
-            raise ValueError("anchor and positive must come from different sequences")
-
-
 def nearest_rank_percentile(values: np.ndarray, p: float) -> float:
     """Nearest-rank p-th percentile: the ceil(p/100 * N)-th smallest value."""
     if not 0 <= p <= 100:
@@ -233,8 +216,7 @@ def _sample_triplet_indices(pi: np.ndarray, chunk_feats: np.ndarray, p: float,
     if anchors.size == 0 or count < 1 or chunk_feats.shape[0] < 2:
         return []
     g = rng.gen
-    diff = chunk_feats[:, None, :] - chunk_feats[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
+    d2 = pairwise_sqdist(chunk_feats, chunk_feats)
     out = []
     for _ in range(count):
         j = int(anchors[g.integers(anchors.size)])
@@ -247,36 +229,10 @@ def _sample_triplet_indices(pi: np.ndarray, chunk_feats: np.ndarray, p: float,
     return out
 
 
-def sample_triplets(query: Sequence, target_chunk: Chunk, matching: Matching,
-                    model: EmbeddingModel, p: float, count: int, window: int,
-                    rng: RngState, mining: str = "distance") -> list[Triplet]:
-    """Turn one chunk matching into ranking triplets.
-
-    Anchors are drawn uniformly from matched query frames, the positive is
-    the matched chunk frame, and the negative is drawn uniformly from chunk
-    frames inside the percentile-thresholded candidate set. Returns fewer
-    than ``count`` triplets when anchors or eligible negatives run out; an
-    all-outlier matching yields an empty list.
-    """
-    if len(matching.pi) != len(query):
-        raise DimensionError("matching does not cover the query sequence")
-    chunk_feats = embed_batch(model, target_chunk.frames)
-    triples = _sample_triplet_indices(matching.pi, chunk_feats, p, count,
-                                      window, rng, mining)
-    off = target_chunk.offset
-    tid = target_chunk.sequence_id
-    return [
-        Triplet(anchor=(query.id, j), positive=(tid, off + pos),
-                negative=(tid, off + neg))
-        for j, pos, neg in triples
-    ]
-
-
 def _descriptor_neighbors(descriptors: dict[str, np.ndarray], k: int) -> dict[str, list[str]]:
     ids = sorted(descriptors)
     mat = np.stack([descriptors[i] for i in ids])
-    diff = mat[:, None, :] - mat[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
+    d2 = pairwise_sqdist(mat, mat)
     out = {}
     for i, sid in enumerate(ids):
         order = sorted((float(d2[i, j]), ids[j]) for j in range(len(ids)) if j != i)
@@ -367,6 +323,8 @@ class TrainConfig:
             raise ConfigError(f"unknown mining direction {self.mining!r}")
         if self.bootstrap_epochs < 1:
             raise ConfigError("bootstrap_epochs must be >= 1")
+        if self.neighborhood_size < 1:
+            raise ConfigError("neighborhood_size must be >= 1")
 
     def percentile_at(self, epoch: int) -> float:
         return max(self.percentile_floor,
@@ -409,14 +367,15 @@ def _apply_update(model: EmbeddingModel, velocity: dict[str, np.ndarray],
 
 
 def train(dataset: Dataset, config: TrainConfig,
-          penalties: MatchPenalties | None = None, chunk_len: int = 40,
+          penalties: PenaltyConfig = PenaltyConfig(), chunk_len: int = 40,
           rng: RngState | None = None) -> tuple[EmbeddingModel, TrainLog]:
     """Fit the embedding by alternating exact chunk matching and triplet descent.
 
     Each epoch samples sequence pairs from the neighborhood graph, solves the
     matching of the query against every target chunk, converts each chunk
     matching into a triplet batch (negatives mined at the epoch's percentile),
-    and applies one momentum step per batch. The first ``bootstrap_epochs``
+    and applies one momentum step per batch. Penalties resolve once per
+    pair, on that pair's current features. The first ``bootstrap_epochs``
     epochs compute neighborhoods, matching costs, and mining distances on
     unit-normalized ZCA-whitened raw features; afterwards the current
     embedding takes over (it must first outgrow the bootstrap features, so
@@ -458,7 +417,8 @@ def train(dataset: Dataset, config: TrainConfig,
             nbr_ids = neighbors[query.id]
             target = dataset.by_id(nbr_ids[int(g.integers(len(nbr_ids)))])
             q_feats, t_feats = feats[query.id], feats[target.id]
-            matchings = match_features(q_feats, t_feats, penalties=penalties,
+            matchings = match_features(q_feats, t_feats,
+                                       penalties.resolve(q_feats, t_feats),
                                        chunk_len=chunk_len)
             bounds = _chunk_bounds(t_feats.shape[0], chunk_len)
             for (start, end), matching in zip(bounds, matchings):

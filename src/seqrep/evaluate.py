@@ -18,10 +18,11 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.stats import rankdata
 
-from .core import ConfigError, Dataset, DimensionError, RngState
-from .align import Matching
+from .core import ConfigError, Dataset, DimensionError, RngState, pairwise_sqdist, write_file
+from .align import Matching, PenaltyConfig, solve_exact_dp
 from .embed import EmbeddingModel, embed_batch
 from .dynamics import RecurrentPredictor, rnn_forward_batch
+from .synthdata import GeneratorConfig, alignment_pair_config, resample_pair
 
 
 def _sequence_features(dataset: Dataset, embedder) -> list[np.ndarray]:
@@ -36,12 +37,6 @@ def _sequence_features(dataset: Dataset, embedder) -> list[np.ndarray]:
 def _require_latents(dataset: Dataset):
     if any(s.latent is None for s in dataset):
         raise ConfigError("this metric needs latent ground truth on every sequence")
-
-
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
 def roc_auc(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
@@ -59,7 +54,7 @@ def default_pose_epsilon(dataset: Dataset, percentile: float = 5.0) -> float:
     """Instance-relative match threshold: a low percentile of latent distances."""
     _require_latents(dataset)
     z = np.concatenate([s.latent for s in dataset], axis=0)
-    d = np.sqrt(_sqdist(z, z))
+    d = np.sqrt(pairwise_sqdist(z, z))
     iu = np.triu_indices(d.shape[0], k=1)
     return float(np.percentile(d[iu], percentile))
 
@@ -139,10 +134,10 @@ def zero_shot_pose_error(train: Dataset, test: Dataset, embedder,
     z_train = np.concatenate([s.latent for s in train], axis=0)
     z_test = np.concatenate([s.latent for s in test], axis=0)
 
-    nn_feat = np.argmin(_sqdist(f_test, f_train), axis=1)
+    nn_feat = np.argmin(pairwise_sqdist(f_test, f_train), axis=1)
     err = np.linalg.norm(z_test - z_train[nn_feat], axis=1)
 
-    nn_lat = np.argmin(_sqdist(z_test, z_train), axis=1)
+    nn_lat = np.argmin(pairwise_sqdist(z_test, z_train), axis=1)
     oracle_err = np.linalg.norm(z_test - z_train[nn_lat], axis=1)
 
     if thresholds is None:
@@ -196,7 +191,7 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
     preds = rnn_forward_batch(predictor, contexts)
     pred_err = np.linalg.norm(preds - all_emb[truth_global], axis=1)
 
-    d = np.sqrt(_sqdist(all_emb[truth_global], all_emb))
+    d = np.sqrt(pairwise_sqdist(all_emb[truth_global], all_emb))
     for row, gidx in enumerate(truth_global):
         si = int(np.searchsorted(offsets, gidx, side="right") - 1)
         t = gidx - offsets[si]
@@ -220,7 +215,7 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
 def nearest_neighbor_assignment(query_feats: np.ndarray,
                                 target_feats: np.ndarray) -> np.ndarray:
     """Per-frame nearest-neighbor baseline: no temporal terms, no outliers (1-based)."""
-    return np.argmin(_sqdist(np.asarray(query_feats), np.asarray(target_feats)),
+    return np.argmin(pairwise_sqdist(np.asarray(query_feats), np.asarray(target_feats)),
                      axis=1).astype(np.int64) + 1
 
 
@@ -260,6 +255,29 @@ def alignment_accuracy(predicted: list[Matching] | Matching | np.ndarray,
         raise ConfigError("truth assignment is all-outlier")
     hit = valid & (predicted > 0) & (np.abs(predicted - truth) <= 1)
     return float(hit.sum() / valid.sum())
+
+
+def alignment_benchmark(model: EmbeddingModel, generator: GeneratorConfig,
+                        pairs: int, seed: int,
+                        penalties: PenaltyConfig = PenaltyConfig(),
+                        ) -> tuple[list[float], list[float]]:
+    """Correspondence accuracy of exact matching versus per-frame nearest neighbors.
+
+    Pair ``i`` is :func:`resample_pair` of ``alignment_pair_config(generator)``
+    at seed ``seed + i``; both sides are embedded, matched whole (no
+    chunking) under ``penalties`` resolved for that pair, and scored by
+    :func:`alignment_accuracy`. Returns the per-pair (dp, nn) accuracies.
+    """
+    pair_cfg = alignment_pair_config(generator)
+    dp_scores, nn_scores = [], []
+    for i in range(pairs):
+        query, target, truth = resample_pair(pair_cfg, seed=seed + i)
+        q = embed_batch(model, query.frames)
+        t = embed_batch(model, target.frames)
+        sol = solve_exact_dp(q, t, penalties.resolve(q, t))
+        dp_scores.append(alignment_accuracy(sol, truth))
+        nn_scores.append(alignment_accuracy(nearest_neighbor_assignment(q, t), truth))
+    return dp_scores, nn_scores
 
 
 @dataclass(frozen=True)
@@ -328,7 +346,7 @@ def agglomerative_representatives(dataset: Dataset, embedder,
     reps = []
     for lab in sorted(set(labels), key=lambda l: int(np.argmax(labels == l))):
         members = np.flatnonzero(labels == lab)
-        d = _sqdist(feats[members], feats[members])
+        d = pairwise_sqdist(feats[members], feats[members])
         medoid = members[int(np.argmin(d.sum(axis=1)))]
         reps.append(refs[medoid])
     return reps
@@ -346,12 +364,8 @@ class EvalReport:
 
     def save(self, base_path) -> tuple[Path, Path]:
         """Write ``<base>.json`` (machine-readable) and ``<base>.txt`` (key/value lines)."""
-        base = Path(base_path)
-        base.parent.mkdir(parents=True, exist_ok=True)
-        json_path = Path(str(base) + ".json")
-        txt_path = Path(str(base) + ".txt")
-        payload = asdict(self)
-        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        json_path = write_file(str(base_path) + ".json",
+                               json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         lines = [f"metric {self.metric}", f"seed {self.seed}"]
         for k in sorted(self.values):
             lines.append(f"{k} {self.values[k]!r}")
@@ -359,7 +373,7 @@ class EvalReport:
             lines.append(f"{k} " + " ".join(repr(v) for v in self.series[k]))
         for k in sorted(self.config):
             lines.append(f"config.{k} {self.config[k]}")
-        txt_path.write_text("\n".join(lines) + "\n")
+        txt_path = write_file(str(base_path) + ".txt", "\n".join(lines) + "\n")
         return json_path, txt_path
 
     @classmethod
@@ -370,12 +384,9 @@ class EvalReport:
 
 def write_curve(path, xs, ys, header: str = "") -> Path:
     """Two-column plot-ready text file."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     if header:
         lines.append(f"# {header}")
     for x, y in zip(xs, ys):
         lines.append(f"{x} {y!r}")
-    p.write_text("\n".join(lines) + "\n")
-    return p
+    return write_file(path, "\n".join(lines) + "\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, FormatError, Sequence
+from .core import Dataset, FormatError, Sequence, write_file
 from .embed import EmbeddingModel
 from .dynamics import RecurrentPredictor
 
@@ -56,13 +56,12 @@ def _read_payload(path: Path, rows: int, dim: int) -> np.ndarray:
 def _write_payload(path: Path, values: np.ndarray):
     arr = np.ascontiguousarray(values, dtype="<f4")
     _check_payload(arr.ravel(), path)
-    path.write_bytes(arr.tobytes())
+    write_file(path, arr.tobytes())
 
 
 def write_seqpack(dataset: Dataset, path) -> Path:
     """Write a dataset as a SeqPack directory; returns the manifest path."""
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     q = dataset.latent_dimension
     records = []
     for s in dataset:
@@ -85,9 +84,8 @@ def write_seqpack(dataset: Dataset, path) -> Path:
         "latent_dim": q,
         "sequences": records,
     }
-    mpath = root / MANIFEST_NAME
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return mpath
+    return write_file(root / MANIFEST_NAME,
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def read_seqpack(path) -> Dataset:
@@ -129,9 +127,7 @@ def _write_container(path: Path, kind: int, dims: tuple[int, ...], extra: int,
     for arr in arrays:
         head += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     digest = hashlib.sha256(bytes(head)).digest()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(bytes(head) + digest)
+    write_file(path, bytes(head) + digest)
 
 
 def _read_container(path: Path, expect_kind: int):

@@ -196,11 +196,6 @@ def resample_pair(cfg: GeneratorConfig, seed: int,
     return query, target, truth
 
 
-def reference_config(seed: int = 20240511) -> GeneratorConfig:
-    """The fixed desk-scale benchmark used throughout the evaluation suite."""
-    return GeneratorConfig(seed=seed)
-
-
 def alignment_pair_config(base: GeneratorConfig) -> GeneratorConfig:
     """Instance settings for correspondence-accuracy evaluation.
 

@@ -3,19 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqrep.core import ConfigError, RngState, ResourceLimitError, Sequence
+from seqrep.core import ConfigError, ResourceLimitError
 from seqrep.align import (
     CostBreakdown,
     Matching,
     MatchPenalties,
+    _chunk_bounds,
     alignment_cost,
-    chunk_target,
     default_penalties,
-    match_pair,
+    match_features,
     solve_bruteforce,
     solve_exact_dp,
 )
-from seqrep.embed import embed_batch, init_embedding_model
 
 from conftest import random_unit_rows
 
@@ -171,72 +170,46 @@ class TestExactDP:
 
 class TestChunking:
     def test_even_split(self):
-        seq = Sequence(id="t", frames=np.zeros((80, 2)))
-        chunks = chunk_target(seq, 40)
-        assert [c.offset for c in chunks] == [0, 40]
-        assert [len(c) for c in chunks] == [40, 40]
+        assert _chunk_bounds(80, 40) == [(0, 40), (40, 80)]
 
     def test_remainder_kept_when_two_or_more(self):
-        seq = Sequence(id="t", frames=np.zeros((85, 2)))
-        assert [len(c) for c in chunk_target(seq, 40)] == [40, 40, 5]
+        assert [e - s for s, e in _chunk_bounds(85, 40)] == [40, 40, 5]
 
     def test_singleton_remainder_merged(self):
-        seq = Sequence(id="t", frames=np.zeros((41, 2)))
-        chunks = chunk_target(seq, 40)
-        assert len(chunks) == 1 and len(chunks[0]) == 41
+        assert _chunk_bounds(41, 40) == [(0, 41)]
 
     def test_chunk_len_below_two_rejected(self):
-        seq = Sequence(id="t", frames=np.zeros((10, 2)))
         with pytest.raises(ConfigError):
-            chunk_target(seq, 1)
+            _chunk_bounds(10, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 300), chunk_len=st.integers(2, 60))
     def test_chunks_partition_target(self, n, chunk_len):
-        seq = Sequence(id="t", frames=np.zeros((n, 1)))
-        chunks = chunk_target(seq, chunk_len)
-        offsets = [c.offset for c in chunks]
-        assert offsets == sorted(set(offsets))
-        assert sum(len(c) for c in chunks) == n
+        bounds = _chunk_bounds(n, chunk_len)
         pos = 0
-        for c in chunks:
-            assert c.offset == pos
-            pos += len(c)
+        for s, e in bounds:
+            assert s == pos and e > s
+            pos = e
+        assert pos == n
         if n > 1:
-            assert all(len(c) >= 2 for c in chunks)
-
-
-@pytest.fixture(scope="module")
-def model():
-    return init_embedding_model(4, 8, 5, RngState(1))
+            assert all(e - s >= 2 for s, e in bounds)
 
 
 class TestMatchPair:
-    def test_short_target_yields_single_matching(self, model, rng):
-        q = Sequence(id="q", frames=rng.gen.normal(size=(6, 4)))
-        t = Sequence(id="t", frames=rng.gen.normal(size=(9, 4)))
-        out = match_pair(q, t, model, penalties=PEN, chunk_len=40)
+    """Chunked matching of one featured query against one featured target."""
+
+    def test_short_target_yields_single_matching(self, rng):
+        q, t = random_instance(rng.gen, 6, 9, d=4)
+        out = match_features(q, t, penalties=PEN, chunk_len=40)
         assert len(out) == 1 and out[0].target_offset == 0
 
-    def test_chunked_offsets_and_costs_match_direct_solves(self, model, rng):
-        q = Sequence(id="q", frames=rng.gen.normal(size=(8, 4)))
-        t = Sequence(id="t", frames=rng.gen.normal(size=(50, 4)))
-        out = match_pair(q, t, model, penalties=PEN, chunk_len=20)
+    def test_chunked_offsets_and_costs_match_direct_solves(self, rng):
+        q, t = random_instance(rng.gen, 8, 50, d=4)
+        out = match_features(q, t, penalties=PEN, chunk_len=20)
         assert [m.target_offset for m in out] == [0, 20, 40]
-        qe = embed_batch(model, q.frames)
-        te = embed_batch(model, t.frames)
         for m, (s, e) in zip(out, [(0, 20), (20, 40), (40, 50)]):
-            direct = solve_exact_dp(qe, te[s:e], PEN)
+            direct = solve_exact_dp(q, t[s:e], PEN)
             assert m.total_cost == pytest.approx(direct.total_cost, abs=1e-9)
-
-    def test_workers_do_not_change_results(self, model, rng):
-        q = Sequence(id="q", frames=rng.gen.normal(size=(7, 4)))
-        t = Sequence(id="t", frames=rng.gen.normal(size=(64, 4)))
-        serial = match_pair(q, t, model, penalties=PEN, chunk_len=16, workers=1)
-        threaded = match_pair(q, t, model, penalties=PEN, chunk_len=16, workers=4)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.pi, b.pi)
-            assert a.total_cost == b.total_cost
 
     def test_default_penalties_are_instance_relative(self, rng):
         g = rng.gen

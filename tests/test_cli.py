@@ -167,6 +167,19 @@ class TestExitCodes:
                      "--out", str(root / "m.bin")])
         assert code == 1
 
+    @pytest.mark.parametrize("override", [
+        {"train": {**TINY["train"], "neighborhood_size": 0}},
+        {"chunk_len": 20.5},
+    ])
+    def test_bad_config_value_is_validation_error(self, pipeline, override, capsys):
+        root, _, data, _, _ = pipeline
+        cfg = root / "bad_cfg.json"
+        cfg.write_text(json.dumps({**TINY, **override}))
+        code = main(["train-embed", "--config", str(cfg), "--data", str(data),
+                     "--out", str(root / "bad.bin")])
+        assert code == 1
+        assert "ConfigError" in capsys.readouterr().err
+
     def test_unwritable_output_is_runtime_error(self, pipeline):
         root, cfg, data, model, _ = pipeline
         blocker = root / "blocker"
@@ -181,6 +194,18 @@ class TestExitCodes:
                      "--model", str(model), "--query", "nope",
                      "--target", "seq001", "--out", str(root / "y.json")])
         assert code == 2
+
+
+def test_partly_set_penalties_reach_training(pipeline, capsys):
+    # an outlier price below every data cost leaves no anchors to train on
+    root, _, data, model, _ = pipeline
+    cfg = root / "outlier_cfg.json"
+    cfg.write_text(json.dumps({**TINY, "penalties": {"outlier_cost": 1e-9}}))
+    out = root / "outlier_model.bin"
+    assert main(["train-embed", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out)]) == 0
+    assert "final mean loss n/a" in capsys.readouterr().out
+    assert out.read_bytes() != model.read_bytes()
 
 
 class TestDeterminism:

@@ -21,7 +21,6 @@ class TestDefaults:
         assert cfg.chunk_len == 40
         assert cfg.context_len == 4
         assert cfg.seed == 0
-        assert cfg.threads == 1
 
     def test_train_section(self):
         t = RunConfig().train
@@ -49,10 +48,11 @@ class TestDefaults:
         assert p.hidden_dim == 512
         assert p.momentum == 0.9
 
-    def test_penalties_default_to_instance_relative(self):
+    def test_penalties_default_to_instance_relative(self, rng):
         pc = RunConfig().penalties
-        assert pc.explicit() is None
-        assert not pc.fully_specified
+        assert pc == PenaltyConfig()
+        q, t = rng.gen.normal(size=(4, 3)), rng.gen.normal(size=(5, 3))
+        assert pc.resolve(q, t) == default_penalties(q, t)
 
 
 class TestLoading:
@@ -88,17 +88,49 @@ class TestLoading:
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "none.json")
 
+    def test_removed_keys_are_unknown(self):
+        with pytest.raises(ConfigError, match="unknown config key threads"):
+            config_from_dict({"threads": 2})
+        with pytest.raises(ConfigError, match="eval.num_clusters"):
+            config_from_dict({"eval": {"num_clusters": 16}})
+
+    @pytest.mark.parametrize("data", [
+        {"chunk_len": 20.5},
+        {"seed": "7"},
+        {"train": {"neighborhood_size": 2.0}},
+        {"train": {"pairs_per_epoch": 1.5}},
+        {"generator": {"frames_range": [36.5, 44]}},
+        {"train": {"margin": "0.2"}},
+        {"train": {"mining": 1}},
+        {"penalties": {"lambda1": [1.0]}},
+        {"predictor": {"batch_size": True}},
+    ])
+    def test_values_must_have_the_declared_type(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    def test_numbers_accepted_where_declared(self):
+        cfg = config_from_dict({"train": {"margin": 1, "pairs_per_epoch": None},
+                                "penalties": {"lambda1": 2},
+                                "generator": {"cycles_range": [1, 2.5]}})
+        assert cfg.train.margin == 1 and cfg.train.pairs_per_epoch is None
+        assert cfg.penalties.lambda1 == 2
+        assert cfg.generator.cycles_range == (1, 2.5)
+
     def test_section_values_validated(self):
         with pytest.raises(ConfigError):
             config_from_dict({"chunk_len": 1})
         with pytest.raises(ConfigError):
             config_from_dict({"train": {"margin": -1.0}})
+        with pytest.raises(ConfigError, match="neighborhood_size"):
+            config_from_dict({"train": {"neighborhood_size": 0}})
 
 
 class TestPenaltyResolution:
-    def test_explicit_when_fully_specified(self):
+    def test_explicit_when_fully_specified(self, rng):
         pc = PenaltyConfig(lambda1=1.0, lambda2=2.0, lambda3=3.0, outlier_cost=4.0)
-        pen = pc.explicit()
+        q, t = rng.gen.normal(size=(4, 3)), rng.gen.normal(size=(5, 3))
+        pen = pc.resolve(q, t)
         assert (pen.lambda1, pen.lambda2, pen.lambda3, pen.outlier_cost) == (1, 2, 3, 4)
 
     def test_partial_override_resolves_rest_from_instance(self, rng):

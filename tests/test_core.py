@@ -12,7 +12,8 @@ from seqrep.core import (
     RngState,
     Sequence,
     l2_normalize,
-    squared_l2,
+    pairwise_sqdist,
+    write_file,
 )
 
 finite_vec = arrays(np.float64, st.integers(1, 8),
@@ -20,20 +21,25 @@ finite_vec = arrays(np.float64, st.integers(1, 8),
 
 
 def test_squared_l2_identity_and_unit_axes():
-    assert squared_l2([0.0, 0.0], [0.0, 0.0]) == 0.0
-    assert squared_l2([1.0, 0.0], [0.0, 1.0]) == 2.0
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(pairwise_sqdist(x, x),
+                                  [[0, 1, 1], [1, 0, 2], [1, 2, 0]])
 
 
 def test_squared_l2_matches_bruteforce_loop(rng):
-    a = rng.gen.normal(size=5)
-    b = rng.gen.normal(size=5)
-    expected = sum((x - y) ** 2 for x, y in zip(a, b))
-    assert squared_l2(a, b) == pytest.approx(expected, rel=1e-12)
+    a = rng.gen.normal(size=(4, 5))
+    b = rng.gen.normal(size=(3, 5))
+    d2 = pairwise_sqdist(a, b)
+    assert d2.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            expected = sum((x - y) ** 2 for x, y in zip(a[i], b[j]))
+            assert d2[i, j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_squared_l2_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        squared_l2([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        pairwise_sqdist(np.ones((2, 2)), np.ones((2, 3)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -41,8 +47,19 @@ def test_squared_l2_dimension_mismatch():
     st.just(a),
     arrays(np.float64, a.shape[0], elements=st.floats(-1e6, 1e6, allow_nan=False)))))
 def test_squared_l2_symmetry(pair):
-    a, b = pair
-    assert squared_l2(a, b) == pytest.approx(squared_l2(b, a), rel=1e-12, abs=1e-12)
+    a, b = (v[None, :] for v in pair)
+    ab, ba = pairwise_sqdist(a, b)[0, 0], pairwise_sqdist(b, a)[0, 0]
+    assert ab >= 0.0
+    # the expanded form cancels |a|^2 + |b|^2, so its error scales with them
+    scale = float(np.sum(a * a) + np.sum(b * b))
+    assert ab == pytest.approx(ba, rel=1e-12, abs=1e-12 * scale)
+
+
+def test_write_file_creates_parent_directories(tmp_path):
+    out = write_file(tmp_path / "a" / "b" / "f.txt", "x 1\n")
+    assert out.read_bytes() == b"x 1\n"
+    write_file(out, b"\x00\x01")
+    assert out.read_bytes() == b"\x00\x01"
 
 
 def test_l2_normalize_345_triangle():

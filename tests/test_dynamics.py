@@ -5,7 +5,6 @@ import seqrep as sr
 from seqrep.core import ConfigError, DegenerateInputError, Dataset, DimensionError, RngState, Sequence
 from seqrep.dynamics import (
     PARAM_NAMES,
-    Context,
     PredictorConfig,
     RecurrentPredictor,
     batch_loss_and_grad,
@@ -14,7 +13,6 @@ from seqrep.dynamics import (
     predict_next,
     rnn_forward,
     rnn_forward_batch,
-    rnn_loss,
     synthesize,
     train_predictor,
 )
@@ -61,12 +59,6 @@ class TestForward:
             hits += not np.allclose(base, flipped)
         assert hits >= 1
 
-    def test_accepts_context_object(self, rng):
-        pred = init_predictor(3, 6, 4, RngState(1))
-        frames = rng.gen.normal(size=(4, 3))
-        ctx = Context(frames=frames, source=("s", 3))
-        np.testing.assert_array_equal(rnn_forward(pred, ctx), rnn_forward(pred, frames))
-
     def test_batch_matches_single(self, rng):
         pred = init_predictor(3, 6, 4, RngState(2))
         contexts = rng.gen.normal(size=(5, 4, 3))
@@ -82,16 +74,28 @@ class TestForward:
 
 
 class TestLoss:
+    """The regression loss: squared euclidean error, averaged over the batch."""
+
     def test_zero_when_equal(self, rng):
         v = rng.gen.normal(size=4)
-        assert rnn_loss(v, v) == 0.0
+        contexts = rng.gen.normal(size=(2, 3, 4))
+        loss, _ = batch_loss_and_grad(zero_predictor(d=4, bias=v), contexts,
+                                      np.stack([v, v]))
+        assert loss == 0.0
 
-    def test_unit_axes(self):
-        assert rnn_loss([1.0, 0.0], [0.0, 1.0]) == 2.0
+    def test_unit_axes(self, rng):
+        contexts = rng.gen.normal(size=(1, 3, 2))
+        loss, _ = batch_loss_and_grad(zero_predictor(d=2, bias=[1.0, 0.0]), contexts,
+                                      np.array([[0.0, 1.0]]))
+        assert loss == 2.0
 
     def test_equals_shared_primitive(self, rng):
-        a, b = rng.gen.normal(size=(2, 6))
-        assert rnn_loss(a, b) == sr.squared_l2(a, b)
+        pred = init_predictor(6, 8, 3, RngState(3))
+        contexts = rng.gen.normal(size=(5, 3, 6))
+        targets = rng.gen.normal(size=(5, 6))
+        loss, _ = batch_loss_and_grad(pred, contexts, targets)
+        d2 = sr.pairwise_sqdist(rnn_forward_batch(pred, contexts), targets)
+        assert loss == pytest.approx(float(np.mean(np.diag(d2))), rel=1e-12)
 
 
 class TestGradient:

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from seqrep.core import ConfigError, DegenerateInputError, Dataset, RngState, Sequence
-from seqrep.align import Chunk, CostBreakdown, Matching
+from seqrep.align import PenaltyConfig
 from seqrep.embed import (
     EmbeddingModel,
     PARAM_NAMES,
     TrainConfig,
-    Triplet,
     _eligible_negatives,
+    _sample_triplet_indices,
     augment,
     embed_batch,
-    embed_forward,
     fit_whitener,
     init_embedding_model,
     nearest_rank_percentile,
-    sample_triplets,
     sequence_neighbors,
     train,
     triplet_grad,
@@ -46,8 +44,8 @@ class TestForward:
                                W2=np.zeros((h, d)),
                                b2=np.array([1.0, 0.0, 0.0]))
         for _ in range(5):
-            out = embed_forward(model, rng.gen.normal(size=f))
-            np.testing.assert_allclose(out, [1.0, 0.0, 0.0])
+            out = embed_batch(model, rng.gen.normal(size=(1, f)))
+            np.testing.assert_allclose(out, [[1.0, 0.0, 0.0]])
 
     def test_outputs_unit_norm(self, tiny_model, rng):
         x = rng.gen.normal(size=(1000, 5)) * 3
@@ -62,7 +60,7 @@ class TestForward:
         model = EmbeddingModel(W1=np.zeros((2, 3)), b1=np.zeros(3),
                                W2=np.zeros((3, 2)), b2=np.zeros(2))
         with pytest.raises(DegenerateInputError):
-            embed_forward(model, [1.0, 2.0])
+            embed_batch(model, [[1.0, 2.0]])
 
 
 class TestTripletLoss:
@@ -115,6 +113,14 @@ class TestTripletGrad:
             worst = max(worst, max_block_relative_error(grads, numeric))
         assert worst < 1e-4
 
+    def test_loss_matches_triplet_loss_oracle(self, tiny_model, rng):
+        g = rng.gen
+        a, p, n = (g.normal(size=(6, 5)) for _ in range(3))
+        loss, _ = triplet_grad(tiny_model, a, p, n, 0.3)
+        ya, yp, yn = (embed_batch(tiny_model, x) for x in (a, p, n))
+        oracle = np.mean([triplet_loss(ya[i], yp[i], yn[i], 0.3) for i in range(6)])
+        assert loss == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
     def test_batch_mean_equals_mean_of_singles(self, tiny_model, rng):
         g = rng.gen
         a, p, n = (g.normal(size=(4, 5)) for _ in range(3))
@@ -165,55 +171,36 @@ class TestNegativeMining:
         assert not (near & far)
 
 
-def make_matching(pi):
-    pi = np.asarray(pi, dtype=np.int64)
-    return Matching(pi=pi, total_cost=0.0,
-                    breakdown=CostBreakdown(0.0, 0.0, 0.0, 0.0, 0.0))
-
-
 class TestSampleTriplets:
+    """Triplet index draws from one chunk matching, as ``train`` mines them."""
+
     @pytest.fixture()
-    def setup(self, rng, tiny_model):
-        g = rng.gen
-        query = Sequence(id="q", frames=g.normal(size=(6, 5)))
-        chunk = Chunk(offset=10, frames=g.normal(size=(8, 5)), sequence_id="t")
-        return query, chunk
+    def chunk_feats(self, rng):
+        return rng.gen.normal(size=(8, 4))
 
-    def test_all_outlier_matching_yields_empty(self, setup, tiny_model, rng):
-        query, chunk = setup
-        m = make_matching(np.zeros(6, dtype=int))
-        assert sample_triplets(query, chunk, m, tiny_model, 100, 10, 1, rng) == []
+    def test_all_outlier_matching_yields_empty(self, chunk_feats, rng):
+        pi = np.zeros(6, dtype=np.int64)
+        assert _sample_triplet_indices(pi, chunk_feats, 100, 10, 1, rng) == []
 
-    def test_anchor_validity_and_offsets(self, setup, tiny_model, rng):
-        query, chunk = setup
-        m = make_matching([1, 0, 3, 2, 0, 4])
-        out = sample_triplets(query, chunk, m, tiny_model, 100, 50, 1, rng)
+    def test_anchor_validity_and_offsets(self, chunk_feats, rng):
+        pi = np.array([1, 0, 3, 2, 0, 4])
+        out = _sample_triplet_indices(pi, chunk_feats, 100, 50, 1, rng)
         assert out
-        for t in out:
-            assert t.anchor[0] == "q" and t.positive[0] == "t"
-            j = t.anchor[1]
-            assert m.pi[j] == t.positive[1] - chunk.offset + 1
-            assert t.negative[1] != t.positive[1]
-            assert abs(t.negative[1] - t.positive[1]) > 1
+        for j, pos, neg in out:
+            assert pi[j] == pos + 1
+            assert 0 <= neg < len(chunk_feats)
+            assert abs(neg - pos) > 1
 
-    def test_deterministic_under_seed(self, setup, tiny_model):
-        query, chunk = setup
-        m = make_matching([1, 0, 3, 2, 0, 4])
-        a = sample_triplets(query, chunk, m, tiny_model, 60, 20, 1, RngState(5))
-        b = sample_triplets(query, chunk, m, tiny_model, 60, 20, 1, RngState(5))
+    def test_deterministic_under_seed(self, chunk_feats):
+        pi = np.array([1, 0, 3, 2, 0, 4])
+        a = _sample_triplet_indices(pi, chunk_feats, 60, 20, 1, RngState(5))
+        b = _sample_triplet_indices(pi, chunk_feats, 60, 20, 1, RngState(5))
         assert a == b
 
-    def test_single_frame_chunk_yields_no_triplets(self, rng, tiny_model):
-        query = Sequence(id="q", frames=rng.gen.normal(size=(3, 5)))
-        chunk = Chunk(offset=0, frames=rng.gen.normal(size=(1, 5)), sequence_id="t")
-        m = make_matching([1, 1, 1])
-        assert sample_triplets(query, chunk, m, tiny_model, 100, 10, 1, rng) == []
-
-    def test_triplet_type_invariants(self):
-        with pytest.raises(ValueError):
-            Triplet(anchor=("a", 0), positive=("b", 1), negative=("b", 1))
-        with pytest.raises(ValueError):
-            Triplet(anchor=("a", 0), positive=("a", 1), negative=("a", 2))
+    def test_single_frame_chunk_yields_no_triplets(self, rng):
+        pi = np.array([1, 1, 1])
+        feats = rng.gen.normal(size=(1, 4))
+        assert _sample_triplet_indices(pi, feats, 100, 10, 1, rng) == []
 
 
 class TestSequenceNeighbors:
@@ -300,6 +287,14 @@ class TestTrain:
         assert log.epochs_run == 1
         assert log.epoch_percentile == [100.0]
         assert len(log.batch_loss) == len(log.batch_epoch)
+
+    def test_set_penalties_reach_the_matcher(self, small_dataset):
+        # all-outlier matchings leave no anchors, so no batch may run
+        cfg = TrainConfig(max_epochs=1, hidden_dim=16, embed_dim=8)
+        _, log = train(small_dataset, cfg, penalties=PenaltyConfig(outlier_cost=1e-9),
+                       chunk_len=20, rng=RngState(1))
+        assert log.epochs_run == 1
+        assert log.batch_loss == []
 
     def test_training_reduces_loss_on_reference(self, ref_training):
         _, log = ref_training

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from seqrep.core import ConfigError
+from seqrep.config import reference_run_config
 from seqrep.synthdata import (
     GeneratorConfig,
     alignment_pair_config,
     generate_dataset,
     max_latent_step,
-    reference_config,
     resample_pair,
 )
 
@@ -30,7 +30,7 @@ class TestConfig:
             GeneratorConfig(observation_noise=-0.1)
 
     def test_reference_shape(self):
-        cfg = reference_config()
+        cfg = reference_run_config().generator
         ds = generate_dataset(cfg)
         assert len(ds) == 12
         assert ds.dimension == 64
@@ -120,7 +120,8 @@ class TestResamplePair:
 
 
 def test_alignment_pair_config_derivation():
-    cfg = alignment_pair_config(reference_config())
+    base = reference_run_config().generator
+    cfg = alignment_pair_config(base)
     assert cfg.cycles_range == (0.8, 1.2)
-    assert cfg.nuisance_strength < reference_config().nuisance_strength
+    assert cfg.nuisance_strength < base.nuisance_strength
     assert cfg.feature_dim == 64
