@@ -12,6 +12,7 @@ from .core import (
     Dataset,
     DegenerateInputError,
     DimensionError,
+    DivergenceError,
     FormatError,
     ResourceLimitError,
     RngState,

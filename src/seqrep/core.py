@@ -7,6 +7,8 @@ the conventions fixed here: frames are 1-D float64 vectors, sequences are
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +33,21 @@ class ResourceLimitError(RuntimeError):
 
 class FormatError(ValueError):
     """On-disk payload violates the declared format."""
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss or parameter vector.
+
+    ``stage`` names the learner (``embed`` or ``predictor``); ``epoch`` and
+    ``batch`` are 0-based and locate the batch whose loss was non-finite,
+    or the epoch's last batch when the losses stayed finite but the
+    parameter vector did not; ``loss`` is the last batch loss seen.
+    """
+
+    def __init__(self, stage: str, epoch: int, batch: int, loss: float, what: str):
+        super().__init__(f"{stage} training diverged at epoch {epoch}, batch {batch}: "
+                         f"{what} (last loss {loss!r})")
+        self.stage, self.epoch, self.batch, self.loss = stage, epoch, batch, loss
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -72,6 +89,62 @@ def write_file(path, data: bytes | str) -> Path:
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_bytes(data.encode() if isinstance(data, str) else data)
     return p
+
+
+def block_views(vec: np.ndarray, **shapes: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """Named row-major views of consecutive slices of the 1-D ``vec``, in argument order."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if vec.shape != (sum(sizes),):
+        raise DimensionError(
+            f"parameter vector has shape {vec.shape}, its layout needs ({sum(sizes)},)"
+        )
+    return {name: vec[end - size:end].reshape(shape)
+            for (name, shape), size, end in zip(shapes.items(), sizes,
+                                                itertools.accumulate(sizes))}
+
+
+class MomentumSGD:
+    """Plain momentum SGD on one parameter vector, which it updates in place.
+
+    Each :meth:`step` applies ``v = momentum * v - learning_rate * g`` then
+    ``theta = theta + v``. Finiteness is checked on each batch loss and, in
+    :meth:`end_epoch`, on the whole vector; either failure raises
+    :class:`DivergenceError` naming ``stage``, the epoch and the batch.
+    """
+
+    def __init__(self, theta: np.ndarray, learning_rate: float, momentum: float,
+                 stage: str):
+        self.theta = theta
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.stage = stage
+        self.velocity = np.zeros_like(theta)
+        self.epoch = 0
+        self.batch = 0  # steps taken in the current epoch
+        self.last_loss = math.nan
+        self._epoch_start = theta.copy()
+
+    def step(self, loss: float, grad: np.ndarray) -> None:
+        """One update from a batch's loss and its gradient (same layout as ``theta``)."""
+        if not math.isfinite(loss):
+            raise DivergenceError(self.stage, self.epoch, self.batch, loss,
+                                  "non-finite batch loss")
+        self.velocity *= self.momentum
+        self.velocity -= self.learning_rate * grad
+        self.theta += self.velocity
+        self.batch += 1
+        self.last_loss = loss
+
+    def end_epoch(self) -> float:
+        """Check the vector is finite; return its euclidean move over the epoch."""
+        if not np.all(np.isfinite(self.theta)):
+            raise DivergenceError(self.stage, self.epoch, self.batch - 1, self.last_loss,
+                                  "non-finite parameters")
+        delta = float(np.linalg.norm(self.theta - self._epoch_start))
+        self._epoch_start = self.theta.copy()
+        self.epoch += 1
+        self.batch = 0
+        return delta
 
 
 def l2_normalize(a, eps: float = 1e-12) -> np.ndarray:

@@ -19,17 +19,17 @@ from .core import (
     ConfigError,
     DimensionError,
     Dataset,
-    DegenerateInputError,
+    MomentumSGD,
     RngState,
     Sequence,
     as_frames,
+    as_vector,
+    block_views,
     l2_normalize,
 )
 from .embed import EmbeddingModel, embed_batch
 
 logger = logging.getLogger(__name__)
-
-PARAM_NAMES = ("Wx", "Wh", "b", "Wy", "by")
 
 
 def _sigmoid(x):
@@ -40,46 +40,36 @@ def _sigmoid(x):
 class RecurrentPredictor:
     """Gated recurrent cell plus affine head; hidden dim must exceed embed dim.
 
-    Gate blocks are stored side by side in the (.., 4m) matrices in the order
-    input, forget, candidate, output.
+    ``theta`` is the one parameter vector, ``Wx Wh b Wy by`` concatenated
+    row-major; the named blocks are views of it. Gate blocks are stored side
+    by side in the (.., 4m) matrices in the order input, forget, candidate,
+    output.
     """
 
-    Wx: np.ndarray  # (d, 4m)
-    Wh: np.ndarray  # (m, 4m)
-    b: np.ndarray   # (4m,)
-    Wy: np.ndarray  # (m, d)
-    by: np.ndarray  # (d,)
+    theta: np.ndarray
+    embed_dim: int   # d
+    hidden_dim: int  # m
     context_len: int = 4
+    Wx: np.ndarray = field(init=False, repr=False)  # (d, 4m)
+    Wh: np.ndarray = field(init=False, repr=False)  # (m, 4m)
+    b: np.ndarray = field(init=False, repr=False)   # (4m,)
+    Wy: np.ndarray = field(init=False, repr=False)  # (m, d)
+    by: np.ndarray = field(init=False, repr=False)  # (d,)
 
     def __post_init__(self):
-        for name in PARAM_NAMES:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise DegenerateInputError(f"parameter {name} contains non-finite values")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        m = self.Wh.shape[0]
-        d = self.Wx.shape[0]
-        if self.Wx.shape[1] != 4 * m or self.Wh.shape[1] != 4 * m or self.b.shape != (4 * m,):
-            raise DimensionError("gate parameter shapes are inconsistent")
-        if self.Wy.shape != (m, d) or self.by.shape != (d,):
-            raise DimensionError("head shapes do not match cell dimensions")
+        d, m = self.embed_dim, self.hidden_dim
         if m <= d:
             raise ConfigError(f"hidden dim {m} must exceed embed dim {d}")
         if self.context_len < 1:
             raise ConfigError("context_len must be >= 1")
+        object.__setattr__(self, "theta", as_vector(self.theta, "parameter vector").copy())
+        for name, view in self.blocks(self.theta).items():
+            object.__setattr__(self, name, view)
 
-    @property
-    def embed_dim(self) -> int:
-        return self.Wx.shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.Wh.shape[0]
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+    def blocks(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of ``vec``, which has the layout of ``theta`` (e.g. a gradient)."""
+        d, m = self.embed_dim, self.hidden_dim
+        return block_views(vec, Wx=(d, 4 * m), Wh=(m, 4 * m), b=(4 * m,), Wy=(m, d), by=(d,))
 
 
 def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
@@ -95,20 +85,20 @@ def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
     if rng is None:
         rng = RngState(0)
     g = rng.gen
-    m = hidden_dim
-    sx = 6.0 / math.sqrt(embed_dim)
+    d, m = embed_dim, hidden_dim
+    sx = 6.0 / math.sqrt(d)
     sh = 2.0 / math.sqrt(m)
     sy = 0.3 / math.sqrt(m)
     b = np.zeros(4 * m)
     b[m:2 * m] = 1.0
-    return RecurrentPredictor(
-        Wx=g.uniform(-sx, sx, size=(embed_dim, 4 * m)),
-        Wh=g.uniform(-sh, sh, size=(m, 4 * m)),
-        b=b,
-        Wy=g.uniform(-sy, sy, size=(m, embed_dim)),
-        by=np.zeros(embed_dim),
-        context_len=context_len,
-    )
+    theta = np.concatenate([
+        g.uniform(-sx, sx, size=d * 4 * m),
+        g.uniform(-sh, sh, size=m * 4 * m),
+        b,
+        g.uniform(-sy, sy, size=m * d),
+        np.zeros(d),
+    ])
+    return RecurrentPredictor(theta, d, m, context_len)
 
 
 def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
@@ -134,11 +124,11 @@ def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
 
 
 def _cell_backward(pred: RecurrentPredictor, cache, h_last: np.ndarray,
-                   d_y: np.ndarray) -> dict[str, np.ndarray]:
-    m = pred.hidden_dim
-    grads = {name: np.zeros_like(getattr(pred, name)) for name in PARAM_NAMES}
-    grads["Wy"] = h_last.T @ d_y
-    grads["by"] = d_y.sum(axis=0)
+                   d_y: np.ndarray) -> np.ndarray:
+    grad = np.zeros_like(pred.theta)
+    grads = pred.blocks(grad)
+    grads["Wy"][...] = h_last.T @ d_y
+    grads["by"][...] = d_y.sum(axis=0)
     dh = d_y @ pred.Wy.T
     dc = np.zeros_like(dh)
     for x_t, h_prev, c_prev, i, f, g, o, tc in reversed(cache):
@@ -156,7 +146,7 @@ def _cell_backward(pred: RecurrentPredictor, cache, h_last: np.ndarray,
         grads["b"] += dz.sum(axis=0)
         dh = dz @ pred.Wh.T
         dc = dc * f
-    return grads
+    return grad
 
 
 def rnn_forward(pred: RecurrentPredictor, ctx) -> np.ndarray:
@@ -184,8 +174,11 @@ def rnn_forward_batch(pred: RecurrentPredictor, contexts: np.ndarray) -> np.ndar
 
 
 def batch_loss_and_grad(pred: RecurrentPredictor, contexts: np.ndarray,
-                        targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared-error over a (B, l, d) context batch, with exact BPTT gradient."""
+                        targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared-error over a (B, l, d) context batch, with exact BPTT gradient.
+
+    Returns ``(loss, grads)``; ``grads`` has the layout of ``pred.theta``.
+    """
     if contexts.ndim != 3 or targets.ndim != 2:
         raise DimensionError("contexts must be (B, l, d) and targets (B, d)")
     batch = contexts.shape[0]
@@ -218,10 +211,6 @@ class PredictorLog:
     converged: bool = False
 
 
-def _params_vector(pred: RecurrentPredictor) -> np.ndarray:
-    return np.concatenate([getattr(pred, n).ravel() for n in PARAM_NAMES])
-
-
 def _interleave(per_seq: list[list[int]]) -> list[int]:
     """Round-robin merge so every source sequence stays equally represented."""
     out = []
@@ -245,7 +234,8 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     per valid window; the frozen embedding supplies the features. Batches
     interleave pairs round-robin across source sequences so no sequence
     dominates an update. Sequences too short for a single window are skipped
-    with a warning; if everything is skipped the dataset is unusable.
+    with a warning; if everything is skipped the dataset is unusable. A
+    non-finite loss or parameter vector raises :class:`DivergenceError`.
     """
     if config is None:
         config = PredictorConfig()
@@ -277,7 +267,7 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
 
     pred = init_predictor(model.embed_dim, config.hidden_dim, context_len,
                           rng.split(0))
-    velocity = {n: np.zeros_like(getattr(pred, n)) for n in PARAM_NAMES}
+    sgd = MomentumSGD(pred.theta, config.learning_rate, config.momentum, "predictor")
     g = rng.gen
 
     for _ in range(config.max_epochs):
@@ -285,20 +275,14 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
             [by_seq[sid][j] for j in g.permutation(len(by_seq[sid]))]
             for sid in ids
         ])
-        before = _params_vector(pred)
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             loss, grads = batch_loss_and_grad(pred, contexts[batch], targets[batch])
-            new = {}
-            for name in PARAM_NAMES:
-                velocity[name] = (config.momentum * velocity[name]
-                                  - config.learning_rate * grads[name])
-                new[name] = getattr(pred, name) + velocity[name]
-            pred = RecurrentPredictor(**new, context_len=context_len)
+            sgd.step(loss, grads)
             losses.append(loss)
         log.epoch_loss.append(float(np.mean(losses)))
-        delta = float(np.linalg.norm(_params_vector(pred) - before))
+        delta = sgd.end_epoch()
         log.epoch_param_delta.append(delta)
         if delta <= config.epsilon:
             log.converged = True

@@ -21,69 +21,59 @@ from .core import (
     DegenerateInputError,
     DimensionError,
     Dataset,
+    MomentumSGD,
     RngState,
     as_frames,
     as_vector,
+    block_views,
     pairwise_sqdist,
 )
 from .align import PenaltyConfig, _chunk_bounds, match_features
 
-PARAM_NAMES = ("W1", "b1", "W2", "b2")
-
 
 @dataclass(frozen=True)
 class EmbeddingModel:
-    """Parameters of the encoder: relu hidden layer, affine head, l2-normalized output."""
+    """Encoder parameters: relu hidden layer, affine head, l2-normalized output.
 
-    W1: np.ndarray  # (f, h)
-    b1: np.ndarray  # (h,)
-    W2: np.ndarray  # (h, d)
-    b2: np.ndarray  # (d,)
+    ``theta`` is the one parameter vector, ``W1 b1 W2 b2`` concatenated
+    row-major; the named blocks are views of it, so the trainer's in-place
+    updates show through them.
+    """
+
+    theta: np.ndarray
+    input_dim: int   # f
+    hidden_dim: int  # h
+    embed_dim: int   # d
+    W1: np.ndarray = field(init=False, repr=False)  # (f, h)
+    b1: np.ndarray = field(init=False, repr=False)  # (h,)
+    W2: np.ndarray = field(init=False, repr=False)  # (h, d)
+    b2: np.ndarray = field(init=False, repr=False)  # (d,)
 
     def __post_init__(self):
-        for name in PARAM_NAMES:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise DegenerateInputError(f"parameter {name} contains non-finite values")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.W1.ndim != 2 or self.W2.ndim != 2:
-            raise DimensionError("W1 and W2 must be matrices")
-        if self.b1.shape != (self.W1.shape[1],) or self.b2.shape != (self.W2.shape[1],):
-            raise DimensionError("bias shapes do not match weight matrices")
-        if self.W1.shape[1] != self.W2.shape[0]:
-            raise DimensionError("hidden dimensions of W1 and W2 disagree")
+        object.__setattr__(self, "theta", as_vector(self.theta, "parameter vector").copy())
+        for name, view in self.blocks(self.theta).items():
+            object.__setattr__(self, name, view)
 
-    @property
-    def input_dim(self) -> int:
-        return self.W1.shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W1.shape[1]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.W2.shape[1]
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+    def blocks(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of ``vec``, which has the layout of ``theta`` (e.g. a gradient)."""
+        f, h, d = self.input_dim, self.hidden_dim, self.embed_dim
+        return block_views(vec, W1=(f, h), b1=(h,), W2=(h, d), b2=(d,))
 
 
 def init_embedding_model(input_dim: int, hidden_dim: int, embed_dim: int,
                          rng: RngState) -> EmbeddingModel:
-    """Scaled-uniform random weights, zero biases."""
+    """Scaled-uniform random weights and biases."""
     g = rng.gen
     s1 = 1.0 / math.sqrt(input_dim)
     s2 = 1.0 / math.sqrt(hidden_dim)
     # nonzero output bias keeps the head away from the normalization singularity
-    return EmbeddingModel(
-        W1=g.uniform(-s1, s1, size=(input_dim, hidden_dim)),
-        b1=g.uniform(-s1, s1, size=hidden_dim),
-        W2=g.uniform(-s2, s2, size=(hidden_dim, embed_dim)),
-        b2=g.uniform(-s2, s2, size=embed_dim),
-    )
+    theta = np.concatenate([
+        g.uniform(-s1, s1, size=input_dim * hidden_dim),
+        g.uniform(-s1, s1, size=hidden_dim),
+        g.uniform(-s2, s2, size=hidden_dim * embed_dim),
+        g.uniform(-s2, s2, size=embed_dim),
+    ])
+    return EmbeddingModel(theta, input_dim, hidden_dim, embed_dim)
 
 
 def _forward(model: EmbeddingModel, x: np.ndarray):
@@ -125,26 +115,28 @@ def triplet_loss(pa, pp, pn, delta: float) -> float:
     return float(max(0.0, float(dp @ dp) - float(dn @ dn) + delta))
 
 
-def _backprop(model: EmbeddingModel, cache, d_y: np.ndarray) -> dict[str, np.ndarray]:
+def _backprop(model: EmbeddingModel, cache, d_y: np.ndarray) -> np.ndarray:
     x, z1, a1, z2, norms = cache
     y = z2 / norms[:, None]
+    grad = np.empty_like(model.theta)
+    grads = model.blocks(grad)
     # through the normalization layer: dz = (dy - y (y . dy)) / |z|
     d_z2 = (d_y - y * np.sum(y * d_y, axis=1, keepdims=True)) / norms[:, None]
-    d_W2 = a1.T @ d_z2
-    d_b2 = d_z2.sum(axis=0)
+    grads["W2"][...] = a1.T @ d_z2
+    grads["b2"][...] = d_z2.sum(axis=0)
     d_a1 = d_z2 @ model.W2.T
     d_z1 = d_a1 * (z1 > 0)
-    d_W1 = x.T @ d_z1
-    d_b1 = d_z1.sum(axis=0)
-    return {"W1": d_W1, "b1": d_b1, "W2": d_W2, "b2": d_b2}
+    grads["W1"][...] = x.T @ d_z1
+    grads["b1"][...] = d_z1.sum(axis=0)
+    return grad
 
 
 def triplet_grad(model: EmbeddingModel, anchors, positives, negatives,
-                 delta: float) -> tuple[float, dict[str, np.ndarray]]:
+                 delta: float) -> tuple[float, np.ndarray]:
     """Mean batch hinge loss and its exact parameter gradient.
 
     Inactive hinges contribute zero loss and zero gradient. Returns
-    ``(loss, grads)`` with one gradient array per parameter.
+    ``(loss, grads)``; ``grads`` has the layout of ``model.theta``.
     """
     if delta <= 0:
         raise ConfigError(f"margin must be positive, got {delta}")
@@ -352,20 +344,6 @@ class TrainLog:
         return len(self.epoch_percentile)
 
 
-def _params_vector(model: EmbeddingModel) -> np.ndarray:
-    return np.concatenate([getattr(model, n).ravel() for n in PARAM_NAMES])
-
-
-def _apply_update(model: EmbeddingModel, velocity: dict[str, np.ndarray],
-                  grads: dict[str, np.ndarray], lr: float,
-                  momentum: float) -> EmbeddingModel:
-    new = {}
-    for name in PARAM_NAMES:
-        velocity[name] = momentum * velocity[name] - lr * grads[name]
-        new[name] = getattr(model, name) + velocity[name]
-    return EmbeddingModel(**new)
-
-
 def train(dataset: Dataset, config: TrainConfig,
           penalties: PenaltyConfig = PenaltyConfig(), chunk_len: int = 40,
           rng: RngState | None = None) -> tuple[EmbeddingModel, TrainLog]:
@@ -380,7 +358,8 @@ def train(dataset: Dataset, config: TrainConfig,
     unit-normalized ZCA-whitened raw features; afterwards the current
     embedding takes over (it must first outgrow the bootstrap features, so
     switching too early stalls training). Stops when the parameter vector
-    moves less than ``config.epsilon`` over an epoch or at ``max_epochs``.
+    moves less than ``config.epsilon`` over an epoch or at ``max_epochs``;
+    a non-finite loss or parameter vector raises :class:`DivergenceError`.
     """
     if rng is None:
         rng = RngState(0)
@@ -395,7 +374,7 @@ def train(dataset: Dataset, config: TrainConfig,
 
     model = init_embedding_model(dataset.dimension, config.hidden_dim,
                                  config.embed_dim, rng.split(0))
-    velocity = {n: np.zeros_like(getattr(model, n)) for n in PARAM_NAMES}
+    sgd = MomentumSGD(model.theta, config.learning_rate, config.momentum, "embed")
     log = TrainLog()
     k = min(config.neighborhood_size, len(dataset) - 1)
     pairs_per_epoch = config.pairs_per_epoch or len(dataset)
@@ -411,7 +390,6 @@ def train(dataset: Dataset, config: TrainConfig,
         descriptors = {sid: f.mean(axis=0) for sid, f in feats.items()}
         neighbors = _descriptor_neighbors(descriptors, k)
 
-        before = _params_vector(model)
         for _ in range(pairs_per_epoch):
             query = sequences[int(g.integers(len(sequences)))]
             nbr_ids = neighbors[query.id]
@@ -435,12 +413,11 @@ def train(dataset: Dataset, config: TrainConfig,
                 pos = augment(target.frames[pj], config.noise_sigma, feature_std, rng)
                 neg = augment(target.frames[nj], config.noise_sigma, feature_std, rng)
                 loss, grads = triplet_grad(model, a, pos, neg, config.margin)
-                model = _apply_update(model, velocity, grads,
-                                      config.learning_rate, config.momentum)
+                sgd.step(loss, grads)
                 log.batch_loss.append(loss)
                 log.batch_epoch.append(epoch)
 
-        delta = float(np.linalg.norm(_params_vector(model) - before))
+        delta = sgd.end_epoch()
         log.epoch_percentile.append(p)
         log.epoch_param_delta.append(delta)
         if delta <= config.epsilon:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.stats import rankdata
 
-from .core import ConfigError, Dataset, DimensionError, RngState, pairwise_sqdist, write_file
+from .core import ConfigError, Dataset, DimensionError, RngState, as_frames, pairwise_sqdist, write_file
 from .align import Matching, PenaltyConfig, solve_exact_dp
 from .embed import EmbeddingModel, embed_batch
 from .dynamics import RecurrentPredictor, rnn_forward_batch
@@ -215,8 +215,10 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
 def nearest_neighbor_assignment(query_feats: np.ndarray,
                                 target_feats: np.ndarray) -> np.ndarray:
     """Per-frame nearest-neighbor baseline: no temporal terms, no outliers (1-based)."""
-    return np.argmin(pairwise_sqdist(np.asarray(query_feats), np.asarray(target_feats)),
-                     axis=1).astype(np.int64) + 1
+    q, t = as_frames(query_feats, "query_feats"), as_frames(target_feats, "target_feats")
+    if q.shape[1] != t.shape[1]:
+        raise DimensionError(f"query dimension {q.shape[1]} != target dimension {t.shape[1]}")
+    return np.argmin(pairwise_sqdist(q, t), axis=1).astype(np.int64) + 1
 
 
 def merge_chunk_assignments(matchings: list[Matching] | Matching,

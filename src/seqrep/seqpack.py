@@ -17,7 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, FormatError, Sequence, write_file
+from .core import (
+    ConfigError,
+    Dataset,
+    DegenerateInputError,
+    DimensionError,
+    FormatError,
+    Sequence,
+    write_file,
+)
 from .embed import EmbeddingModel
 from .dynamics import RecurrentPredictor
 
@@ -98,39 +106,44 @@ def read_seqpack(path) -> Dataset:
         manifest = json.loads(mpath.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{mpath}: invalid JSON ({exc})") from exc
-    if manifest.get("format") != "seqpack":
+    if not isinstance(manifest, dict) or manifest.get("format") != "seqpack":
         raise FormatError(f"{mpath}: not a seqpack manifest")
     if manifest.get("version") != SEQPACK_VERSION:
         raise FormatError(f"{mpath}: unsupported version {manifest.get('version')}")
-    f = int(manifest["feature_dim"])
-    q = int(manifest.get("latent_dim", 0))
+    try:
+        f = int(manifest["feature_dim"])
+        q = int(manifest.get("latent_dim", 0))
+        records = [(rec["id"], rec["data"], int(rec["frames"]), rec.get("latent"))
+                   for rec in manifest["sequences"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})") from exc
 
     sequences = []
-    for rec in manifest["sequences"]:
-        frames = _read_payload(root / rec["data"], int(rec["frames"]), f)
+    for seq_id, data, rows, latent_name in records:
+        frames = _read_payload(root / data, rows, f)
         latent = None
-        if rec.get("latent"):
+        if latent_name:
             if q <= 0:
                 raise FormatError(f"{mpath}: latent file given but latent_dim is 0")
-            latent = _read_payload(root / rec["latent"], int(rec["frames"]), q)
-        sequences.append(Sequence(id=rec["id"], frames=frames, latent=latent))
+            latent = _read_payload(root / latent_name, rows, q)
+        sequences.append(Sequence(id=seq_id, frames=frames, latent=latent))
     return Dataset(dimension=f, sequences=tuple(sequences))
 
 
 def _write_container(path: Path, kind: int, dims: tuple[int, ...], extra: int,
-                     arrays: list[np.ndarray]):
+                     theta: np.ndarray):
     head = bytearray()
     head += _MAGIC
     head += struct.pack("<III", _CONTAINER_VERSION, kind, len(dims))
     head += struct.pack(f"<{len(dims)}I", *dims)
     head += struct.pack("<I", extra)
-    for arr in arrays:
-        head += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    head += np.ascontiguousarray(theta, dtype="<f8").tobytes()
     digest = hashlib.sha256(bytes(head)).digest()
     write_file(path, bytes(head) + digest)
 
 
-def _read_container(path: Path, expect_kind: int):
+def _read_container(path: Path, expect_kind: int, expect_ndims: int):
+    """Checked ``(dims, extra, parameter vector)`` of a container file."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"missing model file {path}")
@@ -145,62 +158,39 @@ def _read_container(path: Path, expect_kind: int):
         raise FormatError(f"{path}: unsupported container version {version}")
     if kind != expect_kind:
         raise FormatError(f"{path}: container holds kind {kind}, expected {expect_kind}")
-    off = 16
-    dims = struct.unpack_from(f"<{ndims}I", body, off)
-    off += 4 * ndims
-    (extra,) = struct.unpack_from("<I", body, off)
-    off += 4
-    payload = np.frombuffer(body, dtype="<f8", offset=off).astype(np.float64)
-    return dims, extra, payload
+    if ndims != expect_ndims:
+        raise FormatError(f"{path}: container declares {ndims} dims, expected {expect_ndims}")
+    off = 16 + 4 * ndims + 4
+    if len(body) < off or (len(body) - off) % 8:
+        raise FormatError(f"{path}: parameter payload is not a whole number of float64 values")
+    *dims, extra = struct.unpack_from(f"<{ndims + 1}I", body, 16)
+    theta = np.frombuffer(body, dtype="<f8", offset=off)
+    return dims, extra, theta
 
 
-def _take(payload: np.ndarray, cursor: int, shape: tuple[int, ...]):
-    size = int(np.prod(shape))
-    block = payload[cursor:cursor + size]
-    if block.size != size:
-        raise FormatError("container payload shorter than its declared dims")
-    return block.reshape(shape), cursor + size
+def _build(path, cls, *args):
+    """``cls(*args)``; parameters the model rejects (size, finiteness, dims) are a FormatError."""
+    try:
+        return cls(*args)
+    except (ConfigError, DegenerateInputError, DimensionError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_model(model: EmbeddingModel, path) -> None:
-    _write_container(
-        Path(path), _KIND_EMBEDDING,
-        (model.input_dim, model.hidden_dim, model.embed_dim), 0,
-        [model.W1, model.b1, model.W2, model.b2],
-    )
+    _write_container(Path(path), _KIND_EMBEDDING,
+                     (model.input_dim, model.hidden_dim, model.embed_dim), 0, model.theta)
 
 
 def load_model(path) -> EmbeddingModel:
-    dims, _, payload = _read_container(Path(path), _KIND_EMBEDDING)
-    f, h, d = (int(v) for v in dims)
-    cur = 0
-    w1, cur = _take(payload, cur, (f, h))
-    b1, cur = _take(payload, cur, (h,))
-    w2, cur = _take(payload, cur, (h, d))
-    b2, cur = _take(payload, cur, (d,))
-    if cur != payload.size:
-        raise FormatError("container payload longer than its declared dims")
-    return EmbeddingModel(W1=w1, b1=b1, W2=w2, b2=b2)
+    dims, _, theta = _read_container(path, _KIND_EMBEDDING, 3)
+    return _build(path, EmbeddingModel, theta, *dims)
 
 
 def save_predictor(pred: RecurrentPredictor, path) -> None:
-    _write_container(
-        Path(path), _KIND_PREDICTOR,
-        (pred.embed_dim, pred.hidden_dim), pred.context_len,
-        [pred.Wx, pred.Wh, pred.b, pred.Wy, pred.by],
-    )
+    _write_container(Path(path), _KIND_PREDICTOR,
+                     (pred.embed_dim, pred.hidden_dim), pred.context_len, pred.theta)
 
 
 def load_predictor(path) -> RecurrentPredictor:
-    dims, extra, payload = _read_container(Path(path), _KIND_PREDICTOR)
-    d, m = (int(v) for v in dims)
-    cur = 0
-    wx, cur = _take(payload, cur, (d, 4 * m))
-    wh, cur = _take(payload, cur, (m, 4 * m))
-    b, cur = _take(payload, cur, (4 * m,))
-    wy, cur = _take(payload, cur, (m, d))
-    by, cur = _take(payload, cur, (d,))
-    if cur != payload.size:
-        raise FormatError("container payload longer than its declared dims")
-    return RecurrentPredictor(Wx=wx, Wh=wh, b=b, Wy=wy, by=by,
-                              context_len=int(extra))
+    dims, extra, theta = _read_container(path, _KIND_PREDICTOR, 2)
+    return _build(path, RecurrentPredictor, theta, *dims, extra)

@@ -12,31 +12,27 @@ import numpy as np
 STEP = 1e-5
 
 
-def numeric_gradients(loss_fn, params: dict[str, np.ndarray], step: float = STEP):
-    """Coordinate central differences of ``loss_fn(params) -> float``."""
-    out = {}
-    for name, arr in params.items():
-        work = {k: v.copy() for k, v in params.items()}
-        flat = work[name].ravel()
-        grad = np.empty_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = loss_fn(work)
-            flat[i] = orig - step
-            lm = loss_fn(work)
-            flat[i] = orig
-            grad[i] = (lp - lm) / (2 * step)
-        out[name] = grad.reshape(arr.shape)
-    return out
+def numeric_gradients(loss_fn, theta: np.ndarray, step: float = STEP) -> np.ndarray:
+    """Coordinate central differences of ``loss_fn(theta) -> float`` over one vector."""
+    work = np.array(theta, dtype=np.float64)
+    grad = np.empty_like(work)
+    for i in range(work.size):
+        orig = work[i]
+        work[i] = orig + step
+        lp = loss_fn(work)
+        work[i] = orig - step
+        lm = loss_fn(work)
+        work[i] = orig
+        grad[i] = (lp - lm) / (2 * step)
+    return grad
 
 
-def max_block_relative_error(analytic: dict[str, np.ndarray],
-                             numeric: dict[str, np.ndarray]) -> float:
+def max_block_relative_error(model, analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Worst relative error over the named blocks of ``model``'s parameter layout."""
+    numeric_blocks = model.blocks(numeric)
     worst = 0.0
-    for name in analytic:
-        a = analytic[name].ravel()
-        n = numeric[name].ravel()
+    for name, a in model.blocks(analytic).items():
+        a, n = a.ravel(), numeric_blocks[name].ravel()
         denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(n)), 1e-12)
         worst = max(worst, float(np.linalg.norm(a - n)) / denom)
     return worst

@@ -6,6 +6,7 @@ predictor) come from session fixtures, so the whole pipeline runs once.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -13,8 +14,8 @@ import seqrep as sr
 from seqrep.core import RngState
 from seqrep.align import MatchPenalties, alignment_cost, solve_bruteforce, solve_exact_dp
 from seqrep.cli import main as cli_main
-from seqrep.dynamics import RecurrentPredictor, batch_loss_and_grad, init_predictor
-from seqrep.embed import EmbeddingModel, fit_whitener, init_embedding_model, triplet_grad
+from seqrep.dynamics import batch_loss_and_grad, init_predictor
+from seqrep.embed import fit_whitener, init_embedding_model, triplet_grad
 from seqrep.synthdata import alignment_pair_config
 
 from conftest import record_criterion
@@ -113,11 +114,11 @@ def test_criterion_04_gradient_fidelity():
         a, p, n = (g.normal(size=(3, 5)) for _ in range(3))
         _, grads = triplet_grad(model, a, p, n, 0.3)
 
-        def loss_fn(params, a=a, p=p, n=n):
-            return triplet_grad(EmbeddingModel(**params), a, p, n, 0.3)[0]
+        def loss_fn(theta, a=a, p=p, n=n, model=model):
+            return triplet_grad(replace(model, theta=theta), a, p, n, 0.3)[0]
 
         worst_embed = max(worst_embed, max_block_relative_error(
-            grads, numeric_gradients(loss_fn, model.params())))
+            model, grads, numeric_gradients(loss_fn, model.theta)))
 
     worst_rnn = 0.0
     for k in range(20):
@@ -128,12 +129,11 @@ def test_criterion_04_gradient_fidelity():
         targets = g.normal(size=(4, 3))
         _, grads = batch_loss_and_grad(pred, contexts, targets)
 
-        def loss_fn(params, contexts=contexts, targets=targets, pred=pred):
-            p2 = RecurrentPredictor(**params, context_len=pred.context_len)
-            return batch_loss_and_grad(p2, contexts, targets)[0]
+        def loss_fn(theta, contexts=contexts, targets=targets, pred=pred):
+            return batch_loss_and_grad(replace(pred, theta=theta), contexts, targets)[0]
 
         worst_rnn = max(worst_rnn, max_block_relative_error(
-            grads, numeric_gradients(loss_fn, pred.params())))
+            pred, grads, numeric_gradients(loss_fn, pred.theta)))
 
     elapsed = time.perf_counter() - t0
     ok = worst_embed < 1e-4 and worst_rnn < 1e-4 and elapsed < 60.0

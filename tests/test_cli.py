@@ -1,6 +1,8 @@
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqrep.cli import main
@@ -179,6 +181,30 @@ class TestExitCodes:
                      "--out", str(root / "bad.bin")])
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    def test_malformed_manifest_is_validation_error(self, pipeline, tmp_path, capsys):
+        _, cfg, data, _, _ = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(data, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        del manifest["feature_dim"]
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["train-embed", "--config", cfg, "--data", str(bad),
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "FormatError" in err and "manifest.json" in err
+
+    def test_divergence_is_runtime_error(self, pipeline, capsys):
+        root, _, data, _, _ = pipeline
+        cfg = root / "diverge_cfg.json"
+        cfg.write_text(json.dumps({**TINY, "train": {**TINY["train"], "learning_rate": 1e300}}))
+        with np.errstate(all="ignore"):
+            code = main(["train-embed", "--config", str(cfg), "--data", str(data),
+                         "--out", str(root / "diverged.bin")])
+        assert code == 2
+        assert "DivergenceError" in capsys.readouterr().err
+        assert not (root / "diverged.bin").exists()
 
     def test_unwritable_output_is_runtime_error(self, pipeline):
         root, cfg, data, model, _ = pipeline

@@ -9,8 +9,11 @@ from seqrep.core import (
     Dataset,
     DegenerateInputError,
     DimensionError,
+    DivergenceError,
+    MomentumSGD,
     RngState,
     Sequence,
+    block_views,
     l2_normalize,
     pairwise_sqdist,
     write_file,
@@ -129,3 +132,41 @@ def test_rng_split_is_independent_and_deterministic():
 def test_rng_rejects_bad_seed():
     with pytest.raises(ConfigError):
         RngState(-1)
+
+
+def test_block_views_share_the_vector_in_argument_order():
+    vec = np.arange(10.0)
+    views = block_views(vec, a=(2, 3), b=(4,))
+    assert list(views) == ["a", "b"]
+    np.testing.assert_array_equal(views["a"], [[0, 1, 2], [3, 4, 5]])
+    views["b"][0] = -1.0
+    assert vec[6] == -1.0
+    with pytest.raises(DimensionError):
+        block_views(vec, a=(3, 3))
+
+
+def test_momentum_sgd_matches_the_per_block_update():
+    g = RngState(8).gen
+    theta = g.normal(size=12)
+    start, ref_theta, ref_v = theta.copy(), theta.copy(), np.zeros(12)
+    sgd = MomentumSGD(theta, learning_rate=0.03, momentum=0.9, stage="embed")
+    for _ in range(5):
+        grad = g.normal(size=12)
+        sgd.step(1.0, grad)
+        ref_v = 0.9 * ref_v - 0.03 * grad
+        ref_theta = ref_theta + ref_v
+    np.testing.assert_array_equal(theta, ref_theta)  # updated in place, bit for bit
+    assert sgd.end_epoch() == float(np.linalg.norm(theta - start))
+    assert (sgd.epoch, sgd.batch) == (1, 0)
+
+
+def test_momentum_sgd_reports_divergence():
+    sgd = MomentumSGD(np.zeros(3), learning_rate=1.0, momentum=0.0, stage="predictor")
+    sgd.step(0.5, np.zeros(3))
+    with pytest.raises(DivergenceError, match="epoch 0, batch 1") as info:
+        sgd.step(float("nan"), np.zeros(3))
+    assert info.value.stage == "predictor"
+    sgd.step(0.25, np.array([np.inf, 0.0, 0.0]))  # a finite loss leaves it to the epoch check
+    with pytest.raises(DivergenceError, match="non-finite parameters") as info:
+        sgd.end_epoch()
+    assert (info.value.epoch, info.value.batch, info.value.loss) == (0, 1, 0.25)

@@ -1,10 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import seqrep as sr
-from seqrep.core import ConfigError, DegenerateInputError, Dataset, DimensionError, RngState, Sequence
+from seqrep.core import (
+    ConfigError,
+    DegenerateInputError,
+    Dataset,
+    DimensionError,
+    DivergenceError,
+    RngState,
+    Sequence,
+)
 from seqrep.dynamics import (
-    PARAM_NAMES,
     PredictorConfig,
     RecurrentPredictor,
     batch_loss_and_grad,
@@ -23,15 +32,27 @@ from conftest import random_unit_rows
 
 def zero_predictor(d=3, m=5, bias=None, context_len=4):
     by = np.zeros(d) if bias is None else np.asarray(bias, float)
-    return RecurrentPredictor(Wx=np.zeros((d, 4 * m)), Wh=np.zeros((m, 4 * m)),
-                              b=np.zeros(4 * m), Wy=np.zeros((m, d)), by=by,
-                              context_len=context_len)
+    theta = np.concatenate([np.zeros(d * 4 * m + m * 4 * m + 4 * m + m * d), by])
+    return RecurrentPredictor(theta, d, m, context_len)
 
 
-def with_param(pred, name, value):
-    kwargs = {n: getattr(pred, n) for n in PARAM_NAMES}
-    kwargs[name] = value
-    return RecurrentPredictor(**kwargs, context_len=pred.context_len)
+class TestModel:
+    def test_blocks_are_views_in_container_order(self):
+        p = init_predictor(3, 6, 4, RngState(1))
+        parts = (p.Wx, p.Wh, p.b, p.Wy, p.by)
+        np.testing.assert_array_equal(p.theta, np.concatenate([x.ravel() for x in parts]))
+        assert all(np.shares_memory(x, p.theta) for x in parts)
+        assert p.b[6:12].tolist() == [1.0] * 6  # unit forget-gate bias
+
+    def test_construction_validates(self):
+        theta = zero_predictor().theta
+        with pytest.raises(DimensionError):
+            RecurrentPredictor(theta[1:], 3, 5)
+        with pytest.raises(ConfigError):
+            RecurrentPredictor(theta, 3, 5, context_len=0)
+        theta[0] = np.inf
+        with pytest.raises(DegenerateInputError):
+            RecurrentPredictor(theta, 3, 5)
 
 
 class TestForward:
@@ -111,12 +132,11 @@ class TestGradient:
             targets = g.normal(size=(4, 3))
             _, grads = batch_loss_and_grad(pred, contexts, targets)
 
-            def loss_fn(params):
-                p2 = RecurrentPredictor(**params, context_len=pred.context_len)
-                return batch_loss_and_grad(p2, contexts, targets)[0]
+            def loss_fn(theta):
+                return batch_loss_and_grad(replace(pred, theta=theta), contexts, targets)[0]
 
-            numeric = numeric_gradients(loss_fn, pred.params())
-            worst = max(worst, max_block_relative_error(grads, numeric))
+            numeric = numeric_gradients(loss_fn, pred.theta)
+            worst = max(worst, max_block_relative_error(pred, grads, numeric))
         assert worst < 1e-4
 
 
@@ -178,8 +198,18 @@ class TestTrainPredictor:
         cfg = PredictorConfig(hidden_dim=10, max_epochs=2, batch_size=32)
         p1, _ = train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(7))
         p2, _ = train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(7))
-        for name in PARAM_NAMES:
-            np.testing.assert_array_equal(getattr(p1, name), getattr(p2, name))
+        np.testing.assert_array_equal(p1.theta, p2.theta)
+
+    def test_divergence_names_stage_epoch_and_batch(self):
+        ds = cyclic_dataset()
+        model = init_embedding_model(ds.dimension, 12, 6, RngState(3))
+        cfg = PredictorConfig(hidden_dim=10, max_epochs=1, batch_size=32,
+                              learning_rate=1e200)
+        with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+            train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(7))
+        err = info.value
+        assert (err.stage, err.epoch) == ("predictor", 0) and err.batch >= 1
+        assert "predictor training diverged at epoch 0" in str(err)
 
 
 class TestPredictNext:

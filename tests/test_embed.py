@@ -1,11 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from seqrep.core import ConfigError, DegenerateInputError, Dataset, RngState, Sequence
+from seqrep.core import (
+    ConfigError,
+    DegenerateInputError,
+    Dataset,
+    DimensionError,
+    DivergenceError,
+    RngState,
+    Sequence,
+)
 from seqrep.align import PenaltyConfig
 from seqrep.embed import (
     EmbeddingModel,
-    PARAM_NAMES,
     TrainConfig,
     _eligible_negatives,
     _sample_triplet_indices,
@@ -26,23 +35,32 @@ def tiny_model():
     return init_embedding_model(5, 7, 4, RngState(11))
 
 
-def flat_params(model):
-    return np.concatenate([getattr(model, n).ravel() for n in PARAM_NAMES])
+class TestModel:
+    def test_blocks_are_views_in_container_order(self, tiny_model):
+        m = tiny_model
+        assert m.theta.shape == (5 * 7 + 7 + 7 * 4 + 4,)
+        np.testing.assert_array_equal(
+            m.theta, np.concatenate([m.W1.ravel(), m.b1, m.W2.ravel(), m.b2]))
+        for block in (m.W1, m.b1, m.W2, m.b2):
+            assert np.shares_memory(block, m.theta)
 
-
-def with_param(model, name, value):
-    kwargs = {n: getattr(model, n) for n in PARAM_NAMES}
-    kwargs[name] = value
-    return EmbeddingModel(**kwargs)
+    def test_construction_copies_and_validates(self):
+        theta = np.zeros(2 * 3 + 3 + 3 * 2 + 2)
+        model = EmbeddingModel(theta, 2, 3, 2)
+        assert not np.shares_memory(model.theta, theta)
+        with pytest.raises(DimensionError):
+            EmbeddingModel(theta[:-1], 2, 3, 2)
+        theta[4] = np.nan
+        with pytest.raises(DegenerateInputError):
+            EmbeddingModel(theta, 2, 3, 2)
 
 
 class TestForward:
     def test_constant_head_ignores_input(self, rng):
         f, h, d = 4, 6, 3
-        model = EmbeddingModel(W1=rng.gen.normal(size=(f, h)),
-                               b1=rng.gen.normal(size=h),
-                               W2=np.zeros((h, d)),
-                               b2=np.array([1.0, 0.0, 0.0]))
+        w1, b1 = rng.gen.normal(size=(f, h)), rng.gen.normal(size=h)
+        model = EmbeddingModel(
+            np.concatenate([w1.ravel(), b1, np.zeros(h * d), [1.0, 0.0, 0.0]]), f, h, d)
         for _ in range(5):
             out = embed_batch(model, rng.gen.normal(size=(1, f)))
             np.testing.assert_allclose(out, [[1.0, 0.0, 0.0]])
@@ -57,8 +75,7 @@ class TestForward:
         assert cfg.embed_dim == 128 and cfg.hidden_dim == 256
 
     def test_degenerate_prenorm_rejected(self):
-        model = EmbeddingModel(W1=np.zeros((2, 3)), b1=np.zeros(3),
-                               W2=np.zeros((3, 2)), b2=np.zeros(2))
+        model = EmbeddingModel(np.zeros(2 * 3 + 3 + 3 * 2 + 2), 2, 3, 2)
         with pytest.raises(DegenerateInputError):
             embed_batch(model, [[1.0, 2.0]])
 
@@ -92,8 +109,7 @@ class TestTripletGrad:
         a = np.array([[1.0, 0, 0, 0, 0]])
         loss, grads = triplet_grad(tiny_model, a, a, a + 5.0, 1e-9)
         if loss == 0.0:
-            for g in grads.values():
-                np.testing.assert_array_equal(g, 0.0)
+            np.testing.assert_array_equal(grads, 0.0)
 
     def test_matches_finite_differences(self):
         from gradcheck import max_block_relative_error, numeric_gradients
@@ -106,11 +122,11 @@ class TestTripletGrad:
             a, p, n = (g.normal(size=(3, 5)) for _ in range(3))
             _, grads = triplet_grad(model, a, p, n, 0.3)
 
-            def loss_fn(params):
-                return triplet_grad(EmbeddingModel(**params), a, p, n, 0.3)[0]
+            def loss_fn(theta):
+                return triplet_grad(replace(model, theta=theta), a, p, n, 0.3)[0]
 
-            numeric = numeric_gradients(loss_fn, model.params())
-            worst = max(worst, max_block_relative_error(grads, numeric))
+            numeric = numeric_gradients(loss_fn, model.theta)
+            worst = max(worst, max_block_relative_error(model, grads, numeric))
         assert worst < 1e-4
 
     def test_loss_matches_triplet_loss_oracle(self, tiny_model, rng):
@@ -128,10 +144,8 @@ class TestTripletGrad:
         singles = [triplet_grad(tiny_model, a[i:i+1], p[i:i+1], n[i:i+1], 0.3)
                    for i in range(4)]
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
-        for name in PARAM_NAMES:
-            np.testing.assert_allclose(
-                grads_b[name], np.mean([s[1][name] for s in singles], axis=0),
-                atol=1e-12)
+        np.testing.assert_allclose(grads_b, np.mean([s[1] for s in singles], axis=0),
+                                   atol=1e-12)
 
 
 class TestNegativeMining:
@@ -274,7 +288,7 @@ class TestTrain:
                           embed_dim=8, bootstrap_epochs=1)
         m1, _ = train(small_dataset, cfg, chunk_len=20, rng=RngState(42))
         m2, _ = train(small_dataset, cfg, chunk_len=20, rng=RngState(42))
-        np.testing.assert_array_equal(flat_params(m1), flat_params(m2))
+        np.testing.assert_array_equal(m1.theta, m2.theta)
 
     def test_percentile_schedule(self):
         cfg = TrainConfig()
@@ -295,6 +309,15 @@ class TestTrain:
                        chunk_len=20, rng=RngState(1))
         assert log.epochs_run == 1
         assert log.batch_loss == []
+
+    def test_divergence_names_stage_epoch_and_batch(self, small_dataset):
+        cfg = TrainConfig(max_epochs=1, triplets_per_batch=40, hidden_dim=16,
+                          embed_dim=8, learning_rate=1e300)
+        with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+            train(small_dataset, cfg, chunk_len=20, rng=RngState(1))
+        err = info.value
+        assert (err.stage, err.epoch) == ("embed", 0) and err.batch >= 1
+        assert "embed training diverged at epoch 0" in str(err)
 
     def test_training_reduces_loss_on_reference(self, ref_training):
         _, log = ref_training

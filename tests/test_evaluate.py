@@ -168,6 +168,10 @@ class TestAlignmentAccuracy:
             d = np.sum((t - q[j]) ** 2, axis=1)
             assert nn[j] == np.argmin(d) + 1
 
+    def test_nn_assignment_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            nearest_neighbor_assignment(np.ones((2, 2)), np.ones((2, 3)))
+
 
 class TestProjection:
     def test_two_dim_features_reproduced_up_to_isometry(self, small_dataset):

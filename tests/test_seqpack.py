@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -76,6 +78,20 @@ class TestSeqPack:
         with pytest.raises(FileNotFoundError):
             read_seqpack(tmp_path / "nowhere")
 
+    @pytest.mark.parametrize("damage", [
+        lambda m: m.pop("feature_dim"),
+        lambda m: m["sequences"][1].pop("id"),
+        lambda m: m["sequences"][0].pop("data"),
+        lambda m: m["sequences"][0].pop("frames"),
+    ], ids=["feature_dim", "id", "data", "frames"])
+    def test_malformed_manifest_names_file(self, dataset, tmp_path, damage):
+        write_seqpack(dataset, tmp_path / "p")
+        manifest = json.loads((tmp_path / "p" / MANIFEST_NAME).read_text())
+        damage(manifest)
+        (tmp_path / "p" / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=MANIFEST_NAME):
+            read_seqpack(tmp_path / "p")
+
     def test_latent_free_dataset(self, rng, tmp_path):
         g = rng.gen
         ds = Dataset(dimension=2, sequences=(
@@ -93,6 +109,7 @@ class TestModelContainer:
         model = init_embedding_model(6, 9, 4, RngState(5))
         save_model(model, tmp_path / "m.bin")
         back = load_model(tmp_path / "m.bin")
+        np.testing.assert_array_equal(back.theta, model.theta)
         for name in ("W1", "b1", "W2", "b2"):
             np.testing.assert_array_equal(getattr(back, name), getattr(model, name))
 
@@ -124,6 +141,27 @@ class TestModelContainer:
         save_model(model, tmp_path / "m.bin")
         with pytest.raises(FormatError, match="kind"):
             load_predictor(tmp_path / "m.bin")
+
+    @pytest.mark.parametrize("damage", [
+        lambda body: body[:12] + struct.pack("<I", 10**6) + body[16:],  # ndims
+        lambda body: body + b"\0\0\0",  # payload not a multiple of 8 bytes
+        lambda body: body[:-8],  # payload shorter than the dims imply
+        lambda body: body[:40] + np.array([np.nan], "<f8").tobytes() + body[48:],
+    ], ids=["ndims", "ragged", "short", "non-finite"])
+    def test_checksummed_damage_names_file(self, tmp_path, damage):
+        save_model(init_embedding_model(6, 9, 4, RngState(5)), tmp_path / "m.bin")
+        body = damage((tmp_path / "m.bin").read_bytes()[:-32])
+        (tmp_path / "m.bin").write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(FormatError, match="m.bin"):
+            load_model(tmp_path / "m.bin")
+
+    def test_non_finite_predictor_parameter_names_file(self, tmp_path):
+        save_predictor(init_predictor(4, 7, rng=RngState(6)), tmp_path / "p.bin")
+        body = bytearray((tmp_path / "p.bin").read_bytes()[:-32])
+        body[-8:] = np.array([np.inf], "<f8").tobytes()
+        (tmp_path / "p.bin").write_bytes(bytes(body) + hashlib.sha256(body).digest())
+        with pytest.raises(FormatError, match="p.bin"):
+            load_predictor(tmp_path / "p.bin")
 
     def test_not_a_container(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"definitely not a model")
