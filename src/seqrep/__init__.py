@@ -51,7 +51,6 @@ from .dynamics import (
     init_predictor,
     interpolate_features,
     predict_next,
-    rnn_forward,
     rnn_forward_batch,
     synthesize,
     train_predictor,

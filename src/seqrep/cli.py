@@ -64,13 +64,7 @@ def _matching_payload(matchings) -> list[dict]:
             "target_offset": int(m.target_offset),
             "pi": [int(v) for v in m.pi],
             "total_cost": float(m.total_cost),
-            "breakdown": {
-                "data": m.breakdown.data,
-                "outlier": m.breakdown.outlier,
-                "order": m.breakdown.order,
-                "duplicate": m.breakdown.duplicate,
-                "gap": m.breakdown.gap,
-            },
+            "breakdown": dataclasses.asdict(m.breakdown),
         }
         for m in matchings
     ]

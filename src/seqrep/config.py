@@ -34,6 +34,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.num_queries < 1 or self.k_max < 1 or self.alignment_pairs < 1:
             raise ConfigError("evaluation counts must be >= 1")
+        if self.exclusion_window < 0:
+            raise ConfigError("eval exclusion_window must be >= 0")
 
 
 @dataclass(frozen=True)

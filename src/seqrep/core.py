@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,11 +86,33 @@ def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def write_file(path, data: bytes | str) -> Path:
-    """Write ``data`` to ``path`` (text as UTF-8), creating the parent directory."""
+    """Write ``data`` to ``path`` (text as UTF-8), creating the parent directory.
+
+    The bytes go to a temporary file beside ``path``, which then replaces
+    it in one rename, so a crashed or failed write leaves the old file (or
+    none) and no partial one. Nothing is fsynced: the write is atomic
+    against a process crash, not against power loss.
+    """
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_bytes(data.encode() if isinstance(data, str) else data)
+    tmp = p.with_name(f".{p.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return p
+
+
+_SAFE_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
+
+
+def is_safe_name(name) -> bool:
+    """Whether ``name`` may be a sequence id or a SeqPack payload file name:
+    ``[A-Za-z0-9._-]+`` without a leading dot, so it stays inside its directory."""
+    return isinstance(name, str) and _SAFE_NAME.fullmatch(name) is not None
 
 
 def block_views(vec: np.ndarray, **shapes: tuple[int, ...]) -> dict[str, np.ndarray]:
@@ -169,6 +193,9 @@ class Sequence:
     latent: np.ndarray | None = None
 
     def __post_init__(self):
+        if not is_safe_name(self.id):
+            raise ConfigError(f"sequence id {self.id!r} must match [A-Za-z0-9._-]+ "
+                              "and not start with a dot")
         frames = as_frames(self.frames, f"sequence {self.id!r} frames")
         frames = frames.copy()
         frames.setflags(write=False)

@@ -149,23 +149,12 @@ def _cell_backward(pred: RecurrentPredictor, cache, h_last: np.ndarray,
     return grad
 
 
-def rnn_forward(pred: RecurrentPredictor, ctx) -> np.ndarray:
-    """Predict the next embedding from an ordered context of embedded frames.
-
-    The context runs through the gated cell from a zero initial state; the
-    head output is returned as-is (not re-normalized).
-    """
-    frames = as_frames(ctx, "context")
-    if frames.shape[1] != pred.embed_dim:
-        raise DimensionError(
-            f"context dimension {frames.shape[1]} != predictor dim {pred.embed_dim}"
-        )
-    y, _, _ = _cell_forward(pred, frames[None, :, :])
-    return y[0]
-
-
 def rnn_forward_batch(pred: RecurrentPredictor, contexts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`rnn_forward` over a (B, l, d) stack of contexts."""
+    """Predict the next embedding for each of a (B, l, d) stack of contexts.
+
+    Each context runs through the gated cell from a zero initial state; the
+    head outputs, (B, d), are returned as-is (not re-normalized).
+    """
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 3 or contexts.shape[2] != pred.embed_dim:
         raise DimensionError(f"contexts must be (B, l, {pred.embed_dim})")
@@ -298,7 +287,7 @@ def predict_next(pred: RecurrentPredictor, model: EmbeddingModel, frames) -> np.
         raise ConfigError(
             f"expected exactly {pred.context_len} frames, got {x.shape[0]}"
         )
-    return rnn_forward(pred, embed_batch(model, x))
+    return rnn_forward_batch(pred, embed_batch(model, x)[None])[0]
 
 
 def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
@@ -325,7 +314,7 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
     ctx = embed_batch(model, x)
     trail = []
     for _ in range(steps):
-        guess = rnn_forward(pred, ctx)
+        guess = rnn_forward_batch(pred, ctx[None])[0]
         diff = cb_emb - guess
         j = int(np.argmin(np.sum(diff * diff, axis=1)))
         trail.append(refs[j])

@@ -165,60 +165,41 @@ def triplet_grad(model: EmbeddingModel, anchors, positives, negatives,
     return loss, _backprop(model, cache, d_y)
 
 
-def nearest_rank_percentile(values: np.ndarray, p: float) -> float:
-    """Nearest-rank p-th percentile: the ceil(p/100 * N)-th smallest value."""
-    if not 0 <= p <= 100:
-        raise ConfigError(f"percentile must lie in [0, 100], got {p}")
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    if v.size == 0:
-        raise DegenerateInputError("percentile of an empty distribution")
-    k = max(1, math.ceil(p / 100.0 * v.size))
-    return float(v[k - 1])
+def _sample_triplet_indices(pi: np.ndarray, chunk_feats: np.ndarray, offset: int,
+                            p: float, count: int, window: int,
+                            rng: RngState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw up to ``count`` triplets from one chunk matching.
 
-
-def _eligible_negatives(dists: np.ndarray, pos: int, p: float, window: int,
-                        mining: str) -> np.ndarray:
-    """Candidate negative indices under the percentile threshold.
-
-    The threshold is taken over all chunk frames except the positive itself;
-    the positive's +-window temporal neighbors are excluded from the draw.
+    Returns the anchor rows (query frames) and the positive and negative
+    rows (target frames, ``offset`` added). A negative of positive ``pos``
+    lies within the nearest-rank p-th percentile of the distances from
+    ``pos`` to the other chunk frames, and more than ``window`` frames away
+    from it. Each column's threshold and eligible set are mined once per
+    chunk; a draw whose pool is empty is skipped.
     """
-    candidates = np.ones(dists.size, dtype=bool)
-    candidates[pos] = False
-    pool = dists[candidates]
-    if mining == "distance":
-        thresh = nearest_rank_percentile(pool, p)
-        ok = dists <= thresh
-    elif mining == "similarity":
-        thresh = nearest_rank_percentile(pool, 100.0 - p)
-        ok = dists >= thresh
-    else:
-        raise ConfigError(f"unknown mining direction {mining!r}")
-    idx = np.arange(dists.size)
-    ok &= np.abs(idx - pos) > window
-    return idx[ok]
-
-
-def _sample_triplet_indices(pi: np.ndarray, chunk_feats: np.ndarray, p: float,
-                            count: int, window: int, rng: RngState,
-                            mining: str = "distance") -> list[tuple[int, int, int]]:
-    """Draw (anchor_row, positive_local, negative_local) index triples."""
     anchors = np.flatnonzero(pi > 0)
+    m = chunk_feats.shape[0]
+    a_rows, p_rows, n_rows = [], [], []
     # a single-frame chunk has no candidate negatives at all
-    if anchors.size == 0 or count < 1 or chunk_feats.shape[0] < 2:
-        return []
-    g = rng.gen
-    d2 = pairwise_sqdist(chunk_feats, chunk_feats)
-    out = []
-    for _ in range(count):
-        j = int(anchors[g.integers(anchors.size)])
-        pos = int(pi[j]) - 1
-        eligible = _eligible_negatives(d2[:, pos], pos, p, window, mining)
-        if eligible.size == 0:
-            continue
-        neg = int(eligible[g.integers(eligible.size)])
-        out.append((j, pos, neg))
-    return out
+    if anchors.size and count > 0 and m > 1:
+        positives, column = np.unique(pi[anchors] - 1, return_inverse=True)
+        d2 = pairwise_sqdist(chunk_feats, chunk_feats)[:, positives]
+        d2[positives, np.arange(positives.size)] = np.inf  # a positive is not its own candidate
+        k = max(1, math.ceil(p / 100.0 * (m - 1)))
+        thresh = np.partition(d2, k - 1, axis=0)[k - 1]
+        eligible = (d2 <= thresh) & (np.abs(np.arange(m)[:, None] - positives) > window)
+        pools = [np.flatnonzero(col) for col in eligible.T]
+        g = rng.gen
+        for _ in range(count):
+            a = int(g.integers(anchors.size))
+            pool = pools[column[a]]
+            if pool.size:
+                a_rows.append(anchors[a])
+                p_rows.append(positives[column[a]])
+                n_rows.append(pool[g.integers(pool.size)])
+    return (np.array(a_rows, dtype=np.int64),
+            np.array(p_rows, dtype=np.int64) + offset,
+            np.array(n_rows, dtype=np.int64) + offset)
 
 
 def _descriptor_neighbors(descriptors: dict[str, np.ndarray], k: int) -> dict[str, list[str]]:
@@ -299,7 +280,6 @@ class TrainConfig:
     hidden_dim: int = 256
     embed_dim: int = 128
     pairs_per_epoch: int | None = None
-    mining: str = "distance"
     bootstrap_epochs: int = 5
 
     def __post_init__(self):
@@ -307,12 +287,14 @@ class TrainConfig:
             raise ConfigError("triplets_per_batch must be >= 1")
         if not 0 <= self.percentile_start <= 100 or not 0 <= self.percentile_floor <= 100:
             raise ConfigError("percentiles must lie in [0, 100]")
+        if self.percentile_step < 0:
+            raise ConfigError("percentile_step must be >= 0")
+        if self.exclusion_window < 0:
+            raise ConfigError("exclusion_window must be >= 0")
         if self.margin <= 0:
             raise ConfigError("margin must be > 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.mining not in ("distance", "similarity"):
-            raise ConfigError(f"unknown mining direction {self.mining!r}")
         if self.bootstrap_epochs < 1:
             raise ConfigError("bootstrap_epochs must be >= 1")
         if self.neighborhood_size < 1:
@@ -400,15 +382,11 @@ def train(dataset: Dataset, config: TrainConfig,
                                        chunk_len=chunk_len)
             bounds = _chunk_bounds(t_feats.shape[0], chunk_len)
             for (start, end), matching in zip(bounds, matchings):
-                chunk_feats = t_feats[start:end]
-                triples = _sample_triplet_indices(
-                    matching.pi, chunk_feats, p, config.triplets_per_batch,
-                    config.exclusion_window, rng, config.mining)
-                if not triples:
+                aj, pj, nj = _sample_triplet_indices(
+                    matching.pi, t_feats[start:end], start, p,
+                    config.triplets_per_batch, config.exclusion_window, rng)
+                if not aj.size:
                     continue
-                aj = [tr[0] for tr in triples]
-                pj = [matching.target_offset + tr[1] for tr in triples]
-                nj = [matching.target_offset + tr[2] for tr in triples]
                 a = augment(query.frames[aj], config.noise_sigma, feature_std, rng)
                 pos = augment(target.frames[pj], config.noise_sigma, feature_std, rng)
                 neg = augment(target.frames[nj], config.noise_sigma, feature_std, rng)

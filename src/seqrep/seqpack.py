@@ -24,6 +24,7 @@ from .core import (
     DimensionError,
     FormatError,
     Sequence,
+    is_safe_name,
     write_file,
 )
 from .embed import EmbeddingModel
@@ -120,6 +121,10 @@ def read_seqpack(path) -> Dataset:
 
     sequences = []
     for seq_id, data, rows, latent_name in records:
+        for name in (seq_id, data, latent_name) if latent_name else (seq_id, data):
+            if not is_safe_name(name):
+                raise FormatError(f"{mpath}: {name!r} is not a safe sequence id or plain "
+                                  "file name ([A-Za-z0-9._-]+, no leading dot)")
         frames = _read_payload(root / data, rows, f)
         latent = None
         if latent_name:

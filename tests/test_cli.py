@@ -182,12 +182,41 @@ class TestExitCodes:
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "exclusion_window", -1),
+        ("train", "percentile_step", -10.0),
+        ("eval", "exclusion_window", -1),
+    ])
+    def test_negative_window_or_step_is_validation_error(self, pipeline, section, key,
+                                                         value, capsys):
+        root, _, data, _, _ = pipeline
+        cfg = root / "negative_cfg.json"
+        cfg.write_text(json.dumps({**TINY, section: {**TINY[section], key: value}}))
+        code = main(["train-embed", "--config", str(cfg), "--data", str(data),
+                     "--out", str(root / "negative.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and key in err
+
     def test_malformed_manifest_is_validation_error(self, pipeline, tmp_path, capsys):
         _, cfg, data, _, _ = pipeline
         bad = tmp_path / "bad"
         shutil.copytree(data, bad)
         manifest = json.loads((bad / "manifest.json").read_text())
         del manifest["feature_dim"]
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["train-embed", "--config", cfg, "--data", str(bad),
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "FormatError" in err and "manifest.json" in err
+
+    def test_unsafe_manifest_id_is_validation_error(self, pipeline, tmp_path, capsys):
+        _, cfg, data, _, _ = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(data, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        manifest["sequences"][0]["id"] = "../escape"
         (bad / "manifest.json").write_text(json.dumps(manifest))
         code = main(["train-embed", "--config", cfg, "--data", str(bad),
                      "--out", str(tmp_path / "m.bin")])

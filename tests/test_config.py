@@ -93,6 +93,8 @@ class TestLoading:
             config_from_dict({"threads": 2})
         with pytest.raises(ConfigError, match="eval.num_clusters"):
             config_from_dict({"eval": {"num_clusters": 16}})
+        with pytest.raises(ConfigError, match="unknown config key train.mining"):
+            config_from_dict({"train": {"mining": 1}})
 
     @pytest.mark.parametrize("data", [
         {"chunk_len": 20.5},
@@ -101,7 +103,7 @@ class TestLoading:
         {"train": {"pairs_per_epoch": 1.5}},
         {"generator": {"frames_range": [36.5, 44]}},
         {"train": {"margin": "0.2"}},
-        {"train": {"mining": 1}},
+        {"train": {"exclusion_window": 2.5}},
         {"penalties": {"lambda1": [1.0]}},
         {"predictor": {"batch_size": True}},
     ])
@@ -160,3 +162,15 @@ def test_with_seed_overrides_everywhere():
 def test_eval_config_validation():
     with pytest.raises(ConfigError):
         EvalConfig(num_queries=0)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "exclusion_window", -1),
+    ("train", "percentile_step", -10.0),
+    ("eval", "exclusion_window", -1),
+])
+def test_negative_windows_and_percentile_step_rejected(section, key, value):
+    # a negative window lets a frame be its own negative or its own k-NN;
+    # a negative step drives the mining percentile above 100
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({section: {key: value}})

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from seqrep import core
 from seqrep.core import (
     ConfigError,
     Dataset,
@@ -63,6 +66,52 @@ def test_write_file_creates_parent_directories(tmp_path):
     assert out.read_bytes() == b"x 1\n"
     write_file(out, b"\x00\x01")
     assert out.read_bytes() == b"\x00\x01"
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    out = write_file(tmp_path / "f.bin", b"old contents")
+
+    class DiskFull:
+        """A file that takes half the bytes, then fails."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(core, "open", lambda path, mode: DiskFull(open(path, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_file(out, b"new contents, twice as long as the old")
+    assert out.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["f.bin"]
+
+
+def test_failed_replace_leaves_no_temp(tmp_path):
+    target = tmp_path / "d"
+    (target / "inner").mkdir(parents=True)
+    with pytest.raises(OSError):
+        write_file(target, "x")
+    assert sorted(os.listdir(tmp_path)) == ["d"]
+
+
+@pytest.mark.parametrize("bad", ["", ".hidden", "..", "../escape", "a/b", "a b", "é", 7])
+def test_sequence_id_must_be_safe(bad):
+    with pytest.raises(ConfigError, match="sequence id"):
+        Sequence(id=bad, frames=[[1.0]])
+
+
+def test_sequence_id_rule_admits_plain_names():
+    for ok in ("a", "seq000", "resample-a", "x.y_z-1", "-", "a.."):
+        assert Sequence(id=ok, frames=[[1.0]]).id == ok
 
 
 def test_l2_normalize_345_triangle():

@@ -20,7 +20,6 @@ from seqrep.dynamics import (
     init_predictor,
     interpolate_features,
     predict_next,
-    rnn_forward,
     rnn_forward_batch,
     synthesize,
     train_predictor,
@@ -60,8 +59,8 @@ class TestForward:
         bias = np.array([0.5, -1.0, 2.0])
         pred = zero_predictor(bias=bias)
         for length in (1, 4, 9):
-            ctx = rng.gen.normal(size=(length, 3))
-            np.testing.assert_allclose(rnn_forward(pred, ctx), bias)
+            contexts = rng.gen.normal(size=(2, length, 3))
+            np.testing.assert_allclose(rnn_forward_batch(pred, contexts), [bias, bias])
 
     def test_default_context_len_is_four(self):
         assert init_predictor(8, 16).context_len == 4
@@ -75,23 +74,16 @@ class TestForward:
         for k in range(20):
             pred = init_predictor(3, 6, 4, RngState(500 + k))
             ctx = rng.gen.normal(size=(4, 3))
-            base = rnn_forward(pred, ctx)
-            flipped = rnn_forward(pred, ctx[::-1].copy())
+            base, flipped = rnn_forward_batch(pred, np.stack([ctx, ctx[::-1]]))
             hits += not np.allclose(base, flipped)
         assert hits >= 1
-
-    def test_batch_matches_single(self, rng):
-        pred = init_predictor(3, 6, 4, RngState(2))
-        contexts = rng.gen.normal(size=(5, 4, 3))
-        batch = rnn_forward_batch(pred, contexts)
-        for i in range(5):
-            np.testing.assert_allclose(batch[i], rnn_forward(pred, contexts[i]),
-                                       atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         pred = init_predictor(3, 6, 4, RngState(1))
         with pytest.raises(DimensionError):
-            rnn_forward(pred, rng.gen.normal(size=(4, 5)))
+            rnn_forward_batch(pred, rng.gen.normal(size=(1, 4, 5)))
+        with pytest.raises(DimensionError):
+            rnn_forward_batch(pred, rng.gen.normal(size=(4, 3)))
 
 
 class TestLoss:
@@ -217,7 +209,7 @@ class TestPredictNext:
         ds, model, pred, _ = tiny_setup
         frames = ds.sequences[0].frames[:4]
         direct = predict_next(pred, model, frames)
-        composed = rnn_forward(pred, embed_batch(model, frames))
+        composed = rnn_forward_batch(pred, embed_batch(model, frames)[None])[0]
         np.testing.assert_array_equal(direct, composed)
         np.testing.assert_array_equal(direct, predict_next(pred, model, frames))
 

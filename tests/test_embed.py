@@ -1,7 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqrep.core import (
     ConfigError,
@@ -11,18 +14,17 @@ from seqrep.core import (
     DivergenceError,
     RngState,
     Sequence,
+    pairwise_sqdist,
 )
 from seqrep.align import PenaltyConfig
 from seqrep.embed import (
     EmbeddingModel,
     TrainConfig,
-    _eligible_negatives,
     _sample_triplet_indices,
     augment,
     embed_batch,
     fit_whitener,
     init_embedding_model,
-    nearest_rank_percentile,
     sequence_neighbors,
     train,
     triplet_grad,
@@ -148,41 +150,69 @@ class TestTripletGrad:
                                    atol=1e-12)
 
 
+def drawn_negatives(pi, feats, p, window, seed=0):
+    """Negatives the sampler drew for each matched positive column.
+
+    64 draws per anchor and chunk frame make missing any eligible
+    negative a ~e^-64 event, so the drawn set is the eligible set.
+    """
+    pi = np.asarray(pi)
+    draws = 64 * len(feats) * int(np.count_nonzero(pi))
+    _, pos, neg = _sample_triplet_indices(pi, feats, 0, p, draws, window, RngState(seed))
+    drawn = {int(c): set() for c in pi[pi > 0] - 1}
+    for c, n in zip(pos, neg):
+        drawn[int(c)].add(int(n))
+    return drawn
+
+
+def oracle_negatives(feats, pos, p, window):
+    """Nearest rank over the column without the positive, then the window rule."""
+    column = pairwise_sqdist(feats, feats)[:, pos]
+    others = [i for i in range(len(feats)) if i != pos]
+    ranked = sorted(float(column[i]) for i in others)
+    thresh = ranked[max(1, math.ceil(p / 100.0 * len(ranked))) - 1]
+    return {i for i in others if column[i] <= thresh and abs(i - pos) > window}
+
+
 class TestNegativeMining:
-    def test_nearest_rank_percentile(self):
-        dists = np.array([0.1, 0.4, 0.9, 1.6])
-        assert nearest_rank_percentile(dists, 50) == pytest.approx(0.4)
-        assert nearest_rank_percentile(dists, 100) == pytest.approx(1.6)
-        assert nearest_rank_percentile(dists, 0) == pytest.approx(0.1)
-        assert nearest_rank_percentile(dists, 25) == pytest.approx(0.1)
+    """Eligible negatives: the nearest-rank percentile of each positive's column."""
+
+    # one coordinate on a line: squared distances to frame 0 are 0, 1, 4, 9, 16
+    line = np.arange(5.0)[:, None]
 
     def test_worked_example(self):
-        # positive at index 0; candidates at squared distances .1, .4, .9, 1.6
-        dists = np.array([0.0, 0.1, 0.4, 0.9, 1.6])
-        eligible = _eligible_negatives(dists, pos=0, p=50, window=0, mining="distance")
-        assert set(eligible) == {1, 2}
+        # positive at index 0; candidates at squared distances 1, 4, 9, 16
+        assert drawn_negatives([1], self.line, 50, 0) == {0: {1, 2}}
 
     def test_p100_admits_all_non_excluded(self):
-        dists = np.array([0.0, 0.5, 0.2, 0.9, 0.3])
-        eligible = _eligible_negatives(dists, pos=0, p=100, window=1, mining="distance")
-        assert set(eligible) == {2, 3, 4}
+        feats = np.sqrt([0.0, 0.5, 0.2, 0.9, 0.3])[:, None]
+        assert drawn_negatives([1], feats, 100, 1) == {0: {2, 3, 4}}
 
     def test_monotone_in_percentile(self, rng):
-        g = rng.gen
-        dists = np.abs(g.normal(size=30))
+        feats = rng.gen.normal(size=(30, 3))
         prev = None
         for p in (100, 80, 60, 40, 20, 5):
-            cur = set(_eligible_negatives(dists, pos=3, p=p, window=2,
-                                          mining="distance"))
+            cur = drawn_negatives([4], feats, p, 2)[3]
             if prev is not None:
                 assert cur <= prev
             prev = cur
 
-    def test_similarity_reading_flips_direction(self, rng):
-        dists = np.abs(rng.gen.normal(size=20))
-        near = set(_eligible_negatives(dists, pos=0, p=30, window=0, mining="distance"))
-        far = set(_eligible_negatives(dists, pos=0, p=30, window=0, mining="similarity"))
-        assert not (near & far)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 12), dim=st.integers(1, 3),
+           integer=st.booleans(), p=st.floats(0, 100), window=st.integers(0, 4))
+    def test_every_column_matches_oracle(self, data, m, dim, integer, p, window):
+        shape = (m, dim)
+        if integer:  # small integer coordinates make distances tie exactly
+            feats = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=m * dim,
+                                                max_size=m * dim)), dtype=float).reshape(shape)
+        else:
+            feats = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=m * dim,
+                                                max_size=m * dim))).reshape(shape)
+        pi = np.array(data.draw(st.lists(st.integers(0, m), min_size=1, max_size=8)))
+        if not pi.any():
+            pi[0] = 1
+        drawn = drawn_negatives(pi, feats, p, window)
+        assert drawn == {c: oracle_negatives(feats, c, p, window) for c in drawn}
 
 
 class TestSampleTriplets:
@@ -194,27 +224,41 @@ class TestSampleTriplets:
 
     def test_all_outlier_matching_yields_empty(self, chunk_feats, rng):
         pi = np.zeros(6, dtype=np.int64)
-        assert _sample_triplet_indices(pi, chunk_feats, 100, 10, 1, rng) == []
+        for rows in _sample_triplet_indices(pi, chunk_feats, 0, 100, 10, 1, rng):
+            assert rows.shape == (0,)
 
     def test_anchor_validity_and_offsets(self, chunk_feats, rng):
         pi = np.array([1, 0, 3, 2, 0, 4])
-        out = _sample_triplet_indices(pi, chunk_feats, 100, 50, 1, rng)
-        assert out
-        for j, pos, neg in out:
+        aj, pj, nj = _sample_triplet_indices(pi, chunk_feats, 40, 100, 50, 1, rng)
+        assert aj.size == pj.size == nj.size > 0
+        for j, pos, neg in zip(aj, pj - 40, nj - 40):
             assert pi[j] == pos + 1
             assert 0 <= neg < len(chunk_feats)
             assert abs(neg - pos) > 1
 
     def test_deterministic_under_seed(self, chunk_feats):
         pi = np.array([1, 0, 3, 2, 0, 4])
-        a = _sample_triplet_indices(pi, chunk_feats, 60, 20, 1, RngState(5))
-        b = _sample_triplet_indices(pi, chunk_feats, 60, 20, 1, RngState(5))
-        assert a == b
+        a = _sample_triplet_indices(pi, chunk_feats, 0, 60, 20, 1, RngState(5))
+        b = _sample_triplet_indices(pi, chunk_feats, 0, 60, 20, 1, RngState(5))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_single_frame_chunk_yields_no_triplets(self, rng):
         pi = np.array([1, 1, 1])
         feats = rng.gen.normal(size=(1, 4))
-        assert _sample_triplet_indices(pi, feats, 100, 10, 1, rng) == []
+        for rows in _sample_triplet_indices(pi, feats, 0, 100, 10, 1, rng):
+            assert rows.shape == (0,)
+
+    def test_empty_pool_skips_the_draw(self, rng):
+        # every other frame lies inside the window: no negative, one draw per triplet
+        g = RngState(3)
+        out = _sample_triplet_indices(np.array([2, 2]), rng.gen.normal(size=(3, 2)), 0,
+                                      100, 5, 2, g)
+        assert all(rows.size == 0 for rows in out)
+        expect = RngState(3).gen
+        for _ in range(5):
+            expect.integers(2)
+        assert g.gen.integers(1 << 30) == expect.integers(1 << 30)
 
 
 class TestSequenceNeighbors:

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from seqrep.core import Dataset, FormatError, RngState, Sequence
+from seqrep.core import ConfigError, Dataset, FormatError, RngState, Sequence
 from seqrep.embed import init_embedding_model
 from seqrep.dynamics import init_predictor
 from seqrep.seqpack import (
@@ -88,6 +88,27 @@ class TestSeqPack:
         write_seqpack(dataset, tmp_path / "p")
         manifest = json.loads((tmp_path / "p" / MANIFEST_NAME).read_text())
         damage(manifest)
+        (tmp_path / "p" / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=MANIFEST_NAME):
+            read_seqpack(tmp_path / "p")
+
+    def test_escaping_id_cannot_be_written(self, rng, tmp_path):
+        with pytest.raises(ConfigError, match="sequence id"):
+            Sequence(id="../escape", frames=rng.gen.normal(size=(3, 2)))
+        assert not (tmp_path / "escape.f32").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("id", "../escape"),
+        ("id", ".hidden"),
+        ("id", 5),
+        ("data", "../a.f32"),
+        ("data", "/a.f32"),
+        ("latent", "sub/a.lat.f32"),
+    ])
+    def test_unsafe_manifest_names_rejected(self, dataset, tmp_path, key, value):
+        write_seqpack(dataset, tmp_path / "p")
+        manifest = json.loads((tmp_path / "p" / MANIFEST_NAME).read_text())
+        manifest["sequences"][0][key] = value
         (tmp_path / "p" / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match=MANIFEST_NAME):
             read_seqpack(tmp_path / "p")
