@@ -14,8 +14,6 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .core import ConfigError
 from .align import PenaltyConfig
 from .embed import TrainConfig
@@ -134,16 +132,3 @@ def reference_run_config(seed: int = 20240511) -> RunConfig:
         predictor=PredictorConfig(learning_rate=0.03, max_epochs=40),
     )
 
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Plain-JSON form of a configuration (numpy scalars unwrapped)."""
-    def clean(value):
-        if isinstance(value, dict):
-            return {k: clean(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [clean(v) for v in value]
-        if isinstance(value, (np.floating, np.integer)):
-            return value.item()
-        return value
-
-    return clean(dataclasses.asdict(cfg))

@@ -250,7 +250,7 @@ class Dataset:
         for s in self.sequences:
             if s.id == seq_id:
                 return s
-        raise KeyError(f"no sequence with id {seq_id!r}")
+        raise ConfigError(f"no sequence with id {seq_id!r}")
 
     @property
     def latent_dimension(self) -> int:
@@ -269,7 +269,7 @@ class RngState:
 
     Identical seed + identical call order reproduces identical outputs.
     ``split`` derives an independent child stream addressed by integer keys,
-    so concurrent workers can draw without coordinating.
+    so one stage's draws never shift another's.
     """
 
     seed: int

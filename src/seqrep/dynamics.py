@@ -200,18 +200,16 @@ class PredictorLog:
     converged: bool = False
 
 
-def _interleave(per_seq: list[list[int]]) -> list[int]:
-    """Round-robin merge so every source sequence stays equally represented."""
-    out = []
-    cursors = [0] * len(per_seq)
-    remaining = sum(len(s) for s in per_seq)
-    while remaining:
-        for i, seq in enumerate(per_seq):
-            if cursors[i] < len(seq):
-                out.append(seq[cursors[i]])
-                cursors[i] += 1
-                remaining -= 1
-    return out
+def _windows(emb: np.ndarray, context_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (context, next frame) pair of one embedded sequence, in time order.
+
+    Needs ``len(emb) > context_len``. Returns ``(contexts, targets)`` of
+    shapes (w, l, d) and (w, d) with w = len(emb) - l: context t holds
+    frames t .. t+l-1 and its target is frame t+l. ``contexts`` is a
+    read-only strided view of ``emb``.
+    """
+    contexts = np.lib.stride_tricks.sliding_window_view(emb[:-1], context_len, axis=0)
+    return contexts.transpose(0, 2, 1), emb[context_len:]
 
 
 def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 4,
@@ -234,25 +232,26 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
         raise ConfigError("context_len must be >= 1")
 
     log = PredictorLog()
-    contexts, targets, seq_of_pair = [], [], []
+    embedded = {}
     for s in dataset:
         if len(s) <= context_len:
             logger.warning("sequence %r has %d frames, needs > %d; skipped",
                            s.id, len(s), context_len)
             log.skipped_sequences.append(s.id)
             continue
-        emb = embed_batch(model, s.frames)
-        for t in range(context_len - 1, len(s) - 1):
-            contexts.append(emb[t - context_len + 1:t + 1])
-            targets.append(emb[t + 1])
-            seq_of_pair.append(s.id)
-    if not contexts:
+        embedded[s.id] = embed_batch(model, s.frames)
+    if not embedded:
         raise ConfigError("no sequence is longer than the context length")
 
-    contexts = np.stack(contexts)
-    targets = np.stack(targets)
-    ids = sorted(set(seq_of_pair))
-    by_seq = {sid: [i for i, p in enumerate(seq_of_pair) if p == sid] for sid in ids}
+    # Each sequence's pairs form one block, blocks in sorted-id order. An
+    # epoch permutes within every block, then takes rank 0 of each block,
+    # rank 1 of each, and so on: the stable sort of the ranks.
+    windows = [_windows(embedded[sid], context_len) for sid in sorted(embedded)]
+    contexts = np.concatenate([c for c, _ in windows])
+    targets = np.concatenate([t for _, t in windows])
+    sizes = [len(t) for _, t in windows]
+    starts = np.cumsum(sizes) - sizes
+    round_robin = np.argsort(np.concatenate([np.arange(n) for n in sizes]), kind="stable")
 
     pred = init_predictor(model.embed_dim, config.hidden_dim, context_len,
                           rng.split(0))
@@ -260,10 +259,8 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     g = rng.gen
 
     for _ in range(config.max_epochs):
-        order = _interleave([
-            [by_seq[sid][j] for j in g.permutation(len(by_seq[sid]))]
-            for sid in ids
-        ])
+        order = np.concatenate([first + g.permutation(n)
+                                for first, n in zip(starts, sizes)])[round_robin]
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
@@ -280,14 +277,19 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     return pred, log
 
 
+def _embed_context(pred: RecurrentPredictor, model: EmbeddingModel, frames,
+                   name: str) -> np.ndarray:
+    """Embed exactly ``pred.context_len`` raw frames; ``name`` labels them in errors."""
+    x = as_frames(frames, name)
+    if x.shape[0] != pred.context_len:
+        raise ConfigError(f"expected exactly {pred.context_len} "
+                          f"{name.replace('_', ' ')}, got {x.shape[0]}")
+    return embed_batch(model, x)
+
+
 def predict_next(pred: RecurrentPredictor, model: EmbeddingModel, frames) -> np.ndarray:
     """Embed the last ``context_len`` raw frames and predict the next embedding."""
-    x = as_frames(frames, "frames")
-    if x.shape[0] != pred.context_len:
-        raise ConfigError(
-            f"expected exactly {pred.context_len} frames, got {x.shape[0]}"
-        )
-    return rnn_forward_batch(pred, embed_batch(model, x)[None])[0]
+    return rnn_forward_batch(pred, _embed_context(pred, model, frames, "frames")[None])[0]
 
 
 def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
@@ -306,12 +308,7 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
     refs = [(s.id, i) for s in seqs for i in range(len(s))]
     cb_emb = np.concatenate([embed_batch(model, s.frames) for s in seqs], axis=0)
 
-    x = as_frames(seed_frames, "seed_frames")
-    if x.shape[0] != pred.context_len:
-        raise ConfigError(
-            f"expected exactly {pred.context_len} seed frames, got {x.shape[0]}"
-        )
-    ctx = embed_batch(model, x)
+    ctx = _embed_context(pred, model, seed_frames, "seed_frames")
     trail = []
     for _ in range(steps):
         guess = rnn_forward_batch(pred, ctx[None])[0]

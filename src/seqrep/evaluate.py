@@ -21,7 +21,7 @@ from scipy.stats import rankdata
 from .core import ConfigError, Dataset, DimensionError, RngState, as_frames, pairwise_sqdist, write_file
 from .align import Matching, PenaltyConfig, solve_exact_dp
 from .embed import EmbeddingModel, embed_batch
-from .dynamics import RecurrentPredictor, rnn_forward_batch
+from .dynamics import RecurrentPredictor, _windows, rnn_forward_batch
 from .synthdata import GeneratorConfig, alignment_pair_config, resample_pair
 
 
@@ -173,31 +173,27 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
     embedding to its k-th nearest neighbor over all frames, excluding the
     frame itself and its +-window temporal neighbors.
     """
+    if exclusion_window < 0 or k_max < 1:
+        raise ConfigError(f"need exclusion_window >= 0 and k_max >= 1, got "
+                          f"{exclusion_window} and {k_max}")
     l = predictor.context_len
     emb = [embed_batch(model, s.frames) for s in dataset]
-    all_emb = np.concatenate(emb, axis=0)
-    offsets = np.cumsum([0] + [len(s) for s in dataset])
-
-    contexts, truth_global = [], []
-    for si, e in enumerate(emb):
-        for t in range(l - 1, e.shape[0] - 1):
-            contexts.append(e[t - l + 1:t + 1])
-            truth_global.append(offsets[si] + t + 1)
-    if not contexts:
+    windows = [_windows(e, l) for e in emb if len(e) > l]
+    if not windows:
         raise ConfigError("no sequence is long enough for one transition")
-    contexts = np.stack(contexts)
-    truth_global = np.asarray(truth_global)
+    truth = np.concatenate([t for _, t in windows])
+    preds = rnn_forward_batch(predictor, np.concatenate([c for c, _ in windows]))
+    pred_err = np.linalg.norm(preds - truth, axis=1)
 
-    preds = rnn_forward_batch(predictor, contexts)
-    pred_err = np.linalg.norm(preds - all_emb[truth_global], axis=1)
-
-    d = np.sqrt(pairwise_sqdist(all_emb[truth_global], all_emb))
-    for row, gidx in enumerate(truth_global):
-        si = int(np.searchsorted(offsets, gidx, side="right") - 1)
-        t = gidx - offsets[si]
-        lo = max(0, t - exclusion_window)
-        hi = min(offsets[si + 1] - offsets[si], t + exclusion_window + 1)
-        d[row, offsets[si] + lo:offsets[si] + hi] = np.inf
+    # Rows (targets) and columns (frames) of one sequence are contiguous
+    # blocks, so its exclusion band is masked inside one slice.
+    d = np.sqrt(pairwise_sqdist(truth, np.concatenate(emb, axis=0)))
+    row = col = 0
+    for e in emb:
+        t = np.arange(l, len(e))
+        band = np.abs(t[:, None] - np.arange(len(e))) <= exclusion_window
+        d[row:row + t.size, col:col + len(e)][band] = np.inf
+        row, col = row + t.size, col + len(e)
     n_valid = int(np.min(np.sum(np.isfinite(d), axis=1)))
     if k_max > n_valid:
         raise ConfigError(f"k_max {k_max} exceeds available candidates {n_valid}")

@@ -243,12 +243,19 @@ class TestExitCodes:
                      "--out", str(blocker / "sub")])
         assert code == 2
 
-    def test_unknown_sequence_id_is_runtime_error(self, pipeline):
-        root, cfg, data, model, _ = pipeline
-        code = main(["align", "--config", cfg, "--data", str(data),
-                     "--model", str(model), "--query", "nope",
-                     "--target", "seq001", "--out", str(root / "y.json")])
-        assert code == 2
+    @pytest.mark.parametrize("command", [
+        ["align", "--query", "nope", "--target", "seq001"],
+        ["synth", "--seed-seq", "nope", "--steps", "3"],
+    ], ids=["align", "synth"])
+    def test_unknown_sequence_id_is_validation_error(self, pipeline, command, capsys):
+        root, cfg, data, model, pred = pipeline
+        paths = ["--data", str(data), "--model", str(model), "--out", str(root / "y.out")]
+        if command[0] == "synth":
+            paths += ["--pred", str(pred)]
+        assert main([command[0], "--config", cfg, *paths, *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "'nope'" in err
+        assert not (root / "y.out").exists()
 
 
 def test_partly_set_penalties_reach_training(pipeline, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -9,7 +10,6 @@ from seqrep.config import (
     PenaltyConfig,
     RunConfig,
     config_from_dict,
-    config_to_dict,
     load_config,
     reference_run_config,
 )
@@ -59,7 +59,7 @@ class TestLoading:
     def test_round_trip(self, tmp_path):
         cfg = reference_run_config()
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config_to_dict(cfg)))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert load_config(path) == cfg
 
     def test_unknown_root_key_rejected(self):

@@ -151,6 +151,8 @@ def test_dataset_invariants():
     ds = Dataset(dimension=2, sequences=(a, b))
     assert len(ds) == 2
     assert ds.by_id("b") is b
+    with pytest.raises(ConfigError, match="'nope'"):
+        ds.by_id("nope")
     with pytest.raises(ConfigError):
         Dataset(dimension=2, sequences=(a,))
     with pytest.raises(ConfigError):

@@ -174,6 +174,22 @@ class TestTrainPredictor:
         assert log.skipped_sequences == ["short"]
         assert any("short" in r.message for r in caplog.records)
 
+    def test_invariant_to_dataset_order(self):
+        ds = cyclic_dataset()
+        seqs = [Sequence(id=s.id, frames=s.frames[:n]) for s, n in zip(ds, (40, 23, 31))]
+        short = Sequence(id="short", frames=np.zeros((4, ds.dimension)))
+        model = init_embedding_model(ds.dimension, 12, 6, RngState(3))
+        cfg = PredictorConfig(hidden_dim=10, max_epochs=2, batch_size=7)
+        runs = []
+        for order in [[short] + seqs, seqs[::-1] + [short]]:
+            mixed = Dataset(dimension=ds.dimension, sequences=tuple(order))
+            runs.append(train_predictor(mixed, model, context_len=4, config=cfg,
+                                        rng=RngState(9)))
+        (p1, log1), (p2, log2) = runs
+        np.testing.assert_array_equal(p1.theta, p2.theta)
+        assert log1.epoch_loss == log2.epoch_loss
+        assert log1.skipped_sequences == log2.skipped_sequences == ["short"]
+
     def test_all_short_raises(self):
         ds = Dataset(dimension=2, sequences=(
             Sequence(id="a", frames=np.zeros((3, 2))),
@@ -215,7 +231,7 @@ class TestPredictNext:
 
     def test_wrong_count_rejected(self, tiny_setup):
         ds, model, pred, _ = tiny_setup
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="exactly 4 frames, got 3"):
             predict_next(pred, model, ds.sequences[0].frames[:3])
 
 
@@ -243,6 +259,8 @@ class TestSynthesize:
             synthesize(pred, model, ds.sequences[0].frames[:4], 0, ds)
         with pytest.raises(ConfigError):
             synthesize(pred, model, ds.sequences[0].frames[:4], 3, [])
+        with pytest.raises(ConfigError, match="exactly 4 seed frames, got 3"):
+            synthesize(pred, model, ds.sequences[0].frames[:3], 3, ds)
 
     def test_cyclic_trail_advances(self, ref_config, ref_dataset, ref_model,
                                    ref_predictor):

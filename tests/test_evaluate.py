@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from seqrep.core import ConfigError, Dataset, DimensionError, RngState, Sequence
+from seqrep.core import ConfigError, Dataset, DimensionError, RngState, Sequence, pairwise_sqdist
 from seqrep.align import CostBreakdown, Matching
-from seqrep.embed import fit_whitener, init_embedding_model
+from seqrep.dynamics import init_predictor
+from seqrep.embed import embed_batch, fit_whitener, init_embedding_model
 from seqrep.evaluate import (
     EvalReport,
     agglomerative_representatives,
@@ -114,6 +115,43 @@ class TestKnnCurve:
     def test_k_max_limit(self, ref_dataset, ref_model, ref_predictor):
         with pytest.raises(ConfigError):
             knn_prediction_curve(ref_dataset, ref_model, ref_predictor, k_max=10 ** 6)
+
+    @pytest.mark.parametrize("k_max, window", [(0, 2), (-2, 2), (3, -1)])
+    def test_bad_arguments_rejected(self, k_max, window):
+        ds, model, pred = uneven_setup()
+        with pytest.raises(ConfigError):
+            knn_prediction_curve(ds, model, pred, k_max=k_max, exclusion_window=window)
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_exclusion_matches_per_row_reference(self, window):
+        ds, model, pred = uneven_setup()
+        k_max = 4
+        curve = knn_prediction_curve(ds, model, pred, k_max=k_max, exclusion_window=window)
+
+        l = pred.context_len
+        emb = [embed_batch(model, s.frames) for s in ds]
+        all_emb = np.concatenate(emb)
+        offsets = np.cumsum([0] + [len(e) for e in emb])
+        rows = [offsets[si] + t for si, e in enumerate(emb) for t in range(l, len(e))]
+        d = np.sqrt(pairwise_sqdist(all_emb[rows], all_emb))
+        for row, gidx in enumerate(rows):
+            si = int(np.searchsorted(offsets, gidx, side="right") - 1)
+            for col in range(offsets[si], offsets[si + 1]):
+                if abs(col - gidx) <= window:
+                    d[row, col] = np.inf
+        part = np.sort(d, axis=1)[:, :k_max]
+        assert curve.knn_mean == tuple(float(v) for v in part.mean(axis=0))
+        assert curve.knn_std == tuple(float(v) for v in part.std(axis=0))
+
+
+def uneven_setup():
+    """Sequences of unequal lengths, one too short for a transition, random models."""
+    g = np.random.default_rng(5)
+    seqs = tuple(Sequence(id=f"s{i}", frames=g.normal(size=(n, 6)))
+                 for i, n in enumerate([9, 3, 14, 6]))
+    ds = Dataset(dimension=6, sequences=seqs)
+    model = init_embedding_model(6, 10, 5, RngState(1))
+    return ds, model, init_predictor(5, 8, 4, RngState(2))
 
 
 def chunked(global_pi, bounds):
