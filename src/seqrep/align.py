@@ -16,7 +16,7 @@ each outlier frame pays a flat ``outlier_cost`` instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -170,14 +170,8 @@ class PenaltyConfig:
     outlier_cost: float | None = None
 
     def resolve(self, query_feats, target_feats) -> MatchPenalties:
-        base = default_penalties(query_feats, target_feats)
-        return MatchPenalties(
-            lambda1=self.lambda1 if self.lambda1 is not None else base.lambda1,
-            lambda2=self.lambda2 if self.lambda2 is not None else base.lambda2,
-            lambda3=self.lambda3 if self.lambda3 is not None else base.lambda3,
-            outlier_cost=(self.outlier_cost if self.outlier_cost is not None
-                          else base.outlier_cost),
-        )
+        return replace(default_penalties(query_feats, target_feats),
+                       **{k: v for k, v in asdict(self).items() if v is not None})
 
 
 def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matching:
@@ -302,9 +296,5 @@ def match_features(
     q, t = _check_instance(query_feats, target_feats)
     if penalties is None:
         penalties = default_penalties(q, t)
-    out = []
-    for s, e in _chunk_bounds(t.shape[0], chunk_len):
-        sol = solve_exact_dp(q, t[s:e], penalties)
-        out.append(Matching(pi=sol.pi, total_cost=sol.total_cost,
-                            breakdown=sol.breakdown, target_offset=s))
-    return out
+    return [replace(solve_exact_dp(q, t[s:e], penalties), target_offset=s)
+            for s, e in _chunk_bounds(t.shape[0], chunk_len)]

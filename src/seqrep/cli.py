@@ -246,13 +246,7 @@ def _cmd_synth(args) -> int:
     dataset = seqpack.read_seqpack(args.data)
     model = seqpack.load_model(args.model)
     pred = seqpack.load_predictor(args.pred)
-    seq = dataset.by_id(args.seed_seq)
-    if len(seq) < pred.context_len:
-        raise ConfigError(
-            f"sequence {args.seed_seq!r} is shorter than the context "
-            f"length {pred.context_len}"
-        )
-    seed_frames = seq.frames[:pred.context_len]
+    seed_frames = dataset.by_id(args.seed_seq).frames[:pred.context_len]
     trail = dynamics.synthesize(pred, model, seed_frames, args.steps, dataset)
     write_file(args.out, "\n".join(f"{sid} {idx}" for sid, idx in trail) + "\n")
     print(f"synthesized {len(trail)} steps to {args.out}")

@@ -38,12 +38,12 @@ class FormatError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or parameter vector.
+    """Training diverged: a batch loss was non-finite or blew up, the model
+    collapsed, or the parameter vector went non-finite (see :class:`MomentumSGD`).
 
     ``stage`` names the learner (``embed`` or ``predictor``); ``epoch`` and
-    ``batch`` are 0-based and locate the batch whose loss was non-finite,
-    or the epoch's last batch when the losses stayed finite but the
-    parameter vector did not; ``loss`` is the last batch loss seen.
+    ``batch`` are 0-based and locate the failing batch, or the epoch's last
+    batch when only the parameter vector failed; ``loss`` is that batch's loss.
     """
 
     def __init__(self, stage: str, epoch: int, batch: int, loss: float, what: str):
@@ -131,10 +131,14 @@ class MomentumSGD:
     """Plain momentum SGD on one parameter vector, which it updates in place.
 
     Each :meth:`step` applies ``v = momentum * v - learning_rate * g`` then
-    ``theta = theta + v``. Finiteness is checked on each batch loss and, in
-    :meth:`end_epoch`, on the whole vector; either failure raises
-    :class:`DivergenceError` naming ``stage``, the epoch and the batch.
+    ``theta = theta + v``, after checking the batch: a non-finite loss, a
+    loss above ``BLOWUP_FACTOR`` times the run's first positive one (blew
+    up), or a positive loss with an exactly zero gradient (collapsed: no
+    step can lower it) raises :class:`DivergenceError` naming ``stage``, the
+    epoch and the batch, as does a non-finite vector in :meth:`end_epoch`.
     """
+
+    BLOWUP_FACTOR = 1000.0
 
     def __init__(self, theta: np.ndarray, learning_rate: float, momentum: float,
                  stage: str):
@@ -146,6 +150,7 @@ class MomentumSGD:
         self.epoch = 0
         self.batch = 0  # steps taken in the current epoch
         self.last_loss = math.nan
+        self.first_loss = math.nan  # the run's first positive batch loss; NaN bounds nothing
         self._epoch_start = theta.copy()
 
     def step(self, loss: float, grad: np.ndarray) -> None:
@@ -153,6 +158,15 @@ class MomentumSGD:
         if not math.isfinite(loss):
             raise DivergenceError(self.stage, self.epoch, self.batch, loss,
                                   "non-finite batch loss")
+        if loss > self.BLOWUP_FACTOR * self.first_loss:
+            raise DivergenceError(self.stage, self.epoch, self.batch, loss,
+                                  f"blew up: loss above {self.BLOWUP_FACTOR:g}x the first "
+                                  f"positive batch loss {self.first_loss!r}")
+        if loss > 0 and not grad.any():
+            raise DivergenceError(self.stage, self.epoch, self.batch, loss,
+                                  "collapsed: positive loss with an exactly zero gradient")
+        if loss > 0 and math.isnan(self.first_loss):
+            self.first_loss = loss
         self.velocity *= self.momentum
         self.velocity -= self.learning_rate * grad
         self.theta += self.velocity

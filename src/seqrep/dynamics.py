@@ -185,11 +185,15 @@ class PredictorConfig:
     momentum: float = 0.9
     max_epochs: int = 20
     batch_size: int = 128
-    epsilon: float = 1e-4
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_epochs < 1 or self.batch_size < 1:
-            raise ConfigError("invalid predictor configuration")
+        for name in ("hidden_dim", "max_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"predictor {name} must be >= 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("predictor learning_rate must be > 0")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("predictor momentum must lie in [0, 1)")
 
 
 @dataclass
@@ -197,7 +201,6 @@ class PredictorLog:
     epoch_loss: list[float] = field(default_factory=list)
     epoch_param_delta: list[float] = field(default_factory=list)
     skipped_sequences: list[str] = field(default_factory=list)
-    converged: bool = False
 
 
 def _windows(emb: np.ndarray, context_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +224,8 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     per valid window; the frozen embedding supplies the features. Batches
     interleave pairs round-robin across source sequences so no sequence
     dominates an update. Sequences too short for a single window are skipped
-    with a warning; if everything is skipped the dataset is unusable. A
-    non-finite loss or parameter vector raises :class:`DivergenceError`.
+    with a warning; if everything is skipped the dataset is unusable. Runs
+    ``max_epochs`` epochs; divergence raises :class:`DivergenceError`.
     """
     if config is None:
         config = PredictorConfig()
@@ -268,11 +271,7 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
             sgd.step(loss, grads)
             losses.append(loss)
         log.epoch_loss.append(float(np.mean(losses)))
-        delta = sgd.end_epoch()
-        log.epoch_param_delta.append(delta)
-        if delta <= config.epsilon:
-            log.converged = True
-            break
+        log.epoch_param_delta.append(sgd.end_epoch())
 
     return pred, log
 

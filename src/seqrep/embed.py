@@ -273,7 +273,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     max_epochs: int = 30
-    epsilon: float = 1e-4
     neighborhood_size: int = 10
     exclusion_window: int = 2
     noise_sigma: float = 0.05
@@ -283,8 +282,12 @@ class TrainConfig:
     bootstrap_epochs: int = 5
 
     def __post_init__(self):
-        if self.triplets_per_batch < 1:
-            raise ConfigError("triplets_per_batch must be >= 1")
+        for name in ("triplets_per_batch", "max_epochs", "hidden_dim", "embed_dim",
+                     "bootstrap_epochs", "neighborhood_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.pairs_per_epoch is not None and self.pairs_per_epoch < 1:
+            raise ConfigError("pairs_per_epoch must be >= 1 (or null: one per sequence)")
         if not 0 <= self.percentile_start <= 100 or not 0 <= self.percentile_floor <= 100:
             raise ConfigError("percentiles must lie in [0, 100]")
         if self.percentile_step < 0:
@@ -295,10 +298,8 @@ class TrainConfig:
             raise ConfigError("margin must be > 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.bootstrap_epochs < 1:
-            raise ConfigError("bootstrap_epochs must be >= 1")
-        if self.neighborhood_size < 1:
-            raise ConfigError("neighborhood_size must be >= 1")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("momentum must lie in [0, 1)")
 
     def percentile_at(self, epoch: int) -> float:
         return max(self.percentile_floor,
@@ -313,7 +314,6 @@ class TrainLog:
     batch_epoch: list[int] = field(default_factory=list)
     epoch_percentile: list[float] = field(default_factory=list)
     epoch_param_delta: list[float] = field(default_factory=list)
-    converged: bool = False
 
     def mean_loss(self, epoch: int) -> float:
         losses = [l for l, e in zip(self.batch_loss, self.batch_epoch) if e == epoch]
@@ -339,9 +339,8 @@ def train(dataset: Dataset, config: TrainConfig,
     epochs compute neighborhoods, matching costs, and mining distances on
     unit-normalized ZCA-whitened raw features; afterwards the current
     embedding takes over (it must first outgrow the bootstrap features, so
-    switching too early stalls training). Stops when the parameter vector
-    moves less than ``config.epsilon`` over an epoch or at ``max_epochs``;
-    a non-finite loss or parameter vector raises :class:`DivergenceError`.
+    switching too early stalls training). Runs ``max_epochs`` epochs; a
+    diverging batch or parameter vector raises :class:`DivergenceError`.
     """
     if rng is None:
         rng = RngState(0)
@@ -359,7 +358,7 @@ def train(dataset: Dataset, config: TrainConfig,
     sgd = MomentumSGD(model.theta, config.learning_rate, config.momentum, "embed")
     log = TrainLog()
     k = min(config.neighborhood_size, len(dataset) - 1)
-    pairs_per_epoch = config.pairs_per_epoch or len(dataset)
+    pairs_per_epoch = len(dataset) if config.pairs_per_epoch is None else config.pairs_per_epoch
     sequences = dataset.sequences
     g = rng.gen
 
@@ -395,11 +394,7 @@ def train(dataset: Dataset, config: TrainConfig,
                 log.batch_loss.append(loss)
                 log.batch_epoch.append(epoch)
 
-        delta = sgd.end_epoch()
         log.epoch_percentile.append(p)
-        log.epoch_param_delta.append(delta)
-        if delta <= config.epsilon:
-            log.converged = True
-            break
+        log.epoch_param_delta.append(sgd.end_epoch())
 
     return model, log

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.stats import rankdata
 
-from .core import ConfigError, Dataset, DimensionError, RngState, as_frames, pairwise_sqdist, write_file
+from .core import (ConfigError, Dataset, DimensionError, FormatError, RngState, as_frames,
+                   pairwise_sqdist, write_file)
 from .align import Matching, PenaltyConfig, solve_exact_dp
 from .embed import EmbeddingModel, embed_batch
 from .dynamics import RecurrentPredictor, _windows, rnn_forward_batch
@@ -376,8 +377,12 @@ class EvalReport:
 
     @classmethod
     def load(cls, base_path) -> "EvalReport":
-        payload = json.loads(Path(str(base_path) + ".json").read_text())
-        return cls(**payload)
+        """Read ``<base>.json``; a malformed report raises :class:`FormatError` naming it."""
+        path = Path(str(base_path) + ".json")
+        try:
+            return cls(**json.loads(path.read_text()))
+        except (ValueError, TypeError) as exc:  # bad UTF-8 or JSON; wrong shape or keys
+            raise FormatError(f"{path}: not an evaluation report ({exc})") from exc
 
 
 def write_curve(path, xs, ys, header: str = "") -> Path:

@@ -86,7 +86,6 @@ class _Trajectory:
     drift_amp: np.ndarray   # (q, K) in [-1, 1]
     drift_freq: np.ndarray  # (q, K)
     drift_phase: np.ndarray # (q, K)
-    latent_dim: int
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         phi = self.phase0 + 2.0 * math.pi * self.cycles * u
@@ -111,7 +110,6 @@ def _draw_trajectory(cfg: GeneratorConfig, rng: RngState) -> _Trajectory:
         drift_amp=cfg.drift_strength * g.uniform(-1.0, 1.0, size=(q, k)),
         drift_freq=g.uniform(_DRIFT_FREQ_LO, _DRIFT_FREQ_HI, size=(q, k)),
         drift_phase=g.uniform(0.0, 2.0 * math.pi, size=(q, k)),
-        latent_dim=q,
     )
 
 

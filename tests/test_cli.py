@@ -172,6 +172,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         {"train": {**TINY["train"], "neighborhood_size": 0}},
         {"chunk_len": 20.5},
+        {"train": {**TINY["train"], "max_epochs": 0}},
+        {"train": {**TINY["train"], "pairs_per_epoch": 0}},
+        {"train": {**TINY["train"], "hidden_dim": 0}},
+        {"train": {**TINY["train"], "momentum": 1.5}},
+        {"predictor": {**TINY["predictor"], "hidden_dim": 0}},
+        {"predictor": {**TINY["predictor"], "momentum": -1}},
+        {"train": {**TINY["train"], "epsilon": 1e-4}},
     ])
     def test_bad_config_value_is_validation_error(self, pipeline, override, capsys):
         root, _, data, _, _ = pipeline
@@ -234,6 +241,26 @@ class TestExitCodes:
         assert code == 2
         assert "DivergenceError" in capsys.readouterr().err
         assert not (root / "diverged.bin").exists()
+
+    @pytest.mark.parametrize("command, section, learning_rate, what", [
+        ("train-embed", "train", 1e150, "collapsed"),
+        ("train-dyn", "predictor", 100.0, "blew up"),
+    ])
+    def test_collapse_and_blow_up_are_runtime_errors(self, pipeline, command, section,
+                                                     learning_rate, what, capsys):
+        root, _, data, model, _ = pipeline
+        cfg = root / "unstable_cfg.json"
+        cfg.write_text(json.dumps({**TINY, section: {**TINY[section],
+                                                     "learning_rate": learning_rate}}))
+        out = root / "unstable.bin"
+        argv = [command, "--config", str(cfg), "--data", str(data), "--out", str(out)]
+        if command == "train-dyn":
+            argv += ["--model", str(model)]
+        with np.errstate(all="ignore"):
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "DivergenceError" in err and "at epoch 0" in err and what in err
+        assert not out.exists()
 
     def test_unwritable_output_is_runtime_error(self, pipeline):
         root, cfg, data, model, _ = pipeline

@@ -95,6 +95,10 @@ class TestLoading:
             config_from_dict({"eval": {"num_clusters": 16}})
         with pytest.raises(ConfigError, match="unknown config key train.mining"):
             config_from_dict({"train": {"mining": 1}})
+        with pytest.raises(ConfigError, match="unknown config key train.epsilon"):
+            config_from_dict({"train": {"epsilon": 1e-4}})
+        with pytest.raises(ConfigError, match="unknown config key predictor.epsilon"):
+            config_from_dict({"predictor": {"epsilon": 1e-4}})
 
     @pytest.mark.parametrize("data", [
         {"chunk_len": 20.5},
@@ -112,10 +116,11 @@ class TestLoading:
             config_from_dict(data)
 
     def test_numbers_accepted_where_declared(self):
-        cfg = config_from_dict({"train": {"margin": 1, "pairs_per_epoch": None},
+        cfg = config_from_dict({"train": {"margin": 1, "pairs_per_epoch": None, "momentum": 0},
                                 "penalties": {"lambda1": 2},
                                 "generator": {"cycles_range": [1, 2.5]}})
         assert cfg.train.margin == 1 and cfg.train.pairs_per_epoch is None
+        assert cfg.train.momentum == 0
         assert cfg.penalties.lambda1 == 2
         assert cfg.generator.cycles_range == (1, 2.5)
 
@@ -173,4 +178,26 @@ def test_negative_windows_and_percentile_step_rejected(section, key, value):
     # a negative window lets a frame be its own negative or its own k-NN;
     # a negative step drives the mining percentile above 100
     with pytest.raises(ConfigError, match=key):
+        config_from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "max_epochs", 0),
+    ("train", "pairs_per_epoch", 0),
+    ("train", "pairs_per_epoch", -2),
+    ("train", "hidden_dim", 0),
+    ("train", "embed_dim", 0),
+    ("train", "momentum", 1.0),
+    ("train", "momentum", -1),
+    ("predictor", "max_epochs", 0),
+    ("predictor", "batch_size", 0),
+    ("predictor", "hidden_dim", 0),
+    ("predictor", "learning_rate", 0),
+    ("predictor", "momentum", 1.5),
+    ("predictor", "momentum", -1),
+])
+def test_run_lengths_sizes_and_momentum_rejected(section, key, value):
+    # each of these used to train silently (zero batches, the random initial
+    # model, an unbounded momentum) or crash with ZeroDivisionError
+    with pytest.raises(ConfigError, match=f"{key} must"):
         config_from_dict({section: {key: value}})

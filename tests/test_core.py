@@ -213,7 +213,7 @@ def test_momentum_sgd_matches_the_per_block_update():
 
 def test_momentum_sgd_reports_divergence():
     sgd = MomentumSGD(np.zeros(3), learning_rate=1.0, momentum=0.0, stage="predictor")
-    sgd.step(0.5, np.zeros(3))
+    sgd.step(0.5, np.ones(3))
     with pytest.raises(DivergenceError, match="epoch 0, batch 1") as info:
         sgd.step(float("nan"), np.zeros(3))
     assert info.value.stage == "predictor"
@@ -221,3 +221,24 @@ def test_momentum_sgd_reports_divergence():
     with pytest.raises(DivergenceError, match="non-finite parameters") as info:
         sgd.end_epoch()
     assert (info.value.epoch, info.value.batch, info.value.loss) == (0, 1, 0.25)
+
+
+def test_momentum_sgd_reports_collapse():
+    sgd = MomentumSGD(np.zeros(3), learning_rate=1.0, momentum=0.0, stage="embed")
+    sgd.step(0.0, np.zeros(3))  # every hinge inactive: nothing to learn, not a collapse
+    sgd.step(0.2, np.array([0.0, -1e-300, 0.0]))
+    with pytest.raises(DivergenceError, match="epoch 0, batch 2: collapsed") as info:
+        sgd.step(0.2, np.zeros(3))
+    assert (info.value.stage, info.value.loss) == ("embed", 0.2)
+
+
+def test_momentum_sgd_reports_blow_up_relative_to_the_first_positive_loss():
+    sgd = MomentumSGD(np.zeros(3), learning_rate=1e-3, momentum=0.0, stage="predictor")
+    sgd.step(0.0, np.zeros(3))  # a zero loss sets no reference
+    sgd.step(2.0, np.ones(3))
+    sgd.step(1e-3, np.ones(3))  # a later, smaller loss does not move the reference
+    sgd.step(2000.0, np.ones(3))  # exactly 1000x passes
+    sgd.end_epoch()
+    with pytest.raises(DivergenceError, match="epoch 1, batch 0: blew up") as info:
+        sgd.step(np.nextafter(2000.0, np.inf), np.ones(3))
+    assert info.value.stage == "predictor"

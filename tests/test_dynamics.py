@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -218,6 +219,16 @@ class TestTrainPredictor:
         err = info.value
         assert (err.stage, err.epoch) == ("predictor", 0) and err.batch >= 1
         assert "predictor training diverged at epoch 0" in str(err)
+
+    def test_blow_up_is_divergence(self, small_dataset):
+        # lr 100 stays finite for a while, so only the loss ratio catches it
+        model = init_embedding_model(small_dataset.dimension, 16, 8, RngState(0))
+        cfg = PredictorConfig(hidden_dim=12, max_epochs=2, batch_size=32,
+                              learning_rate=100.0)
+        with pytest.raises(DivergenceError, match="blew up") as info:
+            train_predictor(small_dataset, model, config=cfg, rng=RngState(0))
+        assert (info.value.stage, info.value.epoch) == ("predictor", 0)
+        assert math.isfinite(info.value.loss)
 
 
 class TestPredictNext:

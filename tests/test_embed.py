@@ -334,6 +334,13 @@ class TestTrain:
         m2, _ = train(small_dataset, cfg, chunk_len=20, rng=RngState(42))
         np.testing.assert_array_equal(m1.theta, m2.theta)
 
+    def test_null_pairs_per_epoch_is_one_pair_per_sequence(self, small_dataset):
+        cfg = TrainConfig(max_epochs=1, triplets_per_batch=40, hidden_dim=16, embed_dim=8)
+        m1, _ = train(small_dataset, cfg, chunk_len=20, rng=RngState(5))
+        m2, _ = train(small_dataset, replace(cfg, pairs_per_epoch=len(small_dataset)),
+                      chunk_len=20, rng=RngState(5))
+        np.testing.assert_array_equal(m1.theta, m2.theta)
+
     def test_percentile_schedule(self):
         cfg = TrainConfig()
         assert [cfg.percentile_at(e) for e in (0, 1, 2, 7, 9)] == [100, 90, 80, 30, 30]
@@ -362,6 +369,17 @@ class TestTrain:
         err = info.value
         assert (err.stage, err.epoch) == ("embed", 0) and err.batch >= 1
         assert "embed training diverged at epoch 0" in str(err)
+
+    def test_collapsed_encoder_is_divergence(self, small_dataset):
+        # one step at this rate saturates the encoder: every frame embeds to
+        # the same row, so each later batch costs the margin with a zero gradient
+        cfg = TrainConfig(max_epochs=3, triplets_per_batch=40, hidden_dim=16,
+                          embed_dim=8, bootstrap_epochs=1, learning_rate=1e150)
+        with pytest.raises(DivergenceError, match="collapsed") as info, \
+                np.errstate(all="ignore"):
+            train(small_dataset, cfg, rng=RngState(0))
+        assert (info.value.stage, info.value.epoch, info.value.batch) == ("embed", 0, 1)
+        assert info.value.loss == cfg.margin
 
     def test_training_reduces_loss_on_reference(self, ref_training):
         _, log = ref_training

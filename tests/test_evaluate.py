@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seqrep.core import ConfigError, Dataset, DimensionError, RngState, Sequence, pairwise_sqdist
+from seqrep.core import (ConfigError, Dataset, DimensionError, FormatError, RngState, Sequence,
+                         pairwise_sqdist)
 from seqrep.align import CostBreakdown, Matching
 from seqrep.dynamics import init_predictor
 from seqrep.embed import embed_batch, fit_whitener, init_embedding_model
@@ -288,6 +289,17 @@ class TestReports:
         rep.save(tmp_path / "r")
         back = EvalReport.load(tmp_path / "r")
         assert back == rep
+
+    @pytest.mark.parametrize("body, cause", [
+        ('{"metric": "demo", ', "JSONDecodeError"),
+        ('["demo"]', "TypeError"),
+        ('{"metric": "demo", "extra": 1}', "TypeError"),
+    ], ids=["invalid-json", "not-an-object", "unknown-key"])
+    def test_malformed_report_is_format_error(self, tmp_path, body, cause):
+        (tmp_path / "r.json").write_text(body)
+        with pytest.raises(FormatError, match="r.json: not an evaluation report") as info:
+            EvalReport.load(tmp_path / "r")
+        assert type(info.value.__cause__).__name__ == cause
 
     def test_txt_is_line_oriented(self, tmp_path):
         rep = EvalReport(metric="demo", values={"x": 1.5}, seed=1)
