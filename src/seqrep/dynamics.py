@@ -103,13 +103,14 @@ def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
 
 def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
     """Run the cell over (B, l, d) inputs; returns outputs and BPTT cache."""
-    batch, steps, d = x.shape
     m = pred.hidden_dim
-    h = np.zeros((batch, m))
-    c = np.zeros((batch, m))
+    h = c = np.zeros((x.shape[0], m))  # both are rebound, never written in place
     cache = []
-    for t in range(steps):
-        z = x[:, t] @ pred.Wx + h @ pred.Wh + pred.b
+    for t in range(x.shape[1]):
+        z = x[:, t] @ pred.Wx
+        if t:  # h0 = 0, and (a + 0) + b == a + b bit for bit
+            z += h @ pred.Wh
+        z += pred.b
         i = _sigmoid(z[:, :m])
         f = _sigmoid(z[:, m:2 * m])
         g = np.tanh(z[:, 2 * m:3 * m])

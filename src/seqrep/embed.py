@@ -296,6 +296,8 @@ class TrainConfig:
             raise ConfigError("exclusion_window must be >= 0")
         if self.margin <= 0:
             raise ConfigError("margin must be > 0")
+        if self.noise_sigma < 0:
+            raise ConfigError("noise_sigma must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:

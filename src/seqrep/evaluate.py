@@ -55,9 +55,8 @@ def default_pose_epsilon(dataset: Dataset, percentile: float = 5.0) -> float:
     """Instance-relative match threshold: a low percentile of latent distances."""
     _require_latents(dataset)
     z = np.concatenate([s.latent for s in dataset], axis=0)
-    d = np.sqrt(pairwise_sqdist(z, z))
-    iu = np.triu_indices(d.shape[0], k=1)
-    return float(np.percentile(d[iu], percentile))
+    d = np.sqrt(pairwise_sqdist(z, z)[np.triu_indices(len(z), k=1)])
+    return float(np.percentile(d, percentile))
 
 
 def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
@@ -67,8 +66,9 @@ def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
     """Mean per-query ROC AUC of other-sequence retrieval by feature distance.
 
     A candidate counts as a true match when its latent pose lies within
-    ``pose_epsilon`` of the query's. Queries whose candidate set is all-
-    positive or all-negative are skipped.
+    ``pose_epsilon`` of the query's. A sequence's queries share one candidate
+    set, the other sequences' frames, and are scored together. Queries whose
+    candidate set is all-positive or all-negative are skipped.
     """
     _require_latents(dataset)
     if len(features) != len(dataset):
@@ -78,10 +78,8 @@ def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
     if rng is None:
         rng = RngState(0)
 
-    lat = [s.latent for s in dataset]
-    seq_of = np.concatenate([np.full(len(s), i) for i, s in enumerate(dataset)])
     feats = np.concatenate(features, axis=0)
-    lats = np.concatenate(lat, axis=0)
+    lats = np.concatenate([s.latent for s in dataset], axis=0)
     total = feats.shape[0]
 
     if num_queries >= total:
@@ -89,15 +87,17 @@ def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
     else:
         queries = np.sort(rng.gen.choice(total, size=num_queries, replace=False))
 
+    starts = np.cumsum([0] + [len(s) for s in dataset])
     aucs = []
-    for qi in queries:
-        mask = seq_of != seq_of[qi]
-        d_feat = np.sum((feats[mask] - feats[qi]) ** 2, axis=1)
-        d_lat = np.linalg.norm(lats[mask] - lats[qi], axis=1)
-        labels = d_lat <= pose_epsilon
-        if labels.all() or not labels.any():
-            continue
-        aucs.append(roc_auc(-d_feat[labels], -d_feat[~labels]))
+    for lo, hi in zip(starts, starts[1:]):
+        qs, others = queries[(lo <= queries) & (queries < hi)], np.r_[0:lo, hi:total]
+        labels = np.linalg.norm(lats[others] - lats[qs, None], axis=2) <= pose_epsilon
+        ranks = rankdata(-pairwise_sqdist(feats[qs], feats[others]), axis=1)
+        # Mann-Whitney U per row; average ranks are half-integers, so the sums are exact
+        n_pos, n_neg = labels.sum(axis=1), (~labels).sum(axis=1)
+        u = np.where(labels, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
+        keep = (n_pos > 0) & (n_neg > 0)
+        aucs.extend((u[keep] / (n_pos[keep] * n_neg[keep])).tolist())
     if not aucs:
         raise ConfigError("no query produced both matches and non-matches")
     return float(np.mean(aucs)), aucs
@@ -186,9 +186,9 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
     preds = rnn_forward_batch(predictor, np.concatenate([c for c, _ in windows]))
     pred_err = np.linalg.norm(preds - truth, axis=1)
 
-    # Rows (targets) and columns (frames) of one sequence are contiguous
-    # blocks, so its exclusion band is masked inside one slice.
-    d = np.sqrt(pairwise_sqdist(truth, np.concatenate(emb, axis=0)))
+    # Squared distances, rooted after selection (sqrt is monotone). A sequence's
+    # targets (rows) and frames (columns) are contiguous: its band is one slice.
+    d = pairwise_sqdist(truth, np.concatenate(emb, axis=0))
     row = col = 0
     for e in emb:
         t = np.arange(l, len(e))
@@ -198,7 +198,7 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
     n_valid = int(np.min(np.sum(np.isfinite(d), axis=1)))
     if k_max > n_valid:
         raise ConfigError(f"k_max {k_max} exceeds available candidates {n_valid}")
-    part = np.sort(np.partition(d, k_max - 1, axis=1)[:, :k_max], axis=1)
+    part = np.sqrt(np.sort(np.partition(d, k_max - 1, axis=1)[:, :k_max], axis=1))
 
     return PredictionCurve(
         prediction_error_mean=float(pred_err.mean()),
@@ -377,12 +377,30 @@ class EvalReport:
 
     @classmethod
     def load(cls, base_path) -> "EvalReport":
-        """Read ``<base>.json``; a malformed report raises :class:`FormatError` naming it."""
+        """Read ``<base>.json``; a malformed report raises :class:`FormatError` naming it.
+
+        Besides its keys, every value must have its field's type: ``metric``
+        a string, ``values`` numbers, ``series`` lists of numbers, ``config``
+        an object and ``seed`` an integer (JSON object keys are strings).
+        """
         path = Path(str(base_path) + ".json")
         try:
-            return cls(**json.loads(path.read_text()))
+            rep = cls(**json.loads(path.read_text()))
         except (ValueError, TypeError) as exc:  # bad UTF-8 or JSON; wrong shape or keys
             raise FormatError(f"{path}: not an evaluation report ({exc})") from exc
+        if not (isinstance(rep.metric, str) and _is_number(rep.seed, int)
+                and isinstance(rep.config, dict)
+                and isinstance(rep.values, dict) and all(map(_is_number, rep.values.values()))
+                and isinstance(rep.series, dict)
+                and all(isinstance(v, list) and all(map(_is_number, v))
+                        for v in rep.series.values())):
+            raise FormatError(f"{path}: not an evaluation report (a value has the wrong type)")
+        return rep
+
+
+def _is_number(v, kinds=(int, float)) -> bool:
+    """A JSON number of one of ``kinds``; booleans are not numbers."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
 
 
 def write_curve(path, xs, ys, header: str = "") -> Path:

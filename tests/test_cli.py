@@ -205,6 +205,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ConfigError" in err and key in err
 
+    def test_negative_noise_sigma_fails_before_reading_data(self, workspace, capsys):
+        root, _ = workspace
+        cfg = root / "noise_cfg.json"
+        cfg.write_text(json.dumps({**TINY, "train": {**TINY["train"], "noise_sigma": -1.0}}))
+        code = main(["train-embed", "--config", str(cfg), "--data", str(root / "nothing"),
+                     "--out", str(root / "noise.bin")])
+        assert code == 1
+        assert "ConfigError: noise_sigma must be >= 0" in capsys.readouterr().err
+
     def test_malformed_manifest_is_validation_error(self, pipeline, tmp_path, capsys):
         _, cfg, data, _, _ = pipeline
         bad = tmp_path / "bad"

@@ -181,6 +181,13 @@ def test_negative_windows_and_percentile_step_rejected(section, key, value):
         config_from_dict({section: {key: value}})
 
 
+def test_negative_noise_sigma_rejected_at_load():
+    # it used to load and fail only inside augment, after the first matching
+    with pytest.raises(ConfigError, match="noise_sigma must be >= 0"):
+        config_from_dict({"train": {"noise_sigma": -1.0}})
+    assert config_from_dict({"train": {"noise_sigma": 0}}).train.noise_sigma == 0
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("train", "max_epochs", 0),
     ("train", "pairs_per_epoch", 0),

@@ -36,6 +36,19 @@ def zero_predictor(d=3, m=5, bias=None, context_len=4):
     return RecurrentPredictor(theta, d, m, context_len)
 
 
+def forward_with_zero_state_product(pred, contexts):
+    """The gated cell with h0 @ Wh computed at step 0 too, though h0 = 0."""
+    m = pred.hidden_dim
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    h = np.zeros((contexts.shape[0], m))
+    c = np.zeros_like(h)
+    for t in range(contexts.shape[1]):
+        z = contexts[:, t] @ pred.Wx + h @ pred.Wh + pred.b
+        c = sig(z[:, m:2 * m]) * c + sig(z[:, :m]) * np.tanh(z[:, 2 * m:3 * m])
+        h = sig(z[:, 3 * m:]) * np.tanh(c)
+    return h @ pred.Wy + pred.by
+
+
 class TestModel:
     def test_blocks_are_views_in_container_order(self):
         p = init_predictor(3, 6, 4, RngState(1))
@@ -78,6 +91,13 @@ class TestForward:
             base, flipped = rnn_forward_batch(pred, np.stack([ctx, ctx[::-1]]))
             hits += not np.allclose(base, flipped)
         assert hits >= 1
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_skipping_the_zero_state_product_is_bit_exact(self, rng, length):
+        pred = init_predictor(5, 12, length, RngState(7))
+        contexts = rng.gen.normal(size=(9, length, 5))
+        np.testing.assert_array_equal(rnn_forward_batch(pred, contexts),
+                                      forward_with_zero_state_product(pred, contexts))
 
     def test_dimension_mismatch(self, rng):
         pred = init_predictor(3, 6, 4, RngState(1))

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqrep.core import (ConfigError, Dataset, DimensionError, FormatError, RngState, Sequence,
                          pairwise_sqdist)
@@ -77,6 +81,77 @@ class TestRetrieval:
         assert a == b
 
 
+def per_query_reference(dataset, features, pose_epsilon, num_queries, rng):
+    """One query at a time: explicit differences and one :func:`roc_auc` each."""
+    seq_of = np.concatenate([np.full(len(s), i) for i, s in enumerate(dataset)])
+    feats = np.concatenate(features, axis=0)
+    lats = np.concatenate([s.latent for s in dataset], axis=0)
+    total = feats.shape[0]
+    if num_queries >= total:
+        queries = np.arange(total)
+    else:
+        queries = np.sort(rng.gen.choice(total, size=num_queries, replace=False))
+    aucs = []
+    for qi in queries:
+        mask = seq_of != seq_of[qi]
+        d_feat = np.sum((feats[mask] - feats[qi]) ** 2, axis=1)
+        labels = np.linalg.norm(lats[mask] - lats[qi], axis=1) <= pose_epsilon
+        if labels.all() or not labels.any():
+            continue
+        aucs.append(roc_auc(-d_feat[labels], -d_feat[~labels]))
+    return aucs
+
+
+@st.composite
+def integer_retrieval_instances(draw):
+    """Small integer-valued features and latents: distances tie, also at epsilon."""
+    lengths = draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
+    f_dim, z_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    seqs, features = [], []
+    for i, n in enumerate(lengths):
+        ints = st.lists(st.integers(-2, 2), min_size=n * (f_dim + z_dim),
+                        max_size=n * (f_dim + z_dim))
+        block = np.array(draw(ints), dtype=np.float64).reshape(n, f_dim + z_dim)
+        seqs.append(Sequence(id=f"s{i}", frames=block[:, :f_dim], latent=block[:, f_dim:]))
+        features.append(block[:, :f_dim])
+    dataset = Dataset(dimension=f_dim, sequences=tuple(seqs))
+    # squared latent distances are integers, so sqrt(k) puts candidates exactly at epsilon
+    pose_epsilon = float(np.sqrt(draw(st.integers(0, 8))))
+    num_queries = draw(st.integers(1, sum(lengths) + 2))
+    return dataset, features, pose_epsilon, num_queries, draw(st.integers(0, 2 ** 16))
+
+
+class TestRetrievalOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=integer_retrieval_instances())
+    def test_block_scoring_equals_per_query_loop(self, instance):
+        dataset, features, eps, num_queries, seed = instance
+        expect = per_query_reference(dataset, features, eps, num_queries, RngState(seed))
+        if not expect:
+            with pytest.raises(ConfigError):
+                retrieval_auc_from_features(dataset, features, pose_epsilon=eps,
+                                            num_queries=num_queries, rng=RngState(seed))
+            return
+        mean, aucs = retrieval_auc_from_features(dataset, features, pose_epsilon=eps,
+                                                 num_queries=num_queries,
+                                                 rng=RngState(seed))
+        assert aucs == expect
+        assert mean == float(np.mean(expect))
+
+    def test_skipped_queries_keep_query_order(self):
+        # a1 lies within epsilon of all of b (all-positive), a2 of none of b
+        # (all-negative); both are skipped and the other four keep their order
+        z0 = np.array([[0.0], [1.0], [5.0]])
+        z1 = np.array([[0.0], [1.0], [2.0]])
+        ds = Dataset(dimension=1, sequences=(Sequence(id="a", frames=z0, latent=z0),
+                                             Sequence(id="b", frames=z1, latent=z1)))
+        feats = [np.array([[0.0], [2.0], [5.0]]), np.array([[4.0], [0.0], [1.0]])]
+        _, aucs = retrieval_auc_from_features(ds, feats, pose_epsilon=1.0, num_queries=6)
+        expect = per_query_reference(ds, feats, 1.0, 6, RngState(0))
+        assert aucs == expect and len(aucs) == 4
+        assert aucs[0] == roc_auc([-16.0, -0.0], [-1.0])  # a0: b0, b1 match, b2 does not
+
+
 class TestZeroShot:
     def test_self_transfer_is_exact(self, small_dataset):
         model = init_embedding_model(small_dataset.dimension, 16, 8, RngState(3))
@@ -125,6 +200,8 @@ class TestKnnCurve:
 
     @pytest.mark.parametrize("window", [0, 1, 2, 3])
     def test_exclusion_matches_per_row_reference(self, window):
+        # the reference roots the full distance matrix before selecting;
+        # the protocol roots only the k_max kept squared distances
         ds, model, pred = uneven_setup()
         k_max = 4
         curve = knn_prediction_curve(ds, model, pred, k_max=k_max, exclusion_window=window)
@@ -300,6 +377,27 @@ class TestReports:
         with pytest.raises(FormatError, match="r.json: not an evaluation report") as info:
             EvalReport.load(tmp_path / "r")
         assert type(info.value.__cause__).__name__ == cause
+
+    @pytest.mark.parametrize("body", [
+        {"metric": 7, "values": "x", "seed": "s"},
+        {"metric": "demo", "values": "x"},
+        {"metric": "demo", "values": {"a": "0.5"}},
+        {"metric": "demo", "values": {"a": True}},
+        {"metric": "demo", "series": {"xs": 1.0}},
+        {"metric": "demo", "series": {"xs": [1.0, None]}},
+        {"metric": "demo", "config": []},
+        {"metric": "demo", "seed": 1.5},
+        {"metric": "demo", "seed": False},
+    ])
+    def test_wrong_value_type_is_format_error(self, tmp_path, body):
+        (tmp_path / "r.json").write_text(json.dumps(body))
+        with pytest.raises(FormatError, match="r.json: not an evaluation report"):
+            EvalReport.load(tmp_path / "r")
+
+    def test_integers_are_numbers(self, tmp_path):
+        rep = EvalReport(metric="demo", values={"n": 3}, series={"k": [1, 2.5]}, seed=2)
+        rep.save(tmp_path / "r")
+        assert EvalReport.load(tmp_path / "r") == rep
 
     def test_txt_is_line_oriented(self, tmp_path):
         rep = EvalReport(metric="demo", values={"x": 1.5}, seed=1)
