@@ -44,9 +44,11 @@ audit = sr.alignment_cost(query, target, solution.pi, penalties)
 print(f"auditor agrees: {abs(audit.total - solution.total_cost) < 1e-9}")
 
 # 5. Long targets are split into chunks and each chunk is solved
-#    independently; a length-1 remainder merges into the previous chunk.
+#    independently under one set of penalties; a length-1 remainder merges
+#    into the previous chunk.
 long_target = np.tile(target, (3, 1))
-per_chunk = sr.match_features(query, long_target, chunk_len=40)
+per_chunk = sr.match_features(query, long_target,
+                              sr.default_penalties(query, long_target), chunk_len=40)
 print(f"\n{len(long_target)}-frame target at chunk_len=40 "
       f"-> {len(per_chunk)} chunk matchings at offsets "
       f"{[m.target_offset for m in per_chunk]}")

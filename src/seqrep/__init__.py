@@ -69,7 +69,6 @@ from .evaluate import (
     alignment_benchmark,
     default_pose_epsilon,
     knn_prediction_curve,
-    merge_chunk_assignments,
     nearest_neighbor_assignment,
     pca_project_2d,
     retrieval_auc,

@@ -49,10 +49,15 @@ class MatchPenalties:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "outlier_cost"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _weight(name, getattr(self, name)))
+
+
+def _weight(name: str, value) -> float:
+    """``value`` as a penalty weight: a finite float >= 0, else a ConfigError."""
+    v = float(value)
+    if not np.isfinite(v) or v < 0:
+        raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -95,12 +100,6 @@ class Matching:
                 f"total_cost {self.total_cost} disagrees with breakdown sum "
                 f"{self.breakdown.total}"
             )
-
-    def global_pi(self) -> np.ndarray:
-        """pi re-indexed into the full target (offset applied, 0 preserved)."""
-        out = self.pi.copy()
-        out[out > 0] += self.target_offset
-        return out
 
 
 def _check_instance(query_emb, target_emb) -> tuple[np.ndarray, np.ndarray]:
@@ -161,13 +160,21 @@ class PenaltyConfig:
 
     :meth:`resolve` takes each unset weight from :func:`default_penalties`
     of the instance at hand, so a partly set configuration keeps its set
-    weights and scales the rest with the data.
+    weights and scales the rest with the data. A set weight must be finite
+    and >= 0, as in :class:`MatchPenalties`. (When loaded from a config
+    file, ``config._check_type`` has already rejected non-finite values for
+    every float field; this check adds >= 0 and covers direct construction.)
     """
 
     lambda1: float | None = None
     lambda2: float | None = None
     lambda3: float | None = None
     outlier_cost: float | None = None
+
+    def __post_init__(self):
+        for name, v in asdict(self).items():
+            if v is not None:
+                _weight(f"penalties.{name}", v)
 
     def resolve(self, query_feats, target_feats) -> MatchPenalties:
         return replace(default_penalties(query_feats, target_feats),
@@ -222,10 +229,14 @@ def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matchi
 
 
 def _transition_matrix(m: int, penalties: MatchPenalties) -> np.ndarray:
-    """Pairwise penalty w(v, v') for consecutive assignments; 0 when either is outlier."""
+    """Pairwise penalty of consecutive assignments v -> v', stored as ``w[v', v]``.
+
+    Rows are the target states, so a relaxation step reduces along
+    contiguous memory; 0 when either state is the outlier.
+    """
     w = np.zeros((m + 1, m + 1))
     v = np.arange(1, m + 1)
-    a, b = v[:, None], v[None, :]
+    b, a = v[:, None], v[None, :]
     w[1:, 1:] = (
         penalties.lambda1 * (a > b)
         + penalties.lambda2 * (a == b)
@@ -252,11 +263,12 @@ def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties) -> Matching
     w = _transition_matrix(m, penalties)
 
     parent = np.empty((n, m + 1), dtype=np.int64)
+    states = np.arange(m + 1)
     d = unary[0].copy()
     for j in range(1, n):
-        stepped = d[:, None] + w
-        parent[j] = np.argmin(stepped, axis=0)  # first minimum = smallest state
-        d = stepped[parent[j], np.arange(m + 1)] + unary[j]
+        stepped = w + d  # stepped[v', v] = d[v] + w(v, v')
+        parent[j] = np.argmin(stepped, axis=1)  # first minimum = smallest state
+        d = stepped[states, parent[j]] + unary[j]
 
     last = int(np.argmin(d))
     total = float(d[last])
@@ -283,18 +295,12 @@ def _chunk_bounds(n: int, chunk_len: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def match_features(
-    query_feats,
-    target_feats,
-    penalties: MatchPenalties | None = None,
-    chunk_len: int = 40,
-) -> list[Matching]:
+def match_features(query_feats, target_feats, penalties: MatchPenalties,
+                   chunk_len: int = 40) -> list[Matching]:
     """Solve the full query against every chunk of an already-featured target.
 
     Returns one Matching per chunk of :func:`_chunk_bounds`, in offset order.
     """
     q, t = _check_instance(query_feats, target_feats)
-    if penalties is None:
-        penalties = default_penalties(q, t)
     return [replace(solve_exact_dp(q, t[s:e], penalties), target_offset=s)
             for s, e in _chunk_bounds(t.shape[0], chunk_len)]

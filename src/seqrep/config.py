@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -34,6 +35,8 @@ class EvalConfig:
             raise ConfigError("evaluation counts must be >= 1")
         if self.exclusion_window < 0:
             raise ConfigError("eval exclusion_window must be >= 0")
+        if self.pose_epsilon is not None and self.pose_epsilon <= 0:
+            raise ConfigError("eval.pose_epsilon must be > 0")
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,9 @@ class RunConfig:
 def _check_type(value, tp, name: str):
     """``value`` if JSON gave the declared type ``tp``; lists become tuples.
 
-    A float field takes any number, an int field only integers; booleans
-    are never numbers here.
+    A float field takes any number a finite float holds, so neither NaN nor
+    Infinity (which ``json`` accepts) nor a larger integer; an int field
+    takes only integers. Booleans are never numbers here.
     """
     if typing.get_origin(tp) is tuple:
         elems = typing.get_args(tp)
@@ -77,6 +81,8 @@ def _check_type(value, tp, name: str):
         allowed += (int,)
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"{name} must be {getattr(tp, '__name__', tp)}, got {value!r}")
+    if float in allowed and value is not None and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -110,9 +116,9 @@ def load_config(path) -> RunConfig:
     if not p.is_file():
         raise FileNotFoundError(f"missing config file {p}")
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+        raise ConfigError(f"{p}: not UTF-8 JSON ({exc})") from exc
     return config_from_dict(data)
 
 

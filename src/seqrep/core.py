@@ -106,13 +106,17 @@ def write_file(path, data: bytes | str) -> Path:
     return p
 
 
+MAX_ID_LEN = 128
 _SAFE_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 
-def is_safe_name(name) -> bool:
-    """Whether ``name`` may be a sequence id or a SeqPack payload file name:
-    ``[A-Za-z0-9._-]+`` without a leading dot, so it stays inside its directory."""
-    return isinstance(name, str) and _SAFE_NAME.fullmatch(name) is not None
+def is_safe_name(name, max_len: int = MAX_ID_LEN) -> bool:
+    """Whether ``name`` may be a sequence id (or, with a larger ``max_len``, a
+    SeqPack payload file name): 1 to ``max_len`` of ``[A-Za-z0-9._-]`` without
+    a leading dot, so it stays inside its directory and within the file
+    system's name limit."""
+    return (isinstance(name, str) and len(name) <= max_len
+            and _SAFE_NAME.fullmatch(name) is not None)
 
 
 def block_views(vec: np.ndarray, **shapes: tuple[int, ...]) -> dict[str, np.ndarray]:
@@ -208,7 +212,7 @@ class Sequence:
 
     def __post_init__(self):
         if not is_safe_name(self.id):
-            raise ConfigError(f"sequence id {self.id!r} must match [A-Za-z0-9._-]+ "
+            raise ConfigError(f"sequence id {self.id!r} must be 1-{MAX_ID_LEN} of [A-Za-z0-9._-] "
                               "and not start with a dot")
         frames = as_frames(self.frames, f"sequence {self.id!r} frames")
         frames = frames.copy()

@@ -21,7 +21,6 @@ from .core import (
     Dataset,
     MomentumSGD,
     RngState,
-    Sequence,
     as_frames,
     as_vector,
     block_views,
@@ -293,7 +292,7 @@ def predict_next(pred: RecurrentPredictor, model: EmbeddingModel, frames) -> np.
 
 
 def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
-               steps: int, codebook: Dataset | list[Sequence]) -> list[tuple[str, int]]:
+               steps: int, codebook: Dataset) -> list[tuple[str, int]]:
     """Recursively predict embeddings and decode each by nearest codebook frame.
 
     The decoded frame's own embedding (not the raw prediction) is fed back
@@ -302,11 +301,8 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    seqs = list(codebook.sequences) if isinstance(codebook, Dataset) else list(codebook)
-    if not seqs:
-        raise ConfigError("codebook is empty")
-    refs = [(s.id, i) for s in seqs for i in range(len(s))]
-    cb_emb = np.concatenate([embed_batch(model, s.frames) for s in seqs], axis=0)
+    refs = [(s.id, i) for s in codebook for i in range(len(s))]
+    cb_emb = np.concatenate([embed_batch(model, s.frames) for s in codebook], axis=0)
 
     ctx = _embed_context(pred, model, seed_frames, "seed_frames")
     trail = []

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import pdist
 from scipy.stats import rankdata
 
 from .core import (ConfigError, Dataset, DimensionError, FormatError, RngState, as_frames,
@@ -55,8 +56,7 @@ def default_pose_epsilon(dataset: Dataset, percentile: float = 5.0) -> float:
     """Instance-relative match threshold: a low percentile of latent distances."""
     _require_latents(dataset)
     z = np.concatenate([s.latent for s in dataset], axis=0)
-    d = np.sqrt(pairwise_sqdist(z, z)[np.triu_indices(len(z), k=1)])
-    return float(np.percentile(d, percentile))
+    return float(np.percentile(pdist(z), percentile))
 
 
 def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
@@ -120,13 +120,13 @@ class ZeroShotReport:
     oracle_accuracy: tuple[float, ...]
 
 
-def zero_shot_pose_error(train: Dataset, test: Dataset, embedder,
-                         thresholds: tuple[float, ...] | None = None) -> ZeroShotReport:
+def zero_shot_pose_error(train: Dataset, test: Dataset, embedder) -> ZeroShotReport:
     """Latent-pose transfer by nearest neighbor in feature space.
 
     Each test frame adopts the latent pose of its nearest training frame;
     reported against the ground-truth-similarity upper bound in which the
-    neighbor is chosen by latent distance itself.
+    neighbor is chosen by latent distance itself. Accuracies are read at 20
+    evenly spaced error thresholds up to the largest error of either.
     """
     _require_latents(train)
     _require_latents(test)
@@ -141,9 +141,8 @@ def zero_shot_pose_error(train: Dataset, test: Dataset, embedder,
     nn_lat = np.argmin(pairwise_sqdist(z_test, z_train), axis=1)
     oracle_err = np.linalg.norm(z_test - z_train[nn_lat], axis=1)
 
-    if thresholds is None:
-        hi = float(max(err.max(), oracle_err.max(), 1e-12))
-        thresholds = tuple(np.linspace(0.0, hi, 21)[1:])
+    hi = float(max(err.max(), oracle_err.max(), 1e-12))
+    thresholds = np.linspace(0.0, hi, 21)[1:]
     acc = tuple(float(np.mean(err <= t)) for t in thresholds)
     oracle_acc = tuple(float(np.mean(oracle_err <= t)) for t in thresholds)
     return ZeroShotReport(
@@ -218,32 +217,18 @@ def nearest_neighbor_assignment(query_feats: np.ndarray,
     return np.argmin(pairwise_sqdist(q, t), axis=1).astype(np.int64) + 1
 
 
-def merge_chunk_assignments(matchings: list[Matching] | Matching,
-                            n_query: int) -> np.ndarray:
-    """Compose per-chunk matchings into one global assignment.
+def alignment_accuracy(predicted: Matching | np.ndarray, truth: np.ndarray) -> float:
+    """Fraction of truth-matched query frames predicted within one target index.
 
-    Chunks are visited in offset order; the first non-outlier assignment of
-    each query frame wins. Decomposing a single global assignment into its
-    chunks and merging back is the identity.
+    ``predicted`` is a whole-target :class:`Matching` or a 1-based assignment
+    array; the matching of one chunk (``target_offset != 0``) is rejected.
     """
-    if isinstance(matchings, Matching):
-        matchings = [matchings]
-    merged = np.zeros(n_query, dtype=np.int64)
-    for m in sorted(matchings, key=lambda m: m.target_offset):
-        if len(m.pi) != n_query:
-            raise DimensionError("matching does not cover the query")
-        g = m.global_pi()
-        take = (merged == 0) & (g > 0)
-        merged[take] = g[take]
-    return merged
-
-
-def alignment_accuracy(predicted: list[Matching] | Matching | np.ndarray,
-                       truth: np.ndarray) -> float:
-    """Fraction of truth-matched query frames predicted within one target index."""
     truth = np.asarray(truth, dtype=np.int64)
-    if isinstance(predicted, (list, Matching)):
-        predicted = merge_chunk_assignments(predicted, truth.shape[0])
+    if isinstance(predicted, Matching):
+        if predicted.target_offset:
+            raise DimensionError(f"matching of the chunk at offset {predicted.target_offset} "
+                                 "does not cover the whole target")
+        predicted = predicted.pi
     predicted = np.asarray(predicted, dtype=np.int64)
     if predicted.shape != truth.shape:
         raise DimensionError(
@@ -385,8 +370,8 @@ class EvalReport:
         """
         path = Path(str(base_path) + ".json")
         try:
-            rep = cls(**json.loads(path.read_text()))
-        except (ValueError, TypeError) as exc:  # bad UTF-8 or JSON; wrong shape or keys
+            rep = cls(**json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, TypeError, RecursionError) as exc:  # bad UTF-8, JSON, keys, nesting
             raise FormatError(f"{path}: not an evaluation report ({exc})") from exc
         if not (isinstance(rep.metric, str) and _is_number(rep.seed, int)
                 and isinstance(rep.config, dict)
@@ -403,11 +388,7 @@ def _is_number(v, kinds=(int, float)) -> bool:
     return isinstance(v, kinds) and not isinstance(v, bool)
 
 
-def write_curve(path, xs, ys, header: str = "") -> Path:
-    """Two-column plot-ready text file."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    for x, y in zip(xs, ys):
-        lines.append(f"{x} {y!r}")
+def write_curve(path, xs, ys, header: str) -> Path:
+    """Two-column plot-ready text file under one ``# header`` comment line."""
+    lines = [f"# {header}"] + [f"{x} {y!r}" for x, y in zip(xs, ys)]
     return write_file(path, "\n".join(lines) + "\n")

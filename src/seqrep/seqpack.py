@@ -23,6 +23,7 @@ from .core import (
     DegenerateInputError,
     DimensionError,
     FormatError,
+    MAX_ID_LEN,
     Sequence,
     is_safe_name,
     write_file,
@@ -32,6 +33,10 @@ from .dynamics import RecurrentPredictor
 
 MANIFEST_NAME = "manifest.json"
 SEQPACK_VERSION = 1
+# payloads are named after their sequence id plus one of these suffixes
+_DATA_SUFFIX = ".f32"
+_LATENT_SUFFIX = ".lat.f32"
+_MAX_PAYLOAD_NAME = MAX_ID_LEN + len(_LATENT_SUFFIX)
 
 _MAGIC = b"SQRP"
 _CONTAINER_VERSION = 1
@@ -74,11 +79,11 @@ def write_seqpack(dataset: Dataset, path) -> Path:
     q = dataset.latent_dimension
     records = []
     for s in dataset:
-        data_name = f"{s.id}.f32"
+        data_name = s.id + _DATA_SUFFIX
         _write_payload(root / data_name, s.frames)
         latent_name = None
         if q and s.latent is not None:
-            latent_name = f"{s.id}.lat.f32"
+            latent_name = s.id + _LATENT_SUFFIX
             _write_payload(root / latent_name, s.latent)
         records.append({
             "id": s.id,
@@ -97,6 +102,13 @@ def write_seqpack(dataset: Dataset, path) -> Path:
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _count(value, key: str, low: int) -> int:
+    """A manifest count: a JSON integer >= ``low``; booleans and floats are not."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def read_seqpack(path) -> Dataset:
     """Load a SeqPack directory, validating sizes and rejecting non-finite payloads."""
     root = Path(path)
@@ -104,27 +116,30 @@ def read_seqpack(path) -> Dataset:
     if not mpath.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} under {root}")
     try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{mpath}: invalid JSON ({exc})") from exc
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+        raise FormatError(f"{mpath}: not UTF-8 JSON ({exc})") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "seqpack":
         raise FormatError(f"{mpath}: not a seqpack manifest")
     if manifest.get("version") != SEQPACK_VERSION:
         raise FormatError(f"{mpath}: unsupported version {manifest.get('version')}")
     try:
-        f = int(manifest["feature_dim"])
-        q = int(manifest.get("latent_dim", 0))
-        records = [(rec["id"], rec["data"], int(rec["frames"]), rec.get("latent"))
+        f = _count(manifest["feature_dim"], "feature_dim", 1)
+        q = _count(manifest.get("latent_dim", 0), "latent_dim", 0)
+        records = [(rec["id"], rec["data"], _count(rec["frames"], "frames", 1), rec.get("latent"))
                    for rec in manifest["sequences"]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})") from exc
 
     sequences = []
     for seq_id, data, rows, latent_name in records:
-        for name in (seq_id, data, latent_name) if latent_name else (seq_id, data):
-            if not is_safe_name(name):
-                raise FormatError(f"{mpath}: {name!r} is not a safe sequence id or plain "
-                                  "file name ([A-Za-z0-9._-]+, no leading dot)")
+        if not is_safe_name(seq_id):
+            raise FormatError(f"{mpath}: {seq_id!r} is not a safe sequence id "
+                              f"(1-{MAX_ID_LEN} of [A-Za-z0-9._-], no leading dot)")
+        for name in (data, latent_name) if latent_name else (data,):
+            if not is_safe_name(name, _MAX_PAYLOAD_NAME):
+                raise FormatError(f"{mpath}: {name!r} is not a plain payload file name "
+                                  f"(1-{_MAX_PAYLOAD_NAME} of [A-Za-z0-9._-], no leading dot)")
         frames = _read_payload(root / data, rows, f)
         latent = None
         if latent_name:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqrep.core import ConfigError, ResourceLimitError
+from seqrep.core import ConfigError, ResourceLimitError, pairwise_sqdist
 from seqrep.align import (
     CostBreakdown,
     Matching,
@@ -167,6 +167,48 @@ class TestExactDP:
         with pytest.raises(DegenerateInputError):
             solve_exact_dp(np.zeros((0, 2)), np.zeros((3, 2)), PEN)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 12), d=st.integers(1, 3),
+           integral=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_source_major_relaxation(self, n, m, d, integral, seed):
+        g = np.random.default_rng(seed)
+        if integral:  # small integers everywhere: exact ties in data and penalties
+            query = g.integers(-2, 3, size=(n, d)).astype(float)
+            target = g.integers(-2, 3, size=(m, d)).astype(float)
+            pen = MatchPenalties(*(float(v) for v in g.integers(0, 4, size=4)))
+        else:
+            query, target = random_instance(g, n, m, d)
+            pen = random_penalties(g, int(g.integers(0, 4)))
+        sol = solve_exact_dp(query, target, pen)
+        pi, total = source_major_dp(query, target, pen)
+        np.testing.assert_array_equal(sol.pi, pi)
+        assert sol.total_cost == total
+
+
+def source_major_dp(query, target, pen):
+    """The relaxation over a ``w[v, v']`` table (source states as rows), reduced
+    along axis 0: the reference that the target-major solver must equal bit for bit."""
+    n, m = len(query), len(target)
+    unary = np.empty((n, m + 1))
+    unary[:, 0] = pen.outlier_cost
+    unary[:, 1:] = pairwise_sqdist(query, target)
+    w = np.zeros((m + 1, m + 1))
+    v = np.arange(1, m + 1)
+    a, b = v[:, None], v[None, :]
+    w[1:, 1:] = (pen.lambda1 * (a > b) + pen.lambda2 * (a == b)
+                 + pen.lambda3 * np.where(a + 1 < b, b - a, 0))
+    parent = np.empty((n, m + 1), dtype=np.int64)
+    d = unary[0].copy()
+    for j in range(1, n):
+        stepped = d[:, None] + w
+        parent[j] = np.argmin(stepped, axis=0)
+        d = stepped[parent[j], np.arange(m + 1)] + unary[j]
+    pi = np.empty(n, dtype=np.int64)
+    pi[-1] = int(np.argmin(d))
+    for j in range(n - 1, 0, -1):
+        pi[j - 1] = parent[j, pi[j]]
+    return pi, float(d[pi[-1]])
+
 
 class TestChunking:
     def test_even_split(self):
@@ -241,9 +283,3 @@ class TestMatchingType:
     def test_negative_penalties_rejected(self):
         with pytest.raises(ConfigError):
             MatchPenalties(-1.0, 0.0, 0.0, 0.0)
-
-    def test_global_pi_applies_offset(self):
-        bd = CostBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-        m = Matching(pi=np.array([2, 0, 1]), total_cost=0.0, breakdown=bd,
-                     target_offset=10)
-        np.testing.assert_array_equal(m.global_pi(), [12, 0, 11])

@@ -214,6 +214,65 @@ class TestExitCodes:
         assert code == 1
         assert "ConfigError: noise_sigma must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("train-embed", "train", "learning_rate", float("nan")),
+        ("train-embed", "train", "margin", float("inf")),
+        ("train-dyn", "predictor", "learning_rate", float("inf")),
+        ("gen", "generator", "observation_noise", float("nan")),
+        ("train-embed", "penalties", "lambda1", -1),
+        ("eval", "eval", "pose_epsilon", 0),
+    ])
+    def test_bad_value_fails_at_config_load(self, workspace, command, section, key, value,
+                                            capsys):
+        # each used to exit 2 (divergence), train with the bad value, write
+        # noise-free data, or fail only after the data was read
+        root, _ = workspace
+        cfg = root / "load_check_cfg.json"
+        cfg.write_text(json.dumps({**TINY, section: {**TINY.get(section, {}), key: value}}))
+        out = root / "load_check.out"
+        argv = {"gen": ["gen"],
+                "train-embed": ["train-embed", "--data", str(root / "nothing")],
+                "train-dyn": ["train-dyn", "--data", str(root / "nothing"),
+                              "--model", str(root / "none.bin")],
+                "eval": ["eval", "retrieval", "--data", str(root / "nothing"),
+                         "--model", str(root / "none.bin")]}[command]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"ConfigError: {section}.{key}" in err
+        assert not out.exists()
+
+    def test_undecodable_config_is_validation_error(self, workspace, capsys):
+        root, _ = workspace
+        cfg = root / "latin1_cfg.json"
+        cfg.write_bytes(b'{"seed": 3, "note": "caf\xe9"}')
+        assert main(["gen", "--config", str(cfg), "--out", str(root / "latin1")]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "latin1_cfg.json" in err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda m: m.update(feature_dim=0), "feature_dim must be an integer >= 1"),
+        (lambda m: m.update(feature_dim=16.0), "feature_dim must be an integer >= 1"),
+        (lambda m: m["sequences"][0].update(frames=2.7), "frames must be an integer >= 1"),
+        (lambda m: m["sequences"][0].update(frames=True), "frames must be an integer >= 1"),
+        (lambda m: m.update(latent_dim=-1), "latent_dim must be an integer >= 0"),
+        (lambda m: m["sequences"][0].update(id="caf\u00e9"), "not UTF-8 JSON"),
+    ], ids=["feature_dim-0", "feature_dim-float", "frames-float", "frames-bool",
+            "latent_dim-negative", "latin-1"])
+    def test_bad_manifest_count_or_encoding_is_validation_error(self, pipeline, tmp_path,
+                                                                damage, message, capsys):
+        _, cfg, data, _, _ = pipeline
+        bad = tmp_path / "bad"
+        shutil.copytree(data, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        damage(manifest)
+        (bad / "manifest.json").write_bytes(json.dumps(manifest, ensure_ascii=False)
+                                            .encode("latin-1"))
+        code = main(["train-embed", "--config", cfg, "--data", str(bad),
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "FormatError" in err and "manifest.json" in err and message in err
+
     def test_malformed_manifest_is_validation_error(self, pipeline, tmp_path, capsys):
         _, cfg, data, _, _ = pipeline
         bad = tmp_path / "bad"

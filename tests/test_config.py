@@ -208,3 +208,55 @@ def test_run_lengths_sizes_and_momentum_rejected(section, key, value):
     # model, an unbounded momentum) or crash with ZeroDivisionError
     with pytest.raises(ConfigError, match=f"{key} must"):
         config_from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "learning_rate", float("nan")),
+    ("train", "margin", float("inf")),
+    ("predictor", "learning_rate", float("inf")),
+    ("generator", "observation_noise", float("nan")),
+    ("penalties", "lambda3", float("-inf")),
+    ("eval", "pose_epsilon", float("nan")),
+])
+def test_non_finite_floats_rejected(section, key, value):
+    # json reads NaN and Infinity; these used to load and then diverge at the
+    # first batch, or (NaN > 0 being false) generate noise-free data
+    data = json.loads(json.dumps({section: {key: value}}))
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+        config_from_dict(data)
+
+
+def test_set_penalty_weights_must_be_finite_and_non_negative():
+    # a negative weight used to load and fail only once the first pair resolved it
+    with pytest.raises(ConfigError, match="penalties.lambda1 must be finite and >= 0"):
+        config_from_dict({"penalties": {"lambda1": -1}})
+    with pytest.raises(ConfigError, match="penalties.outlier_cost"):
+        PenaltyConfig(outlier_cost=float("nan"))
+    assert PenaltyConfig(lambda2=0).lambda2 == 0
+
+
+@pytest.mark.parametrize("value", [0, -0.5])
+def test_non_positive_pose_epsilon_rejected(value):
+    with pytest.raises(ConfigError, match="pose_epsilon must be > 0"):
+        config_from_dict({"eval": {"pose_epsilon": value}})
+
+
+@pytest.mark.parametrize("blob", [
+    b'{"train": {"margin": 0.2}, "note": "caf\xe9"}',
+    b'{"train": ' + b"[" * 100_000,
+], ids=["latin-1", "nested-too-deep"])
+def test_undecodable_config_is_config_error(tmp_path, blob):
+    # both used to escape as UnicodeDecodeError or RecursionError (exit 2)
+    p = tmp_path / "bad.json"
+    p.write_bytes(blob)
+    with pytest.raises(ConfigError, match="bad.json: not UTF-8 JSON"):
+        load_config(p)
+
+
+def test_integers_beyond_float_range_rejected():
+    # found by fuzzing: a float field took 10**400 as an int, which then
+    # raised OverflowError when the weight or rate was first used (exit 2)
+    for section, key in [("penalties", "lambda1"), ("train", "learning_rate")]:
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+            config_from_dict({section: {key: 10**400}})
+    assert config_from_dict({"train": {"margin": 2**64}}).train.margin == 2**64

@@ -16,7 +16,6 @@ from seqrep.evaluate import (
     alignment_accuracy,
     default_pose_epsilon,
     knn_prediction_curve,
-    merge_chunk_assignments,
     nearest_neighbor_assignment,
     pca_project_2d,
     retrieval_auc,
@@ -73,6 +72,15 @@ class TestRetrieval:
             (z ** 2).sum(1)[:, None] + (z ** 2).sum(1)[None, :] - 2 * z @ z.T, 0))
         frac = (d[np.triu_indices(len(z), 1)] <= eps).mean()
         assert 0.03 <= frac <= 0.07
+
+    @pytest.mark.parametrize("percentile", [5.0, 50.0])
+    def test_pose_epsilon_matches_expanded_form(self, small_dataset, percentile):
+        # the difference form (pdist) against the formula it replaced
+        z = np.concatenate([s.latent for s in small_dataset])
+        old = np.percentile(np.sqrt(pairwise_sqdist(z, z)[np.triu_indices(len(z), k=1)]),
+                            percentile)
+        eps = default_pose_epsilon(small_dataset, percentile)
+        assert eps == pytest.approx(old, rel=1e-12, abs=0)
 
     def test_deterministic_given_rng(self, small_dataset):
         model = init_embedding_model(small_dataset.dimension, 16, 8, RngState(3))
@@ -232,18 +240,6 @@ def uneven_setup():
     return ds, model, init_predictor(5, 8, 4, RngState(2))
 
 
-def chunked(global_pi, bounds):
-    out = []
-    for s, e in bounds:
-        local = np.zeros(len(global_pi), dtype=np.int64)
-        inside = (global_pi > s) & (global_pi <= e)
-        local[inside] = global_pi[inside] - s
-        out.append(Matching(pi=local, total_cost=0.0,
-                            breakdown=CostBreakdown(0, 0, 0, 0, 0),
-                            target_offset=s))
-    return out
-
-
 class TestAlignmentAccuracy:
     def test_exact_prediction_scores_one(self):
         truth = np.array([1, 2, 3, 4])
@@ -258,18 +254,20 @@ class TestAlignmentAccuracy:
         pred = np.array([1, 4, 6])
         assert alignment_accuracy(pred, truth) == pytest.approx(2 / 3)
 
-    def test_invariant_to_chunk_decomposition(self, rng):
+    def test_whole_matching_scores_as_its_assignment(self, rng):
         g = rng.gen
         n, m = 30, 40
-        global_pi = np.sort(g.integers(1, m + 1, size=n))
-        global_pi[g.random(n) < 0.2] = 0
+        pi = np.sort(g.integers(1, m + 1, size=n))
+        pi[g.random(n) < 0.2] = 0
         truth = np.sort(g.integers(1, m + 1, size=n)).astype(np.int64)
-        full = Matching(pi=global_pi, total_cost=0.0,
-                        breakdown=CostBreakdown(0, 0, 0, 0, 0))
-        parts = chunked(global_pi, [(0, 15), (15, 30), (30, 40)])
-        merged = merge_chunk_assignments(parts, n)
-        np.testing.assert_array_equal(merged, global_pi)
-        assert alignment_accuracy(parts, truth) == alignment_accuracy(full, truth)
+        whole = Matching(pi=pi, total_cost=0.0, breakdown=CostBreakdown(0, 0, 0, 0, 0))
+        assert alignment_accuracy(whole, truth) == alignment_accuracy(whole.pi, truth)
+
+    def test_chunk_matching_rejected(self):
+        chunk = Matching(pi=np.array([2, 0, 1]), total_cost=0.0,
+                         breakdown=CostBreakdown(0, 0, 0, 0, 0), target_offset=10)
+        with pytest.raises(DimensionError, match="offset 10"):
+            alignment_accuracy(chunk, np.array([12, 0, 11]))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -371,7 +369,8 @@ class TestReports:
         ('{"metric": "demo", ', "JSONDecodeError"),
         ('["demo"]', "TypeError"),
         ('{"metric": "demo", "extra": 1}', "TypeError"),
-    ], ids=["invalid-json", "not-an-object", "unknown-key"])
+        ('{"metric": "demo", "config": ' + "[" * 100_000, "RecursionError"),
+    ], ids=["invalid-json", "not-an-object", "unknown-key", "nested-too-deep"])
     def test_malformed_report_is_format_error(self, tmp_path, body, cause):
         (tmp_path / "r.json").write_text(body)
         with pytest.raises(FormatError, match="r.json: not an evaluation report") as info:

@@ -92,6 +92,35 @@ class TestSeqPack:
         with pytest.raises(FormatError, match=MANIFEST_NAME):
             read_seqpack(tmp_path / "p")
 
+    @pytest.mark.parametrize("key, value", [
+        ("feature_dim", 0),
+        ("feature_dim", True),
+        ("feature_dim", 3.0),
+        ("latent_dim", -1),
+        ("latent_dim", 2.5),
+        ("frames", 2.7),
+        ("frames", True),
+        ("frames", 0),
+    ])
+    def test_manifest_counts_are_integers(self, dataset, tmp_path, key, value):
+        # "frames": 2.7 used to read as 2 and true as 1; feature_dim 0 divided by zero
+        write_seqpack(dataset, tmp_path / "p")
+        manifest = json.loads((tmp_path / "p" / MANIFEST_NAME).read_text())
+        (manifest["sequences"][0] if key == "frames" else manifest)[key] = value
+        (tmp_path / "p" / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"{MANIFEST_NAME}.*{key} must be an integer"):
+            read_seqpack(tmp_path / "p")
+
+    @pytest.mark.parametrize("new", [b'"seqp\xe4ck"', b'"seqpack", "x": ' + b"[" * 100_000],
+                             ids=["latin-1", "nested-too-deep"])
+    def test_undecodable_manifest_names_file(self, dataset, tmp_path, new):
+        # both used to escape as UnicodeDecodeError or RecursionError (exit 2)
+        write_seqpack(dataset, tmp_path / "p")
+        path = tmp_path / "p" / MANIFEST_NAME
+        path.write_bytes(path.read_bytes().replace(b'"seqpack"', new))
+        with pytest.raises(FormatError, match=f"{MANIFEST_NAME}.*not UTF-8 JSON"):
+            read_seqpack(tmp_path / "p")
+
     def test_escaping_id_cannot_be_written(self, rng, tmp_path):
         with pytest.raises(ConfigError, match="sequence id"):
             Sequence(id="../escape", frames=rng.gen.normal(size=(3, 2)))
@@ -111,6 +140,54 @@ class TestSeqPack:
         manifest["sequences"][0][key] = value
         (tmp_path / "p" / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match=MANIFEST_NAME):
+            read_seqpack(tmp_path / "p")
+
+    @pytest.mark.parametrize("key", ["id", "data", "latent"])
+    def test_over_long_manifest_name_rejected(self, dataset, tmp_path, key):
+        # found by fuzzing: a 300-character payload name made the reader's
+        # stat fail with OSError (file name too long), exit 2 at the CLI
+        write_seqpack(dataset, tmp_path / "p")
+        manifest = json.loads((tmp_path / "p" / MANIFEST_NAME).read_text())
+        manifest["sequences"][0][key] = "a" * 300
+        (tmp_path / "p" / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=MANIFEST_NAME):
+            read_seqpack(tmp_path / "p")
+
+    def test_id_length_limit(self, rng):
+        frames = rng.gen.normal(size=(3, 2))
+        assert Sequence(id="a" * 128, frames=frames).id == "a" * 128
+        with pytest.raises(ConfigError, match="1-128"):
+            Sequence(id="a" * 129, frames=frames)
+
+    def test_longest_id_with_latents_round_trips(self, rng, tmp_path):
+        # the payload names add ".f32" / ".lat.f32" to the id, so they may be
+        # longer than any id; the reader must accept what the writer names
+        g = rng.gen
+        ds = Dataset(dimension=2, sequences=(
+            Sequence(id="a" * 128, frames=g.normal(size=(3, 2)), latent=g.normal(size=(3, 1))),
+            Sequence(id="b" * 127, frames=g.normal(size=(4, 2)), latent=g.normal(size=(4, 1))),
+        ))
+        write_seqpack(ds, tmp_path / "p")
+        back = read_seqpack(tmp_path / "p")
+        assert [s.id for s in back] == [s.id for s in ds]
+        for s, t in zip(ds, back):
+            np.testing.assert_array_equal(t.frames, s.frames.astype(np.float32))
+            np.testing.assert_array_equal(t.latent, s.latent.astype(np.float32))
+
+    def test_payload_name_limit_is_id_limit_plus_latent_suffix(self, dataset, tmp_path):
+        write_seqpack(dataset, tmp_path / "p")
+        mpath = tmp_path / "p" / MANIFEST_NAME
+        manifest = json.loads(mpath.read_text())
+        rec = manifest["sequences"][0]
+        longest = "x" * 136
+        (tmp_path / "p" / rec["data"]).rename(tmp_path / "p" / longest)
+        rec["data"] = longest
+        mpath.write_text(json.dumps(manifest))
+        assert read_seqpack(tmp_path / "p").sequences[0].id == "a"
+        (tmp_path / "p" / longest).rename(tmp_path / "p" / (longest + "x"))
+        rec["data"] = longest + "x"
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="1-136"):
             read_seqpack(tmp_path / "p")
 
     def test_latent_free_dataset(self, rng, tmp_path):
