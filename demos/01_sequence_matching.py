@@ -30,9 +30,6 @@ solution = sr.solve_exact_dp(query, target, penalties)
 print("assignment (0 = outlier):")
 print(" ", solution.pi.tolist())
 print(f"total cost {solution.total_cost:.4f}")
-bd = solution.breakdown
-print(f"  data={bd.data:.4f} outlier={bd.outlier:.4f} order={bd.order:.4f} "
-      f"duplicate={bd.duplicate:.4f} gap={bd.gap:.4f}")
 
 # 3. The solution is the global optimum: brute-force enumeration agrees.
 brute = sr.solve_bruteforce(query[:5], target[:4], penalties)
@@ -41,6 +38,8 @@ print(f"\n5x4 sub-instance: dp={exact.total_cost:.6f} brute={brute.total_cost:.6
 
 # 4. An independent scorer audits any assignment, term by term.
 audit = sr.alignment_cost(query, target, solution.pi, penalties)
+print(f"\nbreakdown: data={audit.data:.4f} outlier={audit.outlier:.4f} "
+      f"order={audit.order:.4f} duplicate={audit.duplicate:.4f} gap={audit.gap:.4f}")
 print(f"auditor agrees: {abs(audit.total - solution.total_cost) < 1e-9}")
 
 # 5. Long targets are split into chunks and each chunk is solved

@@ -58,15 +58,17 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _matching_payload(matchings) -> list[dict]:
+def _matching_payload(q, t, matchings, penalties, chunk_len) -> list[dict]:
+    bounds = align_mod._chunk_bounds(t.shape[0], chunk_len)
     return [
         {
             "target_offset": int(m.target_offset),
             "pi": [int(v) for v in m.pi],
             "total_cost": float(m.total_cost),
-            "breakdown": dataclasses.asdict(m.breakdown),
+            "breakdown": dataclasses.asdict(
+                align_mod.alignment_cost(q, t[s:e], m.pi, penalties)),
         }
-        for m in matchings
+        for (s, e), m in zip(bounds, matchings)
     ]
 
 
@@ -94,7 +96,7 @@ def _cmd_align(args) -> int:
         "target": args.target,
         "chunk_len": cfg.chunk_len,
         "penalties": dataclasses.asdict(penalties),
-        "matchings": _matching_payload(matchings),
+        "matchings": _matching_payload(q, t, matchings, penalties, cfg.chunk_len),
     }, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(matchings)} chunk matchings to {args.out}")
     return 0
@@ -235,7 +237,7 @@ def _cmd_project(args) -> int:
              f"(explained variance {proj.explained_variance_ratio[0]:.4f} "
              f"{proj.explained_variance_ratio[1]:.4f})"]
     for (sid, idx), (x, y) in zip(proj.frame_refs, proj.coords):
-        lines.append(f"{sid} {idx} {x!r} {y!r}")
+        lines.append(f"{sid} {idx} {float(x)!r} {float(y)!r}")
     write_file(args.out, "\n".join(lines) + "\n")
     print(f"projected {len(proj.frame_refs)} frames to {args.out}")
     return 0

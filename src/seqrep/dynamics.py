@@ -57,6 +57,8 @@ class RecurrentPredictor:
 
     def __post_init__(self):
         d, m = self.embed_dim, self.hidden_dim
+        if d < 1:
+            raise ConfigError(f"embed dim must be >= 1, got {d}")
         if m <= d:
             raise ConfigError(f"hidden dim {m} must exceed embed dim {d}")
         if self.context_len < 1:

@@ -50,6 +50,9 @@ class EmbeddingModel:
     b2: np.ndarray = field(init=False, repr=False)  # (d,)
 
     def __post_init__(self):
+        for name in ("input_dim", "hidden_dim", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         object.__setattr__(self, "theta", as_vector(self.theta, "parameter vector").copy())
         for name, view in self.blocks(self.theta).items():
             object.__setattr__(self, name, view)
@@ -89,13 +92,20 @@ def _forward(model: EmbeddingModel, x: np.ndarray):
 
 
 def embed_batch(model: EmbeddingModel, frames) -> np.ndarray:
-    """Embed an (n, f) array of frames to (n, d) unit-norm vectors."""
+    """Embed an (n, f) array of frames to (n, d) unit-norm vectors.
+
+    A pre-normalization norm that overflows raises DegenerateInputError. The
+    check sits here, not in :func:`_forward`: inside a training batch the same
+    overflow is divergence, which :class:`MomentumSGD` reports.
+    """
     x = as_frames(frames)
     if x.shape[1] != model.input_dim:
         raise DimensionError(
             f"frames have dimension {x.shape[1]}, model expects {model.input_dim}"
         )
-    y, _ = _forward(model, x)
+    y, (*_, norms) = _forward(model, x)
+    if not np.all(np.isfinite(norms)):
+        raise DegenerateInputError("pre-normalization output overflowed")
     return y
 
 

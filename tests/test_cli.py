@@ -1,13 +1,18 @@
+import dataclasses
+import hashlib
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqrep.align import MatchPenalties, _chunk_bounds, alignment_cost
 from seqrep.cli import main
-from seqrep.evaluate import EvalReport
-from seqrep.seqpack import read_seqpack
+from seqrep.embed import EmbeddingModel, embed_batch
+from seqrep.evaluate import EvalReport, pca_project_2d
+from seqrep.seqpack import load_model, read_seqpack, save_model
 
 TINY = {
     "seed": 11,
@@ -115,6 +120,26 @@ class TestPipeline:
         assert payload["matchings"]
         assert payload["matchings"][0]["pi"]
 
+    def test_align_breakdown_is_each_chunks_audit(self, pipeline):
+        root, cfg, data, model, _ = pipeline
+        out = root / "match_audit.json"
+        assert main(["align", "--config", cfg, "--data", str(data),
+                     "--model", str(model), "--query", "seq000",
+                     "--target", "seq001", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        ds, m = read_seqpack(data), load_model(model)
+        q = embed_batch(m, ds.by_id("seq000").frames)
+        t = embed_batch(m, ds.by_id("seq001").frames)
+        pen = MatchPenalties(**payload["penalties"])
+        bounds = _chunk_bounds(len(t), TINY["chunk_len"])
+        assert len(bounds) >= 2 and len(payload["matchings"]) == len(bounds)
+        for (s, e), chunk in zip(bounds, payload["matchings"]):
+            assert chunk["target_offset"] == s
+            audit = alignment_cost(q, t[s:e], chunk["pi"], pen)
+            assert chunk["breakdown"] == dataclasses.asdict(audit)
+            assert sum(chunk["breakdown"].values()) == pytest.approx(
+                chunk["total_cost"], rel=1e-9)
+
     def test_align_default_chunk_len_is_40(self, pipeline):
         root, _, data, model, _ = pipeline
         out = root / "match40.json"
@@ -131,6 +156,19 @@ class TestPipeline:
         lines = out.read_text().splitlines()
         ds = read_seqpack(data)
         assert len(lines) == 1 + sum(len(s) for s in ds)
+
+    def test_project_lines_are_id_index_and_exact_numbers(self, pipeline):
+        root, cfg, data, model, _ = pipeline
+        out = root / "proj_numbers.txt"
+        assert main(["project", "--config", cfg, "--data", str(data),
+                     "--model", str(model), "--out", str(out)]) == 0
+        proj = pca_project_2d(read_seqpack(data), load_model(model))
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == len(proj.frame_refs)
+        for row, ref, xy in zip(rows, proj.frame_refs, proj.coords):
+            sid, idx, x, y = row.split(" ")
+            assert (sid, int(idx)) == ref and idx == str(int(idx))
+            np.testing.assert_array_equal([float(x), float(y)], xy)
 
     def test_synth(self, pipeline):
         root, cfg, data, model, pred = pipeline
@@ -328,6 +366,35 @@ class TestExitCodes:
             assert main(argv) == 2
         err = capsys.readouterr().err
         assert "DivergenceError" in err and "at epoch 0" in err and what in err
+        assert not out.exists()
+
+    def test_overflowed_encoder_is_validation_error(self, pipeline, capsys):
+        root, cfg, data, model, _ = pipeline
+        m = load_model(model)
+        theta = m.theta.copy()
+        theta[-1] = 1e300
+        bad = root / "overflow.bin"
+        save_model(EmbeddingModel(theta, m.input_dim, m.hidden_dim, m.embed_dim), bad)
+        out = root / "overflow_proj.txt"
+        with np.errstate(all="ignore"):
+            code = main(["project", "--config", cfg, "--data", str(data),
+                         "--model", str(bad), "--out", str(out)])
+        assert code == 1
+        assert "DegenerateInputError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_dimension_model_is_validation_error(self, pipeline, capsys):
+        root, cfg, data, model, _ = pipeline
+        # a re-signed embedding container with hidden_dim 0: only b2 is left
+        body = (model.read_bytes()[:16] + struct.pack("<4I", 16, 0, 8, 0)
+                + np.full(8, 0.5, "<f8").tobytes())
+        bad = root / "zero_dim.bin"
+        bad.write_bytes(body + hashlib.sha256(body).digest())
+        out = root / "zero_dim_proj.txt"
+        assert main(["project", "--config", cfg, "--data", str(data),
+                     "--model", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "FormatError" in err and "zero_dim.bin" in err
         assert not out.exists()
 
     def test_unwritable_output_is_runtime_error(self, pipeline):

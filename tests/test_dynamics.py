@@ -63,6 +63,8 @@ class TestModel:
             RecurrentPredictor(theta[1:], 3, 5)
         with pytest.raises(ConfigError):
             RecurrentPredictor(theta, 3, 5, context_len=0)
+        with pytest.raises(ConfigError, match="embed dim must be >= 1"):
+            RecurrentPredictor(np.zeros(5 * 20 + 20), 0, 5)
         theta[0] = np.inf
         with pytest.raises(DegenerateInputError):
             RecurrentPredictor(theta, 3, 5)

@@ -16,7 +16,8 @@ from seqrep.core import (
     Sequence,
     pairwise_sqdist,
 )
-from seqrep.align import PenaltyConfig
+from seqrep import align
+from seqrep.align import PenaltyConfig, alignment_cost
 from seqrep.embed import (
     EmbeddingModel,
     TrainConfig,
@@ -56,6 +57,13 @@ class TestModel:
         with pytest.raises(DegenerateInputError):
             EmbeddingModel(theta, 2, 3, 2)
 
+    @pytest.mark.parametrize("dims", [(0, 8, 8), (8, 0, 8), (8, 8, 0), (-1, 8, 8)])
+    def test_dimension_below_one_rejected(self, dims):
+        f, h, d = dims
+        size = max(f * h + h + h * d + d, 0)
+        with pytest.raises(ConfigError, match="_dim must be >= 1"):
+            EmbeddingModel(np.full(size, 0.5), *dims)
+
 
 class TestForward:
     def test_constant_head_ignores_input(self, rng):
@@ -80,6 +88,16 @@ class TestForward:
         model = EmbeddingModel(np.zeros(2 * 3 + 3 + 3 * 2 + 2), 2, 3, 2)
         with pytest.raises(DegenerateInputError):
             embed_batch(model, [[1.0, 2.0]])
+
+    def test_overflowed_prenorm_rejected(self, tiny_model, rng):
+        # a finite 1e300 weight overflows the norm to inf, which passed the
+        # near-zero check and divided every output to zero
+        theta = tiny_model.theta.copy()
+        theta[-1] = 1e300
+        model = EmbeddingModel(theta, 5, 7, 4)
+        with pytest.raises(DegenerateInputError, match="overflowed"), \
+                np.errstate(all="ignore"):
+            embed_batch(model, rng.gen.normal(size=(3, 5)))
 
 
 class TestTripletLoss:
@@ -340,6 +358,25 @@ class TestTrain:
         m2, _ = train(small_dataset, replace(cfg, pairs_per_epoch=len(small_dataset)),
                       chunk_len=20, rng=RngState(5))
         np.testing.assert_array_equal(m1.theta, m2.theta)
+
+    def test_every_solve_rescores_to_its_cost(self, small_dataset, monkeypatch):
+        # the solver no longer audits itself: re-score each π it hands the trainer
+        solves = []
+        solve = align.solve_exact_dp
+
+        def audited(q, t, penalties):
+            sol = solve(q, t, penalties)
+            solves.append((q, t, penalties, sol))
+            return sol
+
+        monkeypatch.setattr(align, "solve_exact_dp", audited)
+        cfg = TrainConfig(max_epochs=2, triplets_per_batch=40, hidden_dim=16,
+                          embed_dim=8, bootstrap_epochs=1)
+        train(small_dataset, cfg, chunk_len=20, rng=RngState(42))
+        assert len(solves) >= 2 * len(small_dataset)
+        for q, t, pen, sol in solves:
+            assert alignment_cost(q, t, sol.pi, pen).total == pytest.approx(
+                sol.total_cost, rel=1e-9)
 
     def test_percentile_schedule(self):
         cfg = TrainConfig()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqrep.core import (ConfigError, Dataset, DimensionError, FormatError, RngState, Sequence,
                          pairwise_sqdist)
-from seqrep.align import CostBreakdown, Matching
+from seqrep.align import Matching
 from seqrep.dynamics import init_predictor
 from seqrep.embed import embed_batch, fit_whitener, init_embedding_model
 from seqrep.evaluate import (
@@ -260,12 +260,11 @@ class TestAlignmentAccuracy:
         pi = np.sort(g.integers(1, m + 1, size=n))
         pi[g.random(n) < 0.2] = 0
         truth = np.sort(g.integers(1, m + 1, size=n)).astype(np.int64)
-        whole = Matching(pi=pi, total_cost=0.0, breakdown=CostBreakdown(0, 0, 0, 0, 0))
+        whole = Matching(pi=pi, total_cost=0.0)
         assert alignment_accuracy(whole, truth) == alignment_accuracy(whole.pi, truth)
 
     def test_chunk_matching_rejected(self):
-        chunk = Matching(pi=np.array([2, 0, 1]), total_cost=0.0,
-                         breakdown=CostBreakdown(0, 0, 0, 0, 0), target_offset=10)
+        chunk = Matching(pi=np.array([2, 0, 1]), total_cost=0.0, target_offset=10)
         with pytest.raises(DimensionError, match="offset 10"):
             alignment_accuracy(chunk, np.array([12, 0, 11]))
 

@@ -261,6 +261,25 @@ class TestModelContainer:
         with pytest.raises(FormatError, match="p.bin"):
             load_predictor(tmp_path / "p.bin")
 
+    @pytest.mark.parametrize("kind", ["embedding", "predictor"])
+    def test_zero_dimension_names_file(self, tmp_path, kind):
+        # a re-signed container whose parameter count fits a zero dimension
+        path = tmp_path / "z.bin"
+        if kind == "embedding":
+            save_model(init_embedding_model(6, 9, 4, RngState(5)), path)
+            dims, extra, size = (8, 0, 8), 0, 8  # only b2 is left
+            load = load_model
+        else:
+            save_predictor(init_predictor(4, 7, rng=RngState(6)), path)
+            dims, extra, size = (0, 5), 4, 5 * 20 + 20  # only Wh and b are left
+            load = load_predictor
+        head = path.read_bytes()[:16]  # magic, version, kind, ndims
+        body = (head + struct.pack(f"<{len(dims) + 1}I", *dims, extra)
+                + np.full(size, 0.5, "<f8").tobytes())
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(FormatError, match=r"z\.bin.*dim must be >= 1"):
+            load(path)
+
     def test_not_a_container(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"definitely not a model")
         with pytest.raises(FormatError):
