@@ -10,6 +10,11 @@ consecutive query positions, the global minimum is found exactly by a
 trellis dynamic program over per-frame assignment states; a brute-force
 enumerator serves as an optimality oracle on small instances.
 
+Each trellis step costs O(m) through prefix and suffix minima, so a solve
+takes O(n * (m+1)) time and memory; all chunks of one target are solved in
+one batched pass. Ties go to the smaller state index, and a cost is summed
+along its correspondence in the order the recurrence adds it.
+
 Pairs where either endpoint is an outlier contribute no pairwise penalty;
 each outlier frame pays a flat ``outlier_cost`` instead.
 """
@@ -22,6 +27,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DegenerateInputError,
     DimensionError,
     ResourceLimitError,
     as_frames,
@@ -137,10 +143,18 @@ def alignment_cost(query_emb, target_emb, pi, penalties: MatchPenalties) -> Cost
                          duplicate=duplicate, gap=gap)
 
 
+def _sqdist(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The data costs of an instance; a DegenerateInputError where they overflow."""
+    d2 = pairwise_sqdist(q, t)
+    if not np.all(np.isfinite(d2)):
+        raise DegenerateInputError("squared distances between query and target overflow")
+    return d2
+
+
 def default_penalties(query_emb, target_emb) -> MatchPenalties:
     """Instance-relative penalty defaults, scaled by the mean pairwise data cost."""
     q, t = _check_instance(query_emb, target_emb)
-    e_unary = float(np.mean(pairwise_sqdist(q, t)))
+    e_unary = float(np.mean(_sqdist(q, t)))
     return MatchPenalties(
         lambda1=10.0 * e_unary,
         lambda2=0.5 * e_unary,
@@ -192,7 +206,7 @@ def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matchi
         )
 
     # Per-position assignment cost: column 0 is the outlier price.
-    d2 = pairwise_sqdist(q, t)
+    d2 = _sqdist(q, t)
     unary = np.concatenate(
         [np.full((n, 1), penalties.outlier_cost), d2], axis=1
     )
@@ -222,18 +236,87 @@ def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matchi
 def _transition_matrix(m: int, penalties: MatchPenalties) -> np.ndarray:
     """Pairwise penalty of consecutive assignments v -> v', stored as ``w[v', v]``.
 
-    Rows are the target states, so a relaxation step reduces along
-    contiguous memory; 0 when either state is the outlier.
+    0 when either state is the outlier. Between frames the penalty depends
+    only on the offset v' - v, so each row is a reversed window of one
+    table over the offsets.
     """
-    w = np.zeros((m + 1, m + 1))
-    v = np.arange(1, m + 1)
-    b, a = v[:, None], v[None, :]
-    w[1:, 1:] = (
-        penalties.lambda1 * (a > b)
-        + penalties.lambda2 * (a == b)
-        + penalties.lambda3 * np.where(a + 1 < b, b - a, 0)
+    o = np.arange(1 - m, m)  # v' - v
+    by_offset = (
+        penalties.lambda1 * (o < 0)
+        + penalties.lambda2 * (o == 0)
+        + penalties.lambda3 * np.where(o > 1, o, 0)
     )
+    w = np.zeros((m + 1, m + 1))
+    w[1:, 1:] = np.lib.stride_tricks.sliding_window_view(by_offset, m)[:, ::-1]
     return w
+
+
+def _solve_batch(unary: np.ndarray, penalties: MatchPenalties) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimizers of K instances that share n and the penalties.
+
+    ``unary`` is (K, n, M+1): column 0 holds the outlier cost, column v the
+    data cost of target frame v - 1, and +inf pads an instance shorter than
+    M. Returns ``pi`` (K, n) and ``total`` (K,).
+
+    The forward pass keeps only the state costs of each step. Into a target
+    v' >= 1 the cheapest predecessor is the smallest of d[0] (the outlier),
+    d[v'] + lambda2 (repeat), d[v' - 1] (next frame), the prefix minimum of
+    d[v] - lambda3 * v over v <= v' - 2 plus lambda3 * v' (gap), and the
+    suffix minimum of d[v] over v > v' plus lambda1 (crossing); into 0 it is
+    the minimum of all of d. The backtrack then takes each predecessor as
+    the first argmin of d + w[pi[j]], and the total is summed along pi in
+    the order the relaxation ``d[v] + w[v', v] + unary[v']`` adds it.
+    """
+    k_inst, n, width = unary.shape
+    lam1, lam2 = penalties.lambda1, penalties.lambda2
+    ramp = penalties.lambda3 * np.arange(width)  # lambda3 * v
+    if not np.isfinite(ramp[-1]):  # inf - inf in the gap prefix would hide gap sources
+        raise DegenerateInputError(f"lambda3 * {width - 1} overflows")
+    gap = np.empty((k_inst, max(width - 3, 0)))
+    suffix = np.empty((k_inst, width))  # suffix[:, i] = min of d[-1 - i:]
+    crossing = suffix[:, -3::-1]  # min of d[v' + 1:] for v' = 1 .. M - 1
+    hist = np.empty((n, k_inst, width))
+    hist[0] = unary[:, 0]
+    for d, e, u in zip(hist[:-1], hist[1:], unary.transpose(1, 0, 2)[1:]):
+        e1, e3, e_mid = e[:, 1:], e[:, 3:], e[:, 1:-1]
+        np.add(d[:, 1:], lam2, out=e1)
+        np.minimum(e1, d[:, :-1], out=e1)
+        np.minimum(e[:, 2:], d[:, :1], out=e[:, 2:])
+        np.subtract(d[:, 1:-2], ramp[1:-2], out=gap)
+        np.minimum.accumulate(gap, axis=1, out=gap)
+        gap += ramp[3:]
+        np.minimum(e3, gap, out=e3)
+        np.minimum.accumulate(d[:, ::-1], axis=1, out=suffix)
+        np.minimum(e_mid, crossing + lam1, out=e_mid)
+        e[:, 0] = suffix[:, -1]
+        e += u
+
+    w = _transition_matrix(width - 1, penalties)
+    pi = np.empty((n, k_inst), dtype=np.int64)
+    pi[-1] = hist[-1].argmin(axis=1)
+    scores = np.empty((k_inst, width))
+    for j in range(n - 1, 0, -1):
+        np.add(hist[j - 1], w[pi[j]], out=scores)
+        scores.argmin(axis=1, out=pi[j - 1])
+
+    pi = pi.T
+    terms = np.empty((k_inst, 2 * n - 1))  # u_0, w_1, u_1, w_2, u_2, ...
+    terms[:, 0::2] = np.take_along_axis(unary, pi[:, :, None], axis=2)[:, :, 0]
+    terms[:, 1::2] = w[pi[:, 1:], pi[:, :-1]]
+    return pi, np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _solve_chunks(q: np.ndarray, t: np.ndarray, bounds, penalties: MatchPenalties) -> list[Matching]:
+    """Solve ``q`` against every target chunk ``[s, e)`` of ``bounds`` in one batch."""
+    d2 = _sqdist(q, t)
+    width = max(e - s for s, e in bounds) + 1
+    unary = np.full((len(bounds), q.shape[0], width), np.inf)
+    unary[:, :, 0] = penalties.outlier_cost
+    for k, (s, e) in enumerate(bounds):
+        unary[k, :, 1:e - s + 1] = d2[:, s:e]
+    pi, total = _solve_batch(unary, penalties)
+    return [Matching(pi=p, total_cost=float(c), target_offset=s)
+            for p, c, (s, _) in zip(pi, total, bounds)]
 
 
 def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties) -> Matching:
@@ -241,34 +324,16 @@ def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties) -> Matching
 
     The objective decomposes over consecutive query positions, so a layered
     shortest path over states ``{0, ..., m}`` with the per-pair penalty as
-    edge weight is exact. Ties break toward the smaller state index, both at
-    the final state and during backtracking. O(n * (m+1)^2) time,
-    O(n * (m+1)) memory.
+    edge weight is exact. Each step relaxes all m + 1 targets at once with
+    prefix and suffix minima (the linear-cost distance transform of
+    Felzenszwalb & Huttenlocher), so a solve takes O(n * (m+1)) time and
+    memory besides the (m+1)^2 transition table the backtrack reads one row
+    of per step. Ties break toward the smaller state index, both at the final
+    state and during backtracking. ``total_cost`` is summed along ``pi`` in
+    the recurrence's order (unary, then each transition and unary in turn).
     """
     q, t = _check_instance(query_emb, target_emb)
-    n, m = q.shape[0], t.shape[0]
-
-    unary = np.empty((n, m + 1))
-    unary[:, 0] = penalties.outlier_cost
-    unary[:, 1:] = pairwise_sqdist(q, t)
-    w = _transition_matrix(m, penalties)
-
-    parent = np.empty((n, m + 1), dtype=np.int64)
-    states = np.arange(m + 1)
-    d = unary[0].copy()
-    for j in range(1, n):
-        stepped = w + d  # stepped[v', v] = d[v] + w(v, v')
-        parent[j] = np.argmin(stepped, axis=1)  # first minimum = smallest state
-        d = stepped[states, parent[j]] + unary[j]
-
-    last = int(np.argmin(d))
-    total = float(d[last])
-    pi = np.empty(n, dtype=np.int64)
-    pi[-1] = last
-    for j in range(n - 1, 0, -1):
-        pi[j - 1] = parent[j, pi[j]]
-
-    return Matching(pi=pi, total_cost=total)
+    return _solve_chunks(q, t, [(0, t.shape[0])], penalties)[0]
 
 
 def _chunk_bounds(n: int, chunk_len: int) -> list[tuple[int, int]]:
@@ -289,5 +354,4 @@ def match_features(query_feats, target_feats, penalties: MatchPenalties,
     Returns one Matching per chunk of :func:`_chunk_bounds`, in offset order.
     """
     q, t = _check_instance(query_feats, target_feats)
-    return [replace(solve_exact_dp(q, t[s:e], penalties), target_offset=s)
-            for s, e in _chunk_bounds(t.shape[0], chunk_len)]
+    return _solve_chunks(q, t, _chunk_bounds(t.shape[0], chunk_len), penalties)

@@ -1,11 +1,12 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqrep.core import ConfigError, ResourceLimitError, pairwise_sqdist
+from seqrep.core import ConfigError, DegenerateInputError, ResourceLimitError, pairwise_sqdist
 from seqrep.align import (
     Matching,
     MatchPenalties,
@@ -115,6 +116,10 @@ class TestBruteForce:
         with pytest.raises(ResourceLimitError):
             solve_bruteforce(np.zeros((30, 1)), np.zeros((30, 1)), PEN)
 
+    def test_overflowing_distances_rejected(self):
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            solve_bruteforce(*OVERFLOW, MatchPenalties(1, 0.5, 0.1, 2))
+
     def test_lexicographic_tie_break(self):
         # two identical target frames: both assignments cost the same
         query = np.zeros((1, 2))
@@ -164,7 +169,6 @@ class TestExactDP:
             assert np.all(a[both] <= b[both])
 
     def test_empty_inputs_rejected(self):
-        from seqrep.core import DegenerateInputError
         with pytest.raises(DegenerateInputError):
             solve_exact_dp(np.zeros((0, 2)), np.zeros((3, 2)), PEN)
 
@@ -181,14 +185,90 @@ class TestExactDP:
             query, target = random_instance(g, n, m, d)
             pen = random_penalties(g, int(g.integers(0, 4)))
         sol = solve_exact_dp(query, target, pen)
-        pi, total = source_major_dp(query, target, pen)
+        pi, total = dense_dp(query, target, pen)
         np.testing.assert_array_equal(sol.pi, pi)
         assert sol.total_cost == total
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 7), m=st.integers(1, 4), d=st.integers(1, 2),
+           halves=st.lists(st.integers(0, 8), min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_forced_ties_match_dense_and_bruteforce(self, n, m, d, halves, seed):
+        # integer features and integer or half-integer weights: every cost is
+        # exact, so equal-cost correspondences tie and the tie rule decides
+        g = np.random.default_rng(seed)
+        query = g.integers(-1, 2, size=(n, d)).astype(float)
+        target = g.integers(-1, 2, size=(m, d)).astype(float)
+        pen = MatchPenalties(*(h / 2 for h in halves))
+        assert_exact(query, target, pen)
 
-def source_major_dp(query, target, pen):
-    """The relaxation over a ``w[v, v']`` table (source states as rows), reduced
-    along axis 0: the reference that the target-major solver must equal bit for bit."""
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 5), (4, 1), (4, 2), (6, 2)])
+    def test_empty_gap_and_crossing_slices(self, rng, n, m):
+        # m <= 2 leaves no gap source, m == 1 no crossing, n == 1 no step at all
+        g = rng.gen
+        for trial in range(20):
+            query, target = random_instance(g, n, m, 2)
+            if trial % 2:
+                query = np.round(query)
+                target = np.round(target)
+                pen = MatchPenalties(*(float(v) / 2 for v in g.integers(0, 5, size=4)))
+            else:
+                pen = random_penalties(g, trial % 4)
+            assert_exact(query, target, pen)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 7), m=st.integers(1, 4), outlier=st.sampled_from([0.0, 0.5, 2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_all_outlier_regime(self, n, m, outlier, seed):
+        # every target frame is far from every query frame: all frames are outliers
+        g = np.random.default_rng(seed)
+        query = g.integers(-1, 2, size=(n, 2)).astype(float)
+        target = g.integers(-1, 2, size=(m, 2)).astype(float) + 10.0
+        pen = MatchPenalties(*(float(v) for v in g.integers(0, 3, size=3)), outlier)
+        sol = assert_exact(query, target, pen)
+        np.testing.assert_array_equal(sol.pi, np.zeros(n, dtype=np.int64))
+        assert sol.total_cost == n * outlier
+
+    def test_overflowing_distances_rejected(self):
+        q, t = OVERFLOW
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            solve_exact_dp(q, t, MatchPenalties(1, 0.5, 0.1, 2))
+
+    def test_gap_weight_overflowing_over_the_target_rejected(self, rng):
+        # lambda3 * v overflows before v reaches m: the prefix form cannot hold it
+        q, t = random_instance(rng.gen, 6, 8, 2)
+        with pytest.raises(DegenerateInputError, match="lambda3"):
+            solve_exact_dp(q, t, MatchPenalties(1.0, 0.5, 1e308, 2.0))
+        with pytest.raises(DegenerateInputError, match="lambda3"):
+            match_features(q, t, MatchPenalties(1.0, 0.5, 1e308, 2.0), chunk_len=4)
+
+    def test_large_instance_is_fast(self, rng):
+        g = rng.gen
+        q, t = random_unit_rows(g, 2000, 8), random_unit_rows(g, 2000, 8)
+        pen = default_penalties(q, t)
+        t0 = time.perf_counter()
+        sol = solve_exact_dp(q, t, pen)
+        assert time.perf_counter() - t0 < 5.0  # O(n * m): well under a second
+        assert sol.pi.shape == (2000,)
+
+
+OVERFLOW = (np.array([[1e200], [2e200]]), np.array([[1e200], [-1e200], [3.0]]))
+
+
+def assert_exact(query, target, pen):
+    """π and cost bit-equal to the dense relaxation, cost equal to brute force."""
+    sol = solve_exact_dp(query, target, pen)
+    pi, total = dense_dp(query, target, pen)
+    np.testing.assert_array_equal(sol.pi, pi)
+    assert sol.total_cost == total
+    assert sol.total_cost == solve_bruteforce(query, target, pen).total_cost
+    return sol
+
+
+def dense_dp(query, target, pen):
+    """The O(n * m^2) relaxation over a full ``w[v, v']`` table (source states
+    as rows), reduced along axis 0: the reference the linear-time solver must
+    equal bit for bit wherever its gap term rounds alike."""
     n, m = len(query), len(target)
     unary = np.empty((n, m + 1))
     unary[:, 0] = pen.outlier_cost
@@ -254,6 +334,30 @@ class TestMatchPair:
             direct = solve_exact_dp(q, t[s:e], PEN)
             assert m.total_cost == pytest.approx(direct.total_cost, abs=1e-9)
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 8), m=st.integers(2, 50), chunk_len=st.integers(2, 20),
+           integral=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=8, m=47, chunk_len=20, integral=False, seed=1)  # short last chunk (7)
+    @example(n=8, m=41, chunk_len=20, integral=False, seed=2)  # length-1 remainder merged
+    def test_batch_equals_per_chunk_solves(self, n, m, chunk_len, integral, seed):
+        # the chunks of one pair are solved as one +inf-padded batch; each must
+        # keep the bits of its own solve, including a short or merged last chunk
+        g = np.random.default_rng(seed)
+        q, t = random_instance(g, n, m, 2)
+        pen = random_penalties(g, int(g.integers(0, 4)))
+        if integral:
+            q, t = np.round(2 * q), np.round(2 * t)
+            pen = MatchPenalties(*(float(v) / 2 for v in g.integers(0, 5, size=4)))
+        bounds = _chunk_bounds(m, chunk_len)
+        out = match_features(q, t, penalties=pen, chunk_len=chunk_len)
+        assert len(out) == len(bounds)
+        for got, (s, e) in zip(out, bounds):
+            direct = solve_exact_dp(q, t[s:e], pen)
+            assert got.target_offset == s
+            assert got.pi.max() <= e - s  # never a pad column
+            np.testing.assert_array_equal(got.pi, direct.pi)
+            assert got.total_cost == direct.total_cost
+
     def test_default_penalties_are_instance_relative(self, rng):
         g = rng.gen
         q, t = random_instance(g, 5, 6, d=4)
@@ -263,6 +367,12 @@ class TestMatchPair:
         assert pen.lambda2 == pytest.approx(0.5 * e_unary, rel=1e-12)
         assert pen.lambda3 == pytest.approx(0.1 * e_unary, rel=1e-12)
         assert pen.outlier_cost == pytest.approx(2 * e_unary, rel=1e-12)
+
+
+    def test_default_penalties_reject_overflowing_distances(self):
+        # a data problem, not a configuration one: no ConfigError about a NaN weight
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            default_penalties(*OVERFLOW)
 
 
 class TestMatchingType:

@@ -16,8 +16,8 @@ from seqrep.core import (
     Sequence,
     pairwise_sqdist,
 )
-from seqrep import align
-from seqrep.align import PenaltyConfig, alignment_cost
+from seqrep import embed
+from seqrep.align import PenaltyConfig, _chunk_bounds, alignment_cost
 from seqrep.embed import (
     EmbeddingModel,
     TrainConfig,
@@ -360,21 +360,24 @@ class TestTrain:
         np.testing.assert_array_equal(m1.theta, m2.theta)
 
     def test_every_solve_rescores_to_its_cost(self, small_dataset, monkeypatch):
-        # the solver no longer audits itself: re-score each π it hands the trainer
-        solves = []
-        solve = align.solve_exact_dp
+        # the solver does not audit itself: re-score each chunk's π that the
+        # trainer's matcher hands it against that chunk of the target
+        chunks = []
+        match = embed.match_features
 
-        def audited(q, t, penalties):
-            sol = solve(q, t, penalties)
-            solves.append((q, t, penalties, sol))
-            return sol
+        def audited(q, t, penalties, chunk_len):
+            out = match(q, t, penalties, chunk_len=chunk_len)
+            bounds = _chunk_bounds(t.shape[0], chunk_len)
+            assert [m.target_offset for m in out] == [s for s, _ in bounds]
+            chunks.extend((q, t[s:e], penalties, m) for (s, e), m in zip(bounds, out))
+            return out
 
-        monkeypatch.setattr(align, "solve_exact_dp", audited)
+        monkeypatch.setattr(embed, "match_features", audited)
         cfg = TrainConfig(max_epochs=2, triplets_per_batch=40, hidden_dim=16,
                           embed_dim=8, bootstrap_epochs=1)
         train(small_dataset, cfg, chunk_len=20, rng=RngState(42))
-        assert len(solves) >= 2 * len(small_dataset)
-        for q, t, pen, sol in solves:
+        assert len(chunks) >= 2 * len(small_dataset)
+        for q, t, pen, sol in chunks:
             assert alignment_cost(q, t, sol.pi, pen).total == pytest.approx(
                 sol.total_cost, rel=1e-9)
 
