@@ -151,6 +151,7 @@ class MomentumSGD:
         self.momentum = momentum
         self.stage = stage
         self.velocity = np.zeros_like(theta)
+        self._scaled = np.empty_like(theta)  # learning_rate * g, leaving the caller's g
         self.epoch = 0
         self.batch = 0  # steps taken in the current epoch
         self.last_loss = math.nan
@@ -172,7 +173,7 @@ class MomentumSGD:
         if loss > 0 and math.isnan(self.first_loss):
             self.first_loss = loss
         self.velocity *= self.momentum
-        self.velocity -= self.learning_rate * grad
+        self.velocity -= np.multiply(grad, self.learning_rate, out=self._scaled)
         self.theta += self.velocity
         self.batch += 1
         self.last_loss = loss

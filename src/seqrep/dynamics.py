@@ -31,8 +31,12 @@ from .embed import EmbeddingModel, embed_batch
 logger = logging.getLogger(__name__)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_(z: np.ndarray) -> None:
+    """Logistic in place, by the ops of ``1 / (1 + exp(-z))`` and so with their bits."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(z, 1.0, out=z)
+    np.divide(1.0, z, out=z)
 
 
 @dataclass(frozen=True)
@@ -103,81 +107,113 @@ def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
 
 
 def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
-    """Run the cell over (B, l, d) inputs; returns outputs and BPTT cache."""
+    """Run the cell over (B, l, d) inputs from a zero state; returns ``(y, cache)``.
+
+    ``y`` is the head output, (B, d). The BPTT cache is time-major,
+    ``(X, Z, C, TC, H)``: X the inputs as (l, B, d); Z the gate activations
+    i, f, g, o side by side as (l, B, 4m), written over their
+    pre-activations; C, tanh(C) and H as (l, B, m). Step t's pre-activation
+    is (x_t·Wx + h_{t-1}·Wh) + b, with x·Wx of every step one GEMM and no
+    h·Wh at t = 0 (h0 = 0, and (a + 0) + b == a + b bit for bit).
+    """
     m = pred.hidden_dim
-    h = c = np.zeros((x.shape[0], m))  # both are rebound, never written in place
-    cache = []
-    for t in range(x.shape[1]):
-        z = x[:, t] @ pred.Wx
-        if t:  # h0 = 0, and (a + 0) + b == a + b bit for bit
-            z += h @ pred.Wh
+    X = np.ascontiguousarray(x.transpose(1, 0, 2))
+    steps, batch, _ = X.shape
+    Z = (X.reshape(steps * batch, pred.embed_dim) @ pred.Wx).reshape(steps, batch, 4 * m)
+    C, TC, H = (np.empty((steps, batch, m)) for _ in range(3))
+    for t in range(steps):
+        z = Z[t]
+        if t:
+            z += H[t - 1] @ pred.Wh
         z += pred.b
-        i = _sigmoid(z[:, :m])
-        f = _sigmoid(z[:, m:2 * m])
-        g = np.tanh(z[:, 2 * m:3 * m])
-        o = _sigmoid(z[:, 3 * m:])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        cache.append((x[:, t], h, c, i, f, g, o, tc))
-        h = o * tc
-        c = c_new
-    y = h @ pred.Wy + pred.by
-    return y, h, cache
+        _sigmoid_(z[:, :2 * m])
+        np.tanh(z[:, 2 * m:3 * m], out=z[:, 2 * m:3 * m])
+        _sigmoid_(z[:, 3 * m:])
+        i, f, g, o = np.split(z, 4, axis=1)
+        np.add(f * (C[t - 1] if t else 0.0), i * g, out=C[t])
+        np.tanh(C[t], out=TC[t])
+        np.multiply(o, TC[t], out=H[t])
+    return H[-1] @ pred.Wy + pred.by, (X, Z, C, TC, H)
 
 
-def _cell_backward(pred: RecurrentPredictor, cache, h_last: np.ndarray,
-                   d_y: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(pred.theta)
+def _cell_backward(pred: RecurrentPredictor, cache, d_y: np.ndarray,
+                   grad: np.ndarray) -> np.ndarray:
+    """Backpropagate ``d_y`` = dL/dy through the cached cell into ``grad``.
+
+    ``cache`` is :func:`_cell_forward`'s time-major ``(X, Z, C, TC, H)``.
+    ``grad`` has the layout of ``theta`` and every entry of it is
+    overwritten, so what it held before does not matter. The (l, B, 4m)
+    gate gradients dZ are filled step by step, the forget gate's with 0 at
+    t = 0 (c0 = 0) and no dz·Whᵀ past it; then dWx = Xᵀ·dZ over l·B rows,
+    dWh = H[:-1]ᵀ·dZ[1:] over (l-1)·B rows (h0 = 0) and db = ΣdZ.
+    """
+    X, Z, C, TC, H = cache
+    m = pred.hidden_dim
     grads = pred.blocks(grad)
-    grads["Wy"][...] = h_last.T @ d_y
-    grads["by"][...] = d_y.sum(axis=0)
+    np.matmul(H[-1].T, d_y, out=grads["Wy"])
+    d_y.sum(axis=0, out=grads["by"])
+    dZ = np.empty_like(Z)
     dh = d_y @ pred.Wy.T
     dc = np.zeros_like(dh)
-    for x_t, h_prev, c_prev, i, f, g, o, tc in reversed(cache):
-        dc = dc + dh * o * (1.0 - tc * tc)
-        do = dh * tc
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dz = np.concatenate(
-            [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)],
-            axis=1,
-        )
-        grads["Wx"] += x_t.T @ dz
-        grads["Wh"] += h_prev.T @ dz
-        grads["b"] += dz.sum(axis=0)
-        dh = dz @ pred.Wh.T
-        dc = dc * f
+    for t in reversed(range(len(Z))):
+        i, f, g, o = np.split(Z[t], 4, axis=1)
+        di, df, dg, do = np.split(dZ[t], 4, axis=1)
+        dc += dh * o * (1.0 - TC[t] * TC[t])
+        np.multiply(dc * g * i, 1.0 - i, out=di)
+        np.multiply(dc * (C[t - 1] if t else 0.0) * f, 1.0 - f, out=df)
+        np.multiply(dc * i, 1.0 - g * g, out=dg)
+        np.multiply(dh * TC[t] * o, 1.0 - o, out=do)
+        if t:
+            dh = dZ[t] @ pred.Wh.T
+            dc *= f
+    rows = dZ.reshape(-1, 4 * m)
+    np.matmul(X.reshape(len(rows), X.shape[2]).T, rows, out=grads["Wx"])
+    np.matmul(H[:-1].reshape(-1, m).T, dZ[1:].reshape(-1, 4 * m), out=grads["Wh"])
+    rows.sum(axis=0, out=grads["b"])
     return grad
+
+
+def _checked_contexts(pred: RecurrentPredictor, contexts) -> np.ndarray:
+    """``contexts`` as a float64 (B, l >= 1, d) array; any other shape is an error."""
+    contexts = np.asarray(contexts, dtype=np.float64)
+    if contexts.ndim != 3 or contexts.shape[1] < 1 or contexts.shape[2] != pred.embed_dim:
+        raise DimensionError(f"contexts must be (B, l >= 1, {pred.embed_dim}), "
+                             f"got shape {contexts.shape}")
+    return contexts
 
 
 def rnn_forward_batch(pred: RecurrentPredictor, contexts: np.ndarray) -> np.ndarray:
     """Predict the next embedding for each of a (B, l, d) stack of contexts.
 
     Each context runs through the gated cell from a zero initial state; the
-    head outputs, (B, d), are returned as-is (not re-normalized).
+    head outputs, (B, d), are returned as-is (not re-normalized). B may be 0;
+    l must be at least 1.
     """
-    contexts = np.asarray(contexts, dtype=np.float64)
-    if contexts.ndim != 3 or contexts.shape[2] != pred.embed_dim:
-        raise DimensionError(f"contexts must be (B, l, {pred.embed_dim})")
-    y, _, _ = _cell_forward(pred, contexts)
+    y, _ = _cell_forward(pred, _checked_contexts(pred, contexts))
     return y
 
 
 def batch_loss_and_grad(pred: RecurrentPredictor, contexts: np.ndarray,
-                        targets: np.ndarray) -> tuple[float, np.ndarray]:
+                        targets: np.ndarray,
+                        out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Mean squared-error over a (B, l, d) context batch, with exact BPTT gradient.
 
-    Returns ``(loss, grads)``; ``grads`` has the layout of ``pred.theta``.
+    Needs B >= 1, l >= 1 and (B, d) targets. Returns ``(loss, grad)``;
+    ``grad`` has the layout of ``pred.theta`` and is ``out`` when given
+    (every entry overwritten), else a new array.
     """
-    if contexts.ndim != 3 or targets.ndim != 2:
-        raise DimensionError("contexts must be (B, l, d) and targets (B, d)")
+    contexts = _checked_contexts(pred, contexts)
+    targets = np.asarray(targets, dtype=np.float64)
     batch = contexts.shape[0]
-    y, h_last, cache = _cell_forward(pred, contexts)
+    if batch < 1 or targets.shape != (batch, pred.embed_dim):
+        raise DimensionError(f"need B >= 1 contexts and ({batch}, {pred.embed_dim}) "
+                             f"targets, got shapes {contexts.shape} and {targets.shape}")
+    y, cache = _cell_forward(pred, contexts)
     resid = y - targets
     loss = float(np.sum(resid * resid) / batch)
     d_y = 2.0 * resid / batch
-    return loss, _cell_backward(pred, cache, h_last, d_y)
+    return loss, _cell_backward(pred, cache, d_y,
+                                np.empty_like(pred.theta) if out is None else out)
 
 
 @dataclass(frozen=True)
@@ -261,6 +297,7 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     pred = init_predictor(model.embed_dim, config.hidden_dim, context_len,
                           rng.split(0))
     sgd = MomentumSGD(pred.theta, config.learning_rate, config.momentum, "predictor")
+    grad = np.empty_like(pred.theta)  # every batch overwrites all of it
     g = rng.gen
 
     for _ in range(config.max_epochs):
@@ -269,8 +306,8 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, grads = batch_loss_and_grad(pred, contexts[batch], targets[batch])
-            sgd.step(loss, grads)
+            loss, _ = batch_loss_and_grad(pred, contexts[batch], targets[batch], grad)
+            sgd.step(loss, grad)
             losses.append(loss)
         log.epoch_loss.append(float(np.mean(losses)))
         log.epoch_param_delta.append(sgd.end_epoch())

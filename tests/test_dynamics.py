@@ -26,6 +26,7 @@ from seqrep.dynamics import (
     train_predictor,
 )
 from seqrep.embed import embed_batch, init_embedding_model
+from seqrep.seqpack import save_predictor
 
 from conftest import random_unit_rows
 
@@ -36,17 +37,57 @@ def zero_predictor(d=3, m=5, bias=None, context_len=4):
     return RecurrentPredictor(theta, d, m, context_len)
 
 
-def forward_with_zero_state_product(pred, contexts):
-    """The gated cell with h0 @ Wh computed at step 0 too, though h0 = 0."""
+def per_step_forward(pred, contexts):
+    """The gated cell one step at a time, with h0 @ Wh computed at step 0 too
+    though h0 = 0; returns the head output, the last h and the per-step cache."""
     m = pred.hidden_dim
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    h = np.zeros((contexts.shape[0], m))
-    c = np.zeros_like(h)
+    h = c = np.zeros((contexts.shape[0], m))
+    cache = []
     for t in range(contexts.shape[1]):
         z = contexts[:, t] @ pred.Wx + h @ pred.Wh + pred.b
-        c = sig(z[:, m:2 * m]) * c + sig(z[:, :m]) * np.tanh(z[:, 2 * m:3 * m])
-        h = sig(z[:, 3 * m:]) * np.tanh(c)
-    return h @ pred.Wy + pred.by
+        i, f, o = sig(z[:, :m]), sig(z[:, m:2 * m]), sig(z[:, 3 * m:])
+        g = np.tanh(z[:, 2 * m:3 * m])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        cache.append((contexts[:, t], h, c, i, f, g, o, tc))
+        h, c = o * tc, c_new
+    return h @ pred.Wy + pred.by, h, cache
+
+
+def per_step_backward(pred, cache, h_last, d_y):
+    """BPTT one step at a time, accumulating every block over the steps."""
+    grad = np.zeros_like(pred.theta)
+    grads = pred.blocks(grad)
+    grads["Wy"][...] = h_last.T @ d_y
+    grads["by"][...] = d_y.sum(axis=0)
+    dh = d_y @ pred.Wy.T
+    dc = np.zeros_like(dh)
+    for x_t, h_prev, c_prev, i, f, g, o, tc in reversed(cache):
+        dc = dc + dh * o * (1.0 - tc * tc)
+        do = dh * tc
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dz = np.concatenate(
+            [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)],
+            axis=1,
+        )
+        grads["Wx"] += x_t.T @ dz
+        grads["Wh"] += h_prev.T @ dz
+        grads["b"] += dz.sum(axis=0)
+        dh = dz @ pred.Wh.T
+        dc = dc * f
+    return grad
+
+
+def per_step_loss_and_grad(pred, contexts, targets):
+    """The reference for ``batch_loss_and_grad``: the same loss, per-step BPTT."""
+    y, h_last, cache = per_step_forward(pred, contexts)
+    resid = y - targets
+    batch = contexts.shape[0]
+    loss = float(np.sum(resid * resid) / batch)
+    return loss, per_step_backward(pred, cache, h_last, 2.0 * resid / batch)
 
 
 class TestModel:
@@ -94,12 +135,14 @@ class TestForward:
             hits += not np.allclose(base, flipped)
         assert hits >= 1
 
-    @pytest.mark.parametrize("length", [1, 2, 4])
-    def test_skipping_the_zero_state_product_is_bit_exact(self, rng, length):
-        pred = init_predictor(5, 12, length, RngState(7))
-        contexts = rng.gen.normal(size=(9, length, 5))
+    @pytest.mark.parametrize("batch, length, d, m", [
+        (9, 1, 5, 12), (9, 2, 5, 12), (9, 4, 5, 12), (128, 4, 128, 512)],
+        ids=["1", "2", "4", "reference"])
+    def test_skipping_the_zero_state_product_is_bit_exact(self, rng, batch, length, d, m):
+        pred = init_predictor(d, m, length, RngState(7))
+        contexts = rng.gen.normal(size=(batch, length, d))
         np.testing.assert_array_equal(rnn_forward_batch(pred, contexts),
-                                      forward_with_zero_state_product(pred, contexts))
+                                      per_step_forward(pred, contexts)[0])
 
     def test_dimension_mismatch(self, rng):
         pred = init_predictor(3, 6, 4, RngState(1))
@@ -107,6 +150,14 @@ class TestForward:
             rnn_forward_batch(pred, rng.gen.normal(size=(1, 4, 5)))
         with pytest.raises(DimensionError):
             rnn_forward_batch(pred, rng.gen.normal(size=(4, 3)))
+
+    def test_empty_context_rejected(self):
+        with pytest.raises(DimensionError, match="l >= 1"):
+            rnn_forward_batch(init_predictor(3, 6, 4, RngState(1)), np.zeros((2, 0, 3)))
+
+    def test_empty_batch_gives_no_rows(self):
+        y = rnn_forward_batch(init_predictor(3, 6, 4, RngState(1)), np.zeros((0, 4, 3)))
+        assert y.shape == (0, 3)
 
 
 class TestLoss:
@@ -134,7 +185,60 @@ class TestLoss:
         assert loss == pytest.approx(float(np.mean(np.diag(d2))), rel=1e-12)
 
 
+class TestBatchBoundary:
+    """``batch_loss_and_grad`` takes (B >= 1, l >= 1, d) contexts and (B, d) targets."""
+
+    @pytest.fixture
+    def pred(self):
+        return init_predictor(3, 6, 4, RngState(1))
+
+    def test_single_target_for_many_contexts_rejected(self, pred, rng):
+        with pytest.raises(DimensionError, match=r"\(5, 3\) targets"):
+            batch_loss_and_grad(pred, rng.gen.normal(size=(5, 4, 3)),
+                                rng.gen.normal(size=(1, 3)))
+
+    def test_context_dimension_must_be_embed_dim(self, pred, rng):
+        with pytest.raises(DimensionError, match="contexts must be"):
+            batch_loss_and_grad(pred, rng.gen.normal(size=(5, 4, 4)),
+                                rng.gen.normal(size=(5, 3)))
+
+    def test_empty_batch_rejected(self, pred):
+        with pytest.raises(DimensionError, match="B >= 1"):
+            batch_loss_and_grad(pred, np.zeros((0, 4, 3)), np.zeros((0, 3)))
+
+    def test_empty_context_rejected(self, pred, rng):
+        with pytest.raises(DimensionError, match="l >= 1"):
+            batch_loss_and_grad(pred, np.zeros((5, 0, 3)), rng.gen.normal(size=(5, 3)))
+
+
 class TestGradient:
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_matches_the_per_step_reference(self, length):
+        r = RngState(40 + length)
+        pred = init_predictor(5, 11, length, r)
+        contexts = r.gen.normal(size=(7, length, 5))
+        targets = r.gen.normal(size=(7, 5))
+        loss, grad = batch_loss_and_grad(pred, contexts, targets)
+        ref_loss, ref = per_step_loss_and_grad(pred, contexts, targets)
+        assert loss == ref_loss
+        ref_blocks = pred.blocks(ref)
+        for name, block in pred.blocks(grad).items():
+            scale = np.max(np.abs(ref_blocks[name]))
+            assert np.max(np.abs(block - ref_blocks[name])) <= 1e-12 * scale, name
+        if length == 1:  # h0 = 0: nothing flows into Wh
+            assert not pred.blocks(grad)["Wh"].any()
+
+    def test_independent_of_what_the_buffer_held(self, rng):
+        pred = init_predictor(5, 11, 3, RngState(4))
+        contexts = rng.gen.normal(size=(7, 3, 5))
+        targets = rng.gen.normal(size=(7, 5))
+        out = np.full_like(pred.theta, np.nan)
+        loss, grad = batch_loss_and_grad(pred, contexts, targets, out)
+        assert grad is out
+        fresh_loss, fresh = batch_loss_and_grad(pred, contexts, targets)
+        assert loss == fresh_loss
+        np.testing.assert_array_equal(grad, fresh)
+
     def test_bptt_matches_finite_differences(self):
         from gradcheck import max_block_relative_error, numeric_gradients
 
@@ -223,13 +327,16 @@ class TestTrainPredictor:
             train_predictor(ds, model, context_len=4,
                             config=PredictorConfig(hidden_dim=4), rng=RngState(0))
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         ds = cyclic_dataset()
         model = init_embedding_model(ds.dimension, 12, 6, RngState(3))
         cfg = PredictorConfig(hidden_dim=10, max_epochs=2, batch_size=32)
-        p1, _ = train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(7))
-        p2, _ = train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(7))
-        np.testing.assert_array_equal(p1.theta, p2.theta)
+        files = []
+        for k in range(2):
+            pred, _ = train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(7))
+            save_predictor(pred, tmp_path / f"p{k}.bin")
+            files.append((tmp_path / f"p{k}.bin").read_bytes())
+        assert files[0] == files[1]
 
     def test_divergence_names_stage_epoch_and_batch(self):
         ds = cyclic_dataset()
