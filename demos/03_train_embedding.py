@@ -7,7 +7,7 @@
 # bootstrap every similarity from whitened raw features; once the encoder
 # outgrows them it takes over proposing its own matchings.
 #
-# Takes roughly half a minute on a laptop CPU.
+# Takes about 6 s on a 2-core Xeon.
 
 import time
 

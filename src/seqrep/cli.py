@@ -58,17 +58,17 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _matching_payload(q, t, matchings, penalties, chunk_len) -> list[dict]:
-    bounds = align_mod._chunk_bounds(t.shape[0], chunk_len)
+def _matching_payload(q, t, matchings, penalties) -> list[dict]:
+    # π indexes only its chunk's frames, so the target from the chunk's offset on scores alike
     return [
         {
             "target_offset": int(m.target_offset),
             "pi": [int(v) for v in m.pi],
             "total_cost": float(m.total_cost),
             "breakdown": dataclasses.asdict(
-                align_mod.alignment_cost(q, t[s:e], m.pi, penalties)),
+                align_mod.alignment_cost(q, t[m.target_offset:], m.pi, penalties)),
         }
-        for (s, e), m in zip(bounds, matchings)
+        for m in matchings
     ]
 
 
@@ -96,7 +96,7 @@ def _cmd_align(args) -> int:
         "target": args.target,
         "chunk_len": cfg.chunk_len,
         "penalties": dataclasses.asdict(penalties),
-        "matchings": _matching_payload(q, t, matchings, penalties, cfg.chunk_len),
+        "matchings": _matching_payload(q, t, matchings, penalties),
     }, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(matchings)} chunk matchings to {args.out}")
     return 0

@@ -258,6 +258,8 @@ class Dataset:
                     f"sequence {s.id!r} has dimension {s.dimension}, "
                     f"dataset declares {self.dimension}"
                 )
+        if len({s.latent.shape[1] for s in self.sequences if s.latent is not None}) > 1:
+            raise DimensionError("sequence latents must share one dimension")
 
     def __len__(self) -> int:
         return len(self.sequences)

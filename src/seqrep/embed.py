@@ -185,42 +185,36 @@ def _sample_triplet_indices(pi: np.ndarray, chunk_feats: np.ndarray, offset: int
     lies within the nearest-rank p-th percentile of the distances from
     ``pos`` to the other chunk frames, and more than ``window`` frames away
     from it. Each column's threshold and eligible set are mined once per
-    chunk; a draw whose pool is empty is skipped.
+    chunk. All ``count`` anchors are drawn first, in one call; those whose
+    pool is empty are dropped, and the rest draw one negative each in a second.
     """
     anchors = np.flatnonzero(pi > 0)
     m = chunk_feats.shape[0]
-    a_rows, p_rows, n_rows = [], [], []
-    # a single-frame chunk has no candidate negatives at all
-    if anchors.size and count > 0 and m > 1:
-        positives, column = np.unique(pi[anchors] - 1, return_inverse=True)
-        d2 = pairwise_sqdist(chunk_feats, chunk_feats)[:, positives]
-        d2[positives, np.arange(positives.size)] = np.inf  # a positive is not its own candidate
-        k = max(1, math.ceil(p / 100.0 * (m - 1)))
-        thresh = np.partition(d2, k - 1, axis=0)[k - 1]
-        eligible = (d2 <= thresh) & (np.abs(np.arange(m)[:, None] - positives) > window)
-        pools = [np.flatnonzero(col) for col in eligible.T]
-        g = rng.gen
-        for _ in range(count):
-            a = int(g.integers(anchors.size))
-            pool = pools[column[a]]
-            if pool.size:
-                a_rows.append(anchors[a])
-                p_rows.append(positives[column[a]])
-                n_rows.append(pool[g.integers(pool.size)])
-    return (np.array(a_rows, dtype=np.int64),
-            np.array(p_rows, dtype=np.int64) + offset,
-            np.array(n_rows, dtype=np.int64) + offset)
+    if not anchors.size or count < 1 or m < 2:  # one frame has no candidate negatives
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+    positives, column = np.unique(pi[anchors] - 1, return_inverse=True)
+    d2 = pairwise_sqdist(chunk_feats, chunk_feats)[:, positives]
+    d2[positives, np.arange(positives.size)] = np.inf  # a positive is not its own candidate
+    k = max(1, math.ceil(p / 100.0 * (m - 1)))
+    thresh = np.partition(d2, k - 1, axis=0)[k - 1]
+    eligible = (d2 <= thresh) & (np.abs(np.arange(m)[:, None] - positives) > window)
+    sizes = eligible.sum(axis=0)
+    a = rng.gen.integers(anchors.size, size=count)
+    a = a[sizes[column[a]] > 0]
+    c = column[a]
+    # a stable sort of ~eligible puts each column's eligible rows first, ascending
+    neg = np.argsort(~eligible, axis=0, kind="stable")[rng.gen.integers(sizes[c]), c]
+    return anchors[a], positives[c] + offset, neg + offset
 
 
-def _descriptor_neighbors(descriptors: dict[str, np.ndarray], k: int) -> dict[str, list[str]]:
-    ids = sorted(descriptors)
-    mat = np.stack([descriptors[i] for i in ids])
+def _descriptor_neighbors(feats: dict[str, np.ndarray], k: int) -> dict[str, list[str]]:
+    ids = sorted(feats)
+    mat = np.stack([feats[i].mean(axis=0) for i in ids])
     d2 = pairwise_sqdist(mat, mat)
-    out = {}
-    for i, sid in enumerate(ids):
-        order = sorted((float(d2[i, j]), ids[j]) for j in range(len(ids)) if j != i)
-        out[sid] = [other for _, other in order[:k]]
-    return out
+    np.fill_diagonal(d2, np.inf)  # a sequence is not its own neighbour
+    # the ids are sorted, so a stable sort breaks distance ties by id
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return {sid: [ids[j] for j in row] for sid, row in zip(ids, order)}
 
 
 def sequence_neighbors(dataset: Dataset, model: EmbeddingModel, k: int) -> dict[str, list[str]]:
@@ -231,8 +225,7 @@ def sequence_neighbors(dataset: Dataset, model: EmbeddingModel, k: int) -> dict[
     """
     if k >= len(dataset):
         raise ConfigError(f"neighborhood size {k} must be < number of sequences {len(dataset)}")
-    descriptors = {s.id: embed_batch(model, s.frames).mean(axis=0) for s in dataset}
-    return _descriptor_neighbors(descriptors, k)
+    return _descriptor_neighbors({s.id: embed_batch(model, s.frames) for s in dataset}, k)
 
 
 def augment(x, sigma: float, feature_std, rng: RngState) -> np.ndarray:
@@ -380,8 +373,7 @@ def train(dataset: Dataset, config: TrainConfig,
             feats = {s.id: bootstrap_features(s.frames) for s in sequences}
         else:
             feats = {s.id: embed_batch(model, s.frames) for s in sequences}
-        descriptors = {sid: f.mean(axis=0) for sid, f in feats.items()}
-        neighbors = _descriptor_neighbors(descriptors, k)
+        neighbors = _descriptor_neighbors(feats, k)
 
         for _ in range(pairs_per_epoch):
             query = sequences[int(g.integers(len(sequences)))]
@@ -398,9 +390,8 @@ def train(dataset: Dataset, config: TrainConfig,
                     config.triplets_per_batch, config.exclusion_window, rng)
                 if not aj.size:
                     continue
-                a = augment(query.frames[aj], config.noise_sigma, feature_std, rng)
-                pos = augment(target.frames[pj], config.noise_sigma, feature_std, rng)
-                neg = augment(target.frames[nj], config.noise_sigma, feature_std, rng)
+                rows = np.concatenate([query.frames[aj], target.frames[pj], target.frames[nj]])
+                a, pos, neg = np.split(augment(rows, config.noise_sigma, feature_std, rng), 3)
                 loss, grads = triplet_grad(model, a, pos, neg, config.margin)
                 sgd.step(loss, grads)
                 log.batch_loss.append(loss)

@@ -32,8 +32,20 @@ def _sequence_features(dataset: Dataset, embedder) -> list[np.ndarray]:
     if isinstance(embedder, EmbeddingModel):
         return [embed_batch(embedder, s.frames) for s in dataset]
     if callable(embedder):
-        return [np.asarray(embedder(s.frames), dtype=np.float64) for s in dataset]
+        return _checked_features(dataset, [embedder(s.frames) for s in dataset])
     raise ConfigError(f"cannot embed with object of type {type(embedder).__name__}")
+
+
+def _checked_features(dataset: Dataset, features) -> list[np.ndarray]:
+    """``features`` as finite float64 arrays, (len(s), d) for each sequence s, one d for all."""
+    if len(features) != len(dataset):
+        raise DimensionError("one feature array per sequence required")
+    out = [as_frames(f, f"features of sequence {s.id!r}") for s, f in zip(dataset, features)]
+    for s, f in zip(dataset, out):
+        if f.shape != (len(s), out[0].shape[1]):
+            raise DimensionError(f"features of sequence {s.id!r} have shape {f.shape}, "
+                                 f"expected ({len(s)}, {out[0].shape[1]})")
+    return out
 
 
 def _require_latents(dataset: Dataset):
@@ -71,8 +83,7 @@ def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
     candidate set is all-positive or all-negative are skipped.
     """
     _require_latents(dataset)
-    if len(features) != len(dataset):
-        raise DimensionError("one feature array per sequence required")
+    features = _checked_features(dataset, features)
     if pose_epsilon is None:
         pose_epsilon = default_pose_epsilon(dataset)
     if rng is None:

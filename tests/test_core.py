@@ -161,6 +161,17 @@ def test_dataset_invariants():
         Dataset(dimension=3, sequences=(a, b))
 
 
+def test_dataset_rejects_latents_of_different_widths():
+    # such a dataset would be written as a SeqPack that read_seqpack refuses
+    g = RngState(0).gen
+    a = Sequence(id="a", frames=g.normal(size=(10, 2)), latent=g.normal(size=(10, 2)))
+    b = Sequence(id="b", frames=g.normal(size=(10, 2)), latent=g.normal(size=(10, 3)))
+    with pytest.raises(DimensionError, match="latents must share one dimension"):
+        Dataset(dimension=2, sequences=(a, b))
+    c = Sequence(id="c", frames=g.normal(size=(10, 2)))
+    assert Dataset(dimension=2, sequences=(a, c)).latent_dimension == 0
+
+
 def test_rng_reproducibility():
     a = RngState(123).gen.normal(size=10)
     b = RngState(123).gen.normal(size=10)

@@ -278,6 +278,37 @@ class TestSampleTriplets:
             expect.integers(2)
         assert g.gen.integers(1 << 30) == expect.integers(1 << 30)
 
+    def test_draws_all_anchors_then_all_negatives(self, rng):
+        # p = 100 admits every frame outside the window, so no pool is empty;
+        # 40 frames, because numpy sorts columns of up to 16 stably either way
+        pi = np.array([1, 0, 30, 2, 0, 40, 17])
+        g = RngState(9)
+        aj, pj, nj = _sample_triplet_indices(pi, rng.gen.normal(size=(40, 3)), 40, 100, 50,
+                                             1, g)
+        assert aj.size == pj.size == nj.size == 50
+        replay = RngState(9).gen
+        anchors = np.flatnonzero(pi > 0)
+        np.testing.assert_array_equal(aj, anchors[replay.integers(anchors.size, size=50)])
+        np.testing.assert_array_equal(pj - 40, pi[aj] - 1)
+        pools = [np.flatnonzero(np.abs(np.arange(40) - pos) > 1) for pos in pj - 40]
+        picks = replay.integers([pool.size for pool in pools])
+        np.testing.assert_array_equal(nj - 40, [pool[i] for pool, i in zip(pools, picks)])
+        assert g.gen.integers(1 << 30) == replay.integers(1 << 30)
+
+    def test_anchors_with_empty_pools_are_dropped(self, rng):
+        # four frames, window 2: positive 0 has the one negative 3, positive 1 none
+        g = RngState(4)
+        aj, pj, nj = _sample_triplet_indices(np.array([1, 2]), rng.gen.normal(size=(4, 2)), 0,
+                                             100, 20, 2, g)
+        replay = RngState(4).gen
+        kept = np.flatnonzero(replay.integers(2, size=20) == 0)
+        assert 0 < kept.size < 20
+        np.testing.assert_array_equal(aj, np.zeros(kept.size))
+        np.testing.assert_array_equal(pj, np.zeros(kept.size))
+        np.testing.assert_array_equal(nj, np.full(kept.size, 3))
+        replay.integers(np.ones(kept.size, dtype=np.int64))
+        assert g.gen.integers(1 << 30) == replay.integers(1 << 30)
+
 
 class TestSequenceNeighbors:
     def test_identical_sequences_are_mutual_top_neighbors(self, tiny_model, rng):
@@ -308,6 +339,13 @@ class TestSequenceNeighbors:
             )[:3]
             assert lst == [o for _, o in expect]
 
+    def test_distance_ties_go_to_the_smaller_id(self):
+        # one frame per sequence, so each descriptor is that frame
+        feats = {"c": np.array([[0.0]]), "a": np.array([[1.0]]), "b": np.array([[-1.0]]),
+                 "d": np.array([[2.0]])}
+        assert embed._descriptor_neighbors(feats, 2) == {
+            "a": ["c", "d"], "b": ["c", "a"], "c": ["a", "b"], "d": ["a", "c"]}
+
     def test_k_too_large_rejected(self, small_dataset, tiny_model):
         model = init_embedding_model(small_dataset.dimension, 8, 4, RngState(0))
         with pytest.raises(ConfigError):
@@ -322,6 +360,15 @@ class TestAugment:
     def test_preserves_shape(self, rng):
         x = rng.gen.normal(size=(7, 3))
         assert augment(x, 0.1, np.ones(3), rng).shape == (7, 3)
+
+    def test_one_stacked_call_equals_one_call_per_block(self):
+        # train jitters a batch's anchor, positive and negative rows in one call
+        x = RngState(1).gen.normal(size=(3, 4, 5))
+        std = np.arange(1.0, 6.0)
+        stacked = augment(x.reshape(12, 5), 0.1, std, RngState(8))
+        per_block = RngState(8)
+        np.testing.assert_array_equal(
+            np.split(stacked, 3), [augment(b, 0.1, std, per_block) for b in x])
 
     def test_noise_scale_tracks_feature_std(self):
         rng = RngState(321)

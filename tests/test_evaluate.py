@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqrep.core import (ConfigError, Dataset, DimensionError, FormatError, RngState, Sequence,
-                         pairwise_sqdist)
+from seqrep.core import (ConfigError, Dataset, DegenerateInputError, DimensionError,
+                         FormatError, RngState, Sequence, pairwise_sqdist)
 from seqrep.align import Matching
 from seqrep.dynamics import init_predictor
 from seqrep.embed import embed_batch, fit_whitener, init_embedding_model
@@ -416,3 +416,40 @@ def test_whitened_features_usable_as_embedder(small_dataset):
     wh = fit_whitener(small_dataset.all_frames())
     auc = retrieval_auc(small_dataset, wh, num_queries=60, rng=RngState(1))
     assert 0.0 <= auc <= 1.0
+
+
+def _halves(ds):
+    half = len(ds) // 2
+    return (Dataset(dimension=ds.dimension, sequences=ds.sequences[:half]),
+            Dataset(dimension=ds.dimension, sequences=ds.sequences[half:]))
+
+
+FEATURE_PROTOCOLS = {
+    "retrieval": lambda ds, f: retrieval_auc(ds, f, num_queries=40, rng=RngState(0)),
+    "zeroshot": lambda ds, f: zero_shot_pose_error(*_halves(ds), f),
+    "projection": lambda ds, f: pca_project_2d(ds, f),
+    "agglomerative": lambda ds, f: agglomerative_representatives(ds, f, 3),
+}
+BAD_EMBEDDERS = {
+    "drops_last_row": (lambda x: np.asarray(x)[:-1], DimensionError),
+    "one_dimensional": (lambda x: np.asarray(x)[:, 0], DimensionError),
+    "nan": (lambda x: np.full(np.shape(x), np.nan), DegenerateInputError),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_EMBEDDERS))
+@pytest.mark.parametrize("protocol", sorted(FEATURE_PROTOCOLS))
+def test_protocols_reject_malformed_embedder_output(small_dataset, protocol, bad):
+    embedder, error = BAD_EMBEDDERS[bad]
+    with pytest.raises(error, match="features of sequence"):
+        FEATURE_PROTOCOLS[protocol](small_dataset, embedder)
+
+
+def test_retrieval_from_features_checks_every_array(small_dataset):
+    feats = [s.frames for s in small_dataset]
+    narrow = [feats[0][:, :2]] + feats[1:]
+    with pytest.raises(DimensionError, match=r"expected \(\d+, 2\)"):
+        retrieval_auc_from_features(small_dataset, narrow, num_queries=20)
+    holed = feats[:-1] + [np.where(feats[-1] > 0, np.inf, feats[-1])]
+    with pytest.raises(DegenerateInputError):
+        retrieval_auc_from_features(small_dataset, holed, num_queries=20)
