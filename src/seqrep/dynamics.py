@@ -182,14 +182,23 @@ def _checked_contexts(pred: RecurrentPredictor, contexts) -> np.ndarray:
     return contexts
 
 
+_FORWARD_BLOCK = 256  # contexts per cell run in a forward-only call
+
+
 def rnn_forward_batch(pred: RecurrentPredictor, contexts: np.ndarray) -> np.ndarray:
     """Predict the next embedding for each of a (B, l, d) stack of contexts.
 
     Each context runs through the gated cell from a zero initial state; the
     head outputs, (B, d), are returned as-is (not re-normalized). B may be 0;
-    l must be at least 1.
+    l must be at least 1. The cell runs over blocks of at most
+    ``_FORWARD_BLOCK`` contexts and keeps only their outputs, so its working
+    memory is bounded by the block, not by B.
     """
-    y, _ = _cell_forward(pred, _checked_contexts(pred, contexts))
+    contexts = _checked_contexts(pred, contexts)
+    y = np.empty((len(contexts), pred.embed_dim))
+    for start in range(0, len(contexts), _FORWARD_BLOCK):
+        y[start:start + _FORWARD_BLOCK] = _cell_forward(
+            pred, contexts[start:start + _FORWARD_BLOCK])[0]
     return y
 
 

@@ -79,16 +79,36 @@ def init_embedding_model(input_dim: int, hidden_dim: int, embed_dim: int,
     return EmbeddingModel(theta, input_dim, hidden_dim, embed_dim)
 
 
-def _forward(model: EmbeddingModel, x: np.ndarray):
-    """Batched forward pass keeping intermediates for backprop."""
-    z1 = x @ model.W1 + model.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ model.W2 + model.b2
-    norms = np.linalg.norm(z2, axis=1)
+def _buffers(model: EmbeddingModel, rows: int, backward: bool = True) -> dict[str, np.ndarray]:
+    """Work arrays of encoder passes over up to ``rows`` rows; a pass writes the leading ones.
+
+    The backward adds the stacked input ``x``, its scratch, the ReLU mask
+    ``live`` and the gradient ``grad``, which has the layout of ``model.theta``.
+    """
+    f, h, d = model.input_dim, model.hidden_dim, model.embed_dim
+    widths = dict(z1=h, a1=h, z2=d, norms=1, y=d)
+    if backward:
+        widths.update(x=f, d_y=d, d_z2=d, d_a1=h, live=h)
+    buf = {k: np.empty((rows, w), dtype=bool if k == "live" else float) for k, w in widths.items()}
+    if backward:
+        buf["grad"] = np.empty_like(model.theta)
+    return buf
+
+
+def _forward(model: EmbeddingModel, x: np.ndarray, buf: dict[str, np.ndarray]):
+    """Batched forward pass into ``buf``'s leading rows; returns ``(y, norms)``."""
+    z1, a1, z2, norms, y = (buf[k][:len(x)] for k in ("z1", "a1", "z2", "norms", "y"))
+    np.matmul(x, model.W1, out=z1)
+    z1 += model.b1
+    np.maximum(z1, 0.0, out=a1)
+    np.matmul(a1, model.W2, out=z2)
+    z2 += model.b2
+    # np.linalg.norm's ops, with y as the scratch of the squares
+    np.sum(np.multiply(z2, z2, out=y), axis=1, keepdims=True, out=norms)
+    np.sqrt(norms, out=norms)
     if np.any(norms < 1e-12):
         raise DegenerateInputError("pre-normalization output collapsed to zero")
-    y = z2 / norms[:, None]
-    return y, (x, z1, a1, z2, norms)
+    return np.divide(z2, norms, out=y), norms
 
 
 def embed_batch(model: EmbeddingModel, frames) -> np.ndarray:
@@ -103,7 +123,7 @@ def embed_batch(model: EmbeddingModel, frames) -> np.ndarray:
         raise DimensionError(
             f"frames have dimension {x.shape[1]}, model expects {model.input_dim}"
         )
-    y, (*_, norms) = _forward(model, x)
+    y, norms = _forward(model, x, _buffers(model, len(x), backward=False))
     if not np.all(np.isfinite(norms)):
         raise DegenerateInputError("pre-normalization output overflowed")
     return y
@@ -125,54 +145,58 @@ def triplet_loss(pa, pp, pn, delta: float) -> float:
     return float(max(0.0, float(dp @ dp) - float(dn @ dn) + delta))
 
 
-def _backprop(model: EmbeddingModel, cache, d_y: np.ndarray) -> np.ndarray:
-    x, z1, a1, z2, norms = cache
-    y = z2 / norms[:, None]
-    grad = np.empty_like(model.theta)
-    grads = model.blocks(grad)
+def _backprop(model: EmbeddingModel, x: np.ndarray, buf: dict[str, np.ndarray]) -> np.ndarray:
+    """Gradient of ``buf``'s leading ``d_y`` rows through the forward cached there."""
+    z1, a1, norms, y, d_y, d_z2, d_a1, live = (
+        buf[k][:len(x)] for k in ("z1", "a1", "norms", "y", "d_y", "d_z2", "d_a1", "live"))
+    grads = model.blocks(buf["grad"])
     # through the normalization layer: dz = (dy - y (y . dy)) / |z|
-    d_z2 = (d_y - y * np.sum(y * d_y, axis=1, keepdims=True)) / norms[:, None]
-    grads["W2"][...] = a1.T @ d_z2
-    grads["b2"][...] = d_z2.sum(axis=0)
-    d_a1 = d_z2 @ model.W2.T
-    d_z1 = d_a1 * (z1 > 0)
-    grads["W1"][...] = x.T @ d_z1
-    grads["b1"][...] = d_z1.sum(axis=0)
-    return grad
+    y_dy = np.sum(np.multiply(y, d_y, out=d_z2), axis=1, keepdims=True)
+    np.subtract(d_y, np.multiply(y, y_dy, out=d_z2), out=d_z2)
+    d_z2 /= norms
+    np.matmul(a1.T, d_z2, out=grads["W2"])
+    d_z2.sum(axis=0, out=grads["b2"])
+    np.matmul(d_z2, model.W2.T, out=d_a1)
+    d_a1 *= np.greater(z1, 0, out=live)  # now d_z1
+    np.matmul(x.T, d_a1, out=grads["W1"])
+    d_a1.sum(axis=0, out=grads["b1"])
+    return buf["grad"]
 
 
 def triplet_grad(model: EmbeddingModel, anchors, positives, negatives,
-                 delta: float) -> tuple[float, np.ndarray]:
+                 delta: float, buffers: dict[str, np.ndarray] | None = None
+                 ) -> tuple[float, np.ndarray]:
     """Mean batch hinge loss and its exact parameter gradient.
 
     Inactive hinges contribute zero loss and zero gradient. Returns
-    ``(loss, grads)``; ``grads`` has the layout of ``model.theta``.
+    ``(loss, grads)``; ``grads`` has the layout of ``model.theta``. The passes
+    run in ``buffers`` (:func:`_buffers` of >= 3·B rows; ``grads`` is their
+    ``grad``), else in new ones sized to the batch.
     """
     if delta <= 0:
         raise ConfigError(f"margin must be positive, got {delta}")
-    a = as_frames(anchors)
-    p = as_frames(positives)
-    n = as_frames(negatives)
+    a, p, n = (as_frames(x) for x in (anchors, positives, negatives))
     if not (a.shape == p.shape == n.shape):
         raise DimensionError("anchor/positive/negative batches must share one shape")
     count = a.shape[0]
+    buf = _buffers(model, 3 * count) if buffers is None else buffers
 
-    stacked = np.concatenate([a, p, n], axis=0)
-    y, cache = _forward(model, stacked)
-    ya, yp, yn = y[:count], y[count:2 * count], y[2 * count:]
+    x = np.concatenate([a, p, n], axis=0, out=buf["x"][:3 * count])
+    ya, yp, yn = np.split(_forward(model, x, buf)[0], 3)
+    d_ya, d_yp, d_yn = np.split(buf["d_y"][:3 * count], 3)
 
-    dpos = ya - yp
-    dneg = ya - yn
-    pre = np.sum(dpos * dpos, axis=1) - np.sum(dneg * dneg, axis=1) + delta
-    active = pre > 0
+    dpos = np.subtract(ya, yp, out=d_yp)
+    dneg = np.subtract(ya, yn, out=d_yn)
+    pre = np.sum(np.multiply(dpos, dpos, out=d_ya), axis=1)
+    pre -= np.sum(np.multiply(dneg, dneg, out=d_ya), axis=1)
+    pre += delta
     loss = float(np.sum(np.maximum(pre, 0.0)) / count)
 
-    scale = (2.0 / count) * active[:, None]
-    d_ya = scale * (yn - yp)
-    d_yp = -scale * dpos
-    d_yn = scale * dneg
-    d_y = np.concatenate([d_ya, d_yp, d_yn], axis=0)
-    return loss, _backprop(model, cache, d_y)
+    scale = (2.0 / count) * (pre > 0)[:, None]  # 0 for an inactive hinge
+    np.multiply(scale, np.subtract(yn, yp, out=d_ya), out=d_ya)
+    np.multiply(-scale, dpos, out=d_yp)
+    np.multiply(scale, dneg, out=d_yn)
+    return loss, _backprop(model, x, buf)
 
 
 def _sample_triplet_indices(pi: np.ndarray, chunk_feats: np.ndarray, offset: int,
@@ -366,6 +390,7 @@ def train(dataset: Dataset, config: TrainConfig,
     pairs_per_epoch = len(dataset) if config.pairs_per_epoch is None else config.pairs_per_epoch
     sequences = dataset.sequences
     g = rng.gen
+    buffers = _buffers(model, 3 * config.triplets_per_batch)  # every batch reuses them
 
     for epoch in range(config.max_epochs):
         p = config.percentile_at(epoch)
@@ -392,7 +417,7 @@ def train(dataset: Dataset, config: TrainConfig,
                     continue
                 rows = np.concatenate([query.frames[aj], target.frames[pj], target.frames[nj]])
                 a, pos, neg = np.split(augment(rows, config.noise_sigma, feature_std, rng), 3)
-                loss, grads = triplet_grad(model, a, pos, neg, config.margin)
+                loss, grads = triplet_grad(model, a, pos, neg, config.margin, buffers)
                 sgd.step(loss, grads)
                 log.batch_loss.append(loss)
                 log.batch_epoch.append(epoch)

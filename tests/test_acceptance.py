@@ -144,6 +144,15 @@ def test_criterion_04_gradient_fidelity():
 
 def test_criterion_05_representation_quality(ref_config, ref_dataset, ref_model,
                                              pipeline_timings):
+    """Trained retrieval AUC at least 0.05 above the whitened baseline's.
+
+    The gap depends on the training seed. Retraining the reference config
+    with seeds 99, 1, 2, 3, 4 and 5 (same data and eval stream) gave trained
+    AUCs 0.812, 0.732, 0.829, 0.855, 0.887 and 0.864 against whitened 0.734,
+    so the gate held for 5 of the 6 seeds and failed for seed 1 (gap
+    -0.002). It therefore pins one training run, ``TRAIN_SEED = 99``, and
+    checks that run rather than the learner over seeds.
+    """
     eval_rng = RngState(EVAL_SEED)
     t0 = time.perf_counter()
     auc_trained = sr.retrieval_auc(ref_dataset, ref_model, num_queries=500,

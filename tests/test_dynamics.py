@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from seqrep.core import (
 from seqrep.dynamics import (
     PredictorConfig,
     RecurrentPredictor,
+    _cell_forward,
     batch_loss_and_grad,
     init_predictor,
     interpolate_features,
@@ -143,6 +145,20 @@ class TestForward:
         contexts = rng.gen.normal(size=(batch, length, d))
         np.testing.assert_array_equal(rnn_forward_batch(pred, contexts),
                                       per_step_forward(pred, contexts)[0])
+
+    def test_row_blocks_keep_the_bits_and_bound_the_memory(self, rng):
+        # the k-NN protocol's 1,750 windows at the reference shapes: one
+        # unblocked cell run peaked at 236 MB for a 1.7 MB output
+        pred = init_predictor(128, 512, 4, RngState(7))
+        contexts = random_unit_rows(rng.gen, 1750 * 4, 128).reshape(1750, 4, 128)
+        tracemalloc.start()
+        try:
+            y = rnn_forward_batch(pred, contexts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000_000
+        np.testing.assert_array_equal(y, _cell_forward(pred, contexts)[0])
 
     def test_dimension_mismatch(self, rng):
         pred = init_predictor(3, 6, 4, RngState(1))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from seqrep.core import (
     Dataset,
     DimensionError,
     DivergenceError,
+    MomentumSGD,
     RngState,
     Sequence,
     pairwise_sqdist,
@@ -166,6 +168,98 @@ class TestTripletGrad:
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
         np.testing.assert_allclose(grads_b, np.mean([s[1] for s in singles], axis=0),
                                    atol=1e-12)
+
+
+def allocating_triplet_grad(model, a, p, n, delta):
+    """The encoder's loss and gradient as plain allocating numpy expressions,
+    in the order the buffered passes run them."""
+    x = np.concatenate([a, p, n])
+    z1 = x @ model.W1 + model.b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ model.W2 + model.b2
+    norms = np.linalg.norm(z2, axis=1)[:, None]
+    y = z2 / norms
+    ya, yp, yn = np.split(y, 3)
+    dpos, dneg = ya - yp, ya - yn
+    pre = np.sum(dpos * dpos, axis=1) - np.sum(dneg * dneg, axis=1) + delta
+    scale = (2.0 / len(a)) * (pre > 0)[:, None]
+    d_y = np.concatenate([scale * (yn - yp), -scale * dpos, scale * dneg])
+    d_z2 = (d_y - y * np.sum(y * d_y, axis=1, keepdims=True)) / norms
+    d_z1 = (d_z2 @ model.W2.T) * (z1 > 0)
+    grad = np.concatenate([(x.T @ d_z1).ravel(), d_z1.sum(axis=0),
+                           (a1.T @ d_z2).ravel(), d_z2.sum(axis=0)])
+    return float(np.sum(np.maximum(pre, 0.0)) / len(a)), grad
+
+
+class TestReusedBuffers:
+    """The trainer's one buffer set against fresh per-call arrays, bit for bit."""
+
+    DELTA = 0.05  # about half the hinges of a random batch are active
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return init_embedding_model(64, 256, 128, RngState(21))  # reference shapes
+
+    @staticmethod
+    def batch(seed, count):
+        g = np.random.default_rng(seed)
+        return tuple(g.normal(size=(count, 64)) for _ in range(3))
+
+    @staticmethod
+    def nan_buffers(model, rows):
+        buf = embed._buffers(model, rows)
+        for arr in buf.values():
+            arr[...] = False if arr.dtype == bool else np.nan
+        return buf
+
+    @pytest.mark.parametrize("count", [300, 137], ids=["full", "short"])
+    def test_stale_buffers_equal_a_fresh_call(self, model, count):
+        batch = self.batch(count, count)
+        loss, grad = triplet_grad(model, *batch, self.DELTA, self.nan_buffers(model, 900))
+        fresh_loss, fresh_grad = triplet_grad(model, *batch, self.DELTA)
+        assert loss == fresh_loss
+        np.testing.assert_array_equal(grad, fresh_grad)
+
+    def test_successive_batches_of_different_sizes(self, model):
+        buf = self.nan_buffers(model, 900)
+        for count in (300, 137, 300, 5):
+            batch = self.batch(count + 1, count)
+            loss, grad = triplet_grad(model, *batch, self.DELTA, buf)
+            assert grad is buf["grad"]
+            fresh = triplet_grad(model, *batch, self.DELTA)
+            assert loss == fresh[0]
+            np.testing.assert_array_equal(grad, fresh[1])
+
+    @pytest.mark.parametrize("count", [300, 137])
+    def test_equals_the_allocating_expressions(self, model, count):
+        batch = self.batch(count + 2, count)
+        loss, grad = triplet_grad(model, *batch, self.DELTA, self.nan_buffers(model, 900))
+        ref_loss, ref_grad = allocating_triplet_grad(model, *batch, self.DELTA)
+        assert 0.0 < loss == ref_loss
+        assert grad.any()
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_collapse_check_fires_on_the_buffered_path(self):
+        model = EmbeddingModel(np.zeros(2 * 3 + 3 + 3 * 2 + 2), 2, 3, 2)
+        x = np.ones((4, 2))
+        with pytest.raises(DegenerateInputError, match="collapsed"):
+            triplet_grad(model, x, x, x, self.DELTA, self.nan_buffers(model, 12))
+
+    def test_warm_training_step_allocates_under_half_a_megabyte(self, model):
+        # the allocating passes peaked at 14.3 MB a step, fresh pages every
+        # batch; one (900, 128) temporary alone would be 0.92 MB
+        trained = replace(model, theta=model.theta)  # a copy that the steps move
+        sgd = MomentumSGD(trained.theta, 0.01, 0.9, "embed")
+        buf = embed._buffers(trained, 900)
+        batch = self.batch(9, 300)
+        sgd.step(*triplet_grad(trained, *batch, self.DELTA, buf))
+        tracemalloc.start()
+        try:
+            sgd.step(*triplet_grad(trained, *batch, self.DELTA, buf))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
 
 def drawn_negatives(pi, feats, p, window, seed=0):
@@ -427,6 +521,25 @@ class TestTrain:
         for q, t, pen, sol in chunks:
             assert alignment_cost(q, t, sol.pi, pen).total == pytest.approx(
                 sol.total_cost, rel=1e-9)
+
+    def test_every_batch_runs_in_one_buffer_set(self, small_dataset, monkeypatch):
+        seen = []
+        grad_fn = embed.triplet_grad
+
+        def recorded(model, a, p, n, delta, buffers):
+            seen.append((buffers, len(a)))
+            return grad_fn(model, a, p, n, delta, buffers)
+
+        monkeypatch.setattr(embed, "triplet_grad", recorded)
+        # a wide exclusion window empties some pools, so short batches run too
+        cfg = TrainConfig(max_epochs=2, triplets_per_batch=40, hidden_dim=16,
+                          embed_dim=8, bootstrap_epochs=1, exclusion_window=8)
+        _, log = train(small_dataset, cfg, chunk_len=20, rng=RngState(42))
+        assert len(seen) == len(log.batch_loss) > 1
+        buf = seen[0][0]
+        assert all(b is buf for b, _ in seen)
+        assert buf["x"].shape == (3 * 40, small_dataset.dimension)
+        assert any(count < 40 for _, count in seen)
 
     def test_percentile_schedule(self):
         cfg = TrainConfig()
