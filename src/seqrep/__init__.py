@@ -54,6 +54,7 @@ from .dynamics import (
     rnn_forward_batch,
     synthesize,
     train_predictor,
+    transition_pairs,
 )
 from .synthdata import (
     GeneratorConfig,

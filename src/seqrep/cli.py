@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error. Every
 command takes ``--seed`` to override the configured seed; identical inputs
-plus identical seed reproduce byte-identical outputs.
+plus identical seed reproduce byte-identical outputs at a fixed BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def _cmd_train_dyn(args) -> int:
     return 0
 
 
-def _cmd_eval_retrieval(args, cfg: RunConfig) -> int:
+def _cmd_eval_retrieval(args) -> int:
+    cfg = _load_run_config(args)
     dataset = seqpack.read_seqpack(args.data)
     model = seqpack.load_model(args.model)
     ev = cfg.eval
@@ -153,7 +155,8 @@ def _cmd_eval_retrieval(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_eval_zeroshot(args, cfg: RunConfig) -> int:
+def _cmd_eval_zeroshot(args) -> int:
+    cfg = _load_run_config(args)
     train_ds = seqpack.read_seqpack(args.data)
     test_ds = seqpack.read_seqpack(args.test)
     model = seqpack.load_model(args.model)
@@ -173,7 +176,8 @@ def _cmd_eval_zeroshot(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_eval_predict(args, cfg: RunConfig) -> int:
+def _cmd_eval_predict(args) -> int:
+    cfg = _load_run_config(args)
     dataset = seqpack.read_seqpack(args.data)
     model = seqpack.load_model(args.model)
     pred = seqpack.load_predictor(args.pred)
@@ -198,7 +202,8 @@ def _cmd_eval_predict(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_eval_alignment(args, cfg: RunConfig) -> int:
+def _cmd_eval_alignment(args) -> int:
+    cfg = _load_run_config(args)
     model = seqpack.load_model(args.model)
     ev = cfg.eval
     dp_scores, nn_scores = evaluate.alignment_benchmark(
@@ -216,16 +221,6 @@ def _cmd_eval_alignment(args, cfg: RunConfig) -> int:
     print(f"alignment accuracy dp {np.mean(dp_scores):.4f} "
           f"vs nearest-neighbor {np.mean(nn_scores):.4f}")
     return 0
-
-
-def _cmd_eval(args) -> int:
-    cfg = _load_run_config(args)
-    return {
-        "retrieval": _cmd_eval_retrieval,
-        "zeroshot": _cmd_eval_zeroshot,
-        "predict": _cmd_eval_predict,
-        "alignment": _cmd_eval_alignment,
-    }[args.protocol](args, cfg)
 
 
 def _cmd_project(args) -> int:
@@ -294,7 +289,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="run an evaluation protocol")
     pe = p.add_subparsers(dest="protocol", required=True)
-    for name in ("retrieval", "zeroshot", "predict", "alignment"):
+    for name, func in (("retrieval", _cmd_eval_retrieval), ("zeroshot", _cmd_eval_zeroshot),
+                       ("predict", _cmd_eval_predict), ("alignment", _cmd_eval_alignment)):
         pp = pe.add_parser(name)
         common(pp)
         pp.add_argument("--out", required=True)
@@ -305,7 +301,7 @@ def build_parser() -> _Parser:
             pp.add_argument("--test", required=True)
         if name == "predict":
             pp.add_argument("--pred", required=True)
-        pp.set_defaults(func=_cmd_eval)
+        pp.set_defaults(func=func)
 
     p = sub.add_parser("project", help="2D projection of the embedded dataset")
     common(p)

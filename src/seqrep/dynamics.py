@@ -250,16 +250,20 @@ class PredictorLog:
     skipped_sequences: list[str] = field(default_factory=list)
 
 
-def _windows(emb: np.ndarray, context_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (context, next frame) pair of one embedded sequence, in time order.
+def transition_pairs(embedded, context_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (context, next frame) pair of each embedded sequence, concatenated in input order.
 
-    Needs ``len(emb) > context_len``. Returns ``(contexts, targets)`` of
-    shapes (w, l, d) and (w, d) with w = len(emb) - l: context t holds
-    frames t .. t+l-1 and its target is frame t+l. ``contexts`` is a
-    read-only strided view of ``emb``.
+    Context t of a sequence holds its frames t .. t+l-1 and its target is
+    frame t+l, so a sequence of n > l frames gives n - l pairs in time order
+    and a shorter one none. Returns ``(contexts, targets)`` of shapes
+    (w, l, d) and (w, d); no pair at all is a ConfigError.
     """
-    contexts = np.lib.stride_tricks.sliding_window_view(emb[:-1], context_len, axis=0)
-    return contexts.transpose(0, 2, 1), emb[context_len:]
+    long = [e for e in embedded if len(e) > context_len]
+    if not long:
+        raise ConfigError("no sequence is longer than the context length")
+    contexts = [np.lib.stride_tricks.sliding_window_view(e[:-1], context_len, axis=0)
+                .transpose(0, 2, 1) for e in long]
+    return np.concatenate(contexts), np.concatenate([e[context_len:] for e in long])
 
 
 def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 4,
@@ -290,16 +294,13 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
             log.skipped_sequences.append(s.id)
             continue
         embedded[s.id] = embed_batch(model, s.frames)
-    if not embedded:
-        raise ConfigError("no sequence is longer than the context length")
 
     # Each sequence's pairs form one block, blocks in sorted-id order. An
     # epoch permutes within every block, then takes rank 0 of each block,
     # rank 1 of each, and so on: the stable sort of the ranks.
-    windows = [_windows(embedded[sid], context_len) for sid in sorted(embedded)]
-    contexts = np.concatenate([c for c, _ in windows])
-    targets = np.concatenate([t for _, t in windows])
-    sizes = [len(t) for _, t in windows]
+    blocks = [embedded[sid] for sid in sorted(embedded)]
+    contexts, targets = transition_pairs(blocks, context_len)
+    sizes = [len(e) - context_len for e in blocks]
     starts = np.cumsum(sizes) - sizes
     round_robin = np.argsort(np.concatenate([np.arange(n) for n in sizes]), kind="stable")
 

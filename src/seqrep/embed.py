@@ -28,7 +28,7 @@ from .core import (
     block_views,
     pairwise_sqdist,
 )
-from .align import PenaltyConfig, _chunk_bounds, match_features
+from .align import PenaltyConfig, match_features
 
 
 @dataclass(frozen=True)
@@ -231,14 +231,13 @@ def _sample_triplet_indices(pi: np.ndarray, chunk_feats: np.ndarray, offset: int
     return anchors[a], positives[c] + offset, neg + offset
 
 
-def _descriptor_neighbors(feats: dict[str, np.ndarray], k: int) -> dict[str, list[str]]:
-    ids = sorted(feats)
-    mat = np.stack([feats[i].mean(axis=0) for i in ids])
+def _descriptor_neighbors(feats: list[np.ndarray], ids: list[str], k: int) -> np.ndarray:
+    """(N, k) positions of each sequence's k nearest mean descriptors; ties go to the smaller id."""
+    mat = np.stack([f.mean(axis=0) for f in feats])
     d2 = pairwise_sqdist(mat, mat)
     np.fill_diagonal(d2, np.inf)  # a sequence is not its own neighbour
-    # the ids are sorted, so a stable sort breaks distance ties by id
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return {sid: [ids[j] for j in row] for sid, row in zip(ids, order)}
+    rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # each id's sorted rank
+    return np.lexsort((np.broadcast_to(rank, d2.shape), d2), axis=1)[:, :k]
 
 
 def sequence_neighbors(dataset: Dataset, model: EmbeddingModel, k: int) -> dict[str, list[str]]:
@@ -249,7 +248,9 @@ def sequence_neighbors(dataset: Dataset, model: EmbeddingModel, k: int) -> dict[
     """
     if k >= len(dataset):
         raise ConfigError(f"neighborhood size {k} must be < number of sequences {len(dataset)}")
-    return _descriptor_neighbors({s.id: embed_batch(model, s.frames) for s in dataset}, k)
+    ids = [s.id for s in dataset]
+    table = _descriptor_neighbors([embed_batch(model, s.frames) for s in dataset], ids, k)
+    return {sid: [ids[j] for j in row] for sid, row in zip(ids, table)}
 
 
 def augment(x, sigma: float, feature_std, rng: RngState) -> np.ndarray:
@@ -375,12 +376,11 @@ def train(dataset: Dataset, config: TrainConfig,
         rng = RngState(0)
     all_frames = dataset.all_frames()
     feature_std = all_frames.std(axis=0)
+    sequences = dataset.sequences
+    ids = [s.id for s in sequences]
     whitener = fit_whitener(all_frames)
-
-    def bootstrap_features(frames):
-        w = whitener(frames)
-        norms = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
-        return w / norms
+    bootstrap = [w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
+                 for w in (whitener(s.frames) for s in sequences)]
 
     model = init_embedding_model(dataset.dimension, config.hidden_dim,
                                  config.embed_dim, rng.split(0))
@@ -388,28 +388,28 @@ def train(dataset: Dataset, config: TrainConfig,
     log = TrainLog()
     k = min(config.neighborhood_size, len(dataset) - 1)
     pairs_per_epoch = len(dataset) if config.pairs_per_epoch is None else config.pairs_per_epoch
-    sequences = dataset.sequences
     g = rng.gen
     buffers = _buffers(model, 3 * config.triplets_per_batch)  # every batch reuses them
 
     for epoch in range(config.max_epochs):
         p = config.percentile_at(epoch)
         if epoch < config.bootstrap_epochs:
-            feats = {s.id: bootstrap_features(s.frames) for s in sequences}
+            feats = bootstrap
         else:
-            feats = {s.id: embed_batch(model, s.frames) for s in sequences}
-        neighbors = _descriptor_neighbors(feats, k)
+            feats = [embed_batch(model, s.frames) for s in sequences]
+        neighbors = _descriptor_neighbors(feats, ids, k)
 
         for _ in range(pairs_per_epoch):
-            query = sequences[int(g.integers(len(sequences)))]
-            nbr_ids = neighbors[query.id]
-            target = dataset.by_id(nbr_ids[int(g.integers(len(nbr_ids)))])
-            q_feats, t_feats = feats[query.id], feats[target.id]
+            qi = int(g.integers(len(sequences)))
+            ti = int(neighbors[qi, g.integers(k)])
+            query, target = sequences[qi], sequences[ti]
+            q_feats, t_feats = feats[qi], feats[ti]
             matchings = match_features(q_feats, t_feats,
                                        penalties.resolve(q_feats, t_feats),
                                        chunk_len=chunk_len)
-            bounds = _chunk_bounds(t_feats.shape[0], chunk_len)
-            for (start, end), matching in zip(bounds, matchings):
+            # the chunks tile the target in offset order
+            starts = [m.target_offset for m in matchings]
+            for start, end, matching in zip(starts, starts[1:] + [len(t_feats)], matchings):
                 aj, pj, nj = _sample_triplet_indices(
                     matching.pi, t_feats[start:end], start, p,
                     config.triplets_per_batch, config.exclusion_window, rng)

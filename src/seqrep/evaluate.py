@@ -23,7 +23,7 @@ from .core import (ConfigError, Dataset, DimensionError, FormatError, RngState, 
                    pairwise_sqdist, write_file)
 from .align import Matching, PenaltyConfig, solve_exact_dp
 from .embed import EmbeddingModel, embed_batch
-from .dynamics import RecurrentPredictor, _windows, rnn_forward_batch
+from .dynamics import RecurrentPredictor, rnn_forward_batch, transition_pairs
 from .synthdata import GeneratorConfig, alignment_pair_config, resample_pair
 
 
@@ -189,12 +189,9 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
                           f"{exclusion_window} and {k_max}")
     l = predictor.context_len
     emb = [embed_batch(model, s.frames) for s in dataset]
-    windows = [_windows(e, l) for e in emb if len(e) > l]
-    if not windows:
-        raise ConfigError("no sequence is long enough for one transition")
-    truth = np.concatenate([t for _, t in windows])
-    preds = rnn_forward_batch(predictor, np.concatenate([c for c, _ in windows]))
-    pred_err = np.linalg.norm(preds - truth, axis=1)
+    contexts, truth = transition_pairs(emb, l)
+    pred_err = np.linalg.norm(rnn_forward_batch(predictor, contexts) - truth, axis=1)
+    del contexts  # a (w, l, d) copy; the distances below need only the targets
 
     # Squared distances, rooted after selection (sqrt is monotone). A sequence's
     # targets (rows) and frames (columns) are contiguous: its band is one slice.

@@ -76,13 +76,14 @@ def _write_payload(path: Path, values: np.ndarray):
 def write_seqpack(dataset: Dataset, path) -> Path:
     """Write a dataset as a SeqPack directory; returns the manifest path."""
     root = Path(path)
-    q = dataset.latent_dimension
+    # the one width of the latents present (a Dataset enforces it), 0 when none is
+    q = next((s.latent.shape[1] for s in dataset if s.latent is not None), 0)
     records = []
     for s in dataset:
         data_name = s.id + _DATA_SUFFIX
         _write_payload(root / data_name, s.frames)
         latent_name = None
-        if q and s.latent is not None:
+        if s.latent is not None:
             latent_name = s.id + _LATENT_SUFFIX
             _write_payload(root / latent_name, s.latent)
         records.append({
@@ -147,7 +148,7 @@ def read_seqpack(path) -> Dataset:
                 raise FormatError(f"{mpath}: latent file given but latent_dim is 0")
             latent = _read_payload(root / latent_name, rows, q)
         sequences.append(Sequence(id=seq_id, frames=frames, latent=latent))
-    return Dataset(dimension=f, sequences=tuple(sequences))
+    return _build(mpath, Dataset, f, tuple(sequences))
 
 
 def _write_container(path: Path, kind: int, dims: tuple[int, ...], extra: int,
@@ -189,7 +190,7 @@ def _read_container(path: Path, expect_kind: int, expect_ndims: int):
 
 
 def _build(path, cls, *args):
-    """``cls(*args)``; parameters the model rejects (size, finiteness, dims) are a FormatError."""
+    """``cls(*args)``; what the model or dataset rejects (size, dims, ids) is a FormatError."""
     try:
         return cls(*args)
     except (ConfigError, DegenerateInputError, DimensionError) as exc:

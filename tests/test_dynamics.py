@@ -26,6 +26,7 @@ from seqrep.dynamics import (
     rnn_forward_batch,
     synthesize,
     train_predictor,
+    transition_pairs,
 )
 from seqrep.embed import embed_batch, init_embedding_model
 from seqrep.seqpack import save_predictor
@@ -297,6 +298,25 @@ def tiny_setup():
     pred, log = train_predictor(ds, model, context_len=4, config=cfg,
                                 rng=RngState(9))
     return ds, model, pred, log
+
+
+class TestTransitionPairs:
+    def test_every_window_in_input_order(self):
+        # frame value = 100 * sequence + time, so each row names its source
+        l, d = 3, 2
+        lengths = (6, 3, 8, 4)  # the 3-frame sequence has no pair
+        embedded = [np.repeat(100.0 * i + np.arange(n), d).reshape(n, d)
+                    for i, n in enumerate(lengths)]
+        contexts, targets = transition_pairs(embedded, l)
+        expect = [(i, t) for i, n in enumerate(lengths) for t in range(n - l)]
+        assert contexts.shape == (len(expect), l, d) and targets.shape == (len(expect), d)
+        for row, (i, t) in enumerate(expect):
+            np.testing.assert_array_equal(contexts[row], embedded[i][t:t + l])
+            np.testing.assert_array_equal(targets[row], embedded[i][t + l])
+
+    def test_no_pair_raises(self):
+        with pytest.raises(ConfigError, match="longer than the context length"):
+            transition_pairs([np.zeros((4, 2)), np.zeros((2, 2))], 4)
 
 
 class TestTrainPredictor:

@@ -434,11 +434,28 @@ class TestSequenceNeighbors:
             assert lst == [o for _, o in expect]
 
     def test_distance_ties_go_to_the_smaller_id(self):
-        # one frame per sequence, so each descriptor is that frame
-        feats = {"c": np.array([[0.0]]), "a": np.array([[1.0]]), "b": np.array([[-1.0]]),
-                 "d": np.array([[2.0]])}
-        assert embed._descriptor_neighbors(feats, 2) == {
+        # one frame per sequence, so each descriptor is that frame; the
+        # positions follow the listing, which is not in id order
+        ids = ["c", "a", "b", "d"]
+        feats = [np.array([[0.0]]), np.array([[1.0]]), np.array([[-1.0]]), np.array([[2.0]])]
+        table = embed._descriptor_neighbors(feats, ids, 2)
+        assert table.shape == (4, 2)
+        assert {sid: [ids[j] for j in row] for sid, row in zip(ids, table)} == {
             "a": ["c", "d"], "b": ["c", "a"], "c": ["a", "b"], "d": ["a", "c"]}
+
+    def test_listing_order_does_not_change_the_lists(self, tiny_model, rng):
+        # "a", "b" and "e" share their frames, so their distances tie
+        g = rng.gen
+        shared = g.normal(size=(6, 5))
+        frames = {"a": shared, "b": shared, "e": shared,
+                  "c": g.normal(size=(6, 5)) + 1.0, "d": g.normal(size=(6, 5)) - 1.0}
+        by_id = Dataset(dimension=5, sequences=tuple(
+            Sequence(id=sid, frames=frames[sid]) for sid in sorted(frames)))
+        shuffled = Dataset(dimension=5, sequences=tuple(
+            Sequence(id=sid, frames=frames[sid]) for sid in ("e", "c", "a", "d", "b")))
+        nn = sequence_neighbors(by_id, tiny_model, 3)
+        assert sequence_neighbors(shuffled, tiny_model, 3) == nn
+        assert nn["a"][:2] == ["b", "e"] and nn["e"][:2] == ["a", "b"]
 
     def test_k_too_large_rejected(self, small_dataset, tiny_model):
         model = init_embedding_model(small_dataset.dimension, 8, 4, RngState(0))
@@ -521,6 +538,26 @@ class TestTrain:
         for q, t, pen, sol in chunks:
             assert alignment_cost(q, t, sol.pi, pen).total == pytest.approx(
                 sol.total_cost, rel=1e-9)
+
+    def test_each_chunk_mines_its_own_frames(self, small_dataset, monkeypatch):
+        # chunk_len 7 leaves a 1-frame remainder on the 50-frame sequences,
+        # which merges into the last chunk
+        expected, seen = [], []
+        match, sample = embed.match_features, embed._sample_triplet_indices
+
+        def matched(q, t, penalties, chunk_len):
+            expected.extend(_chunk_bounds(t.shape[0], chunk_len))
+            return match(q, t, penalties, chunk_len=chunk_len)
+
+        def sampled(pi, chunk_feats, offset, *args):
+            seen.append((offset, offset + chunk_feats.shape[0]))
+            return sample(pi, chunk_feats, offset, *args)
+
+        monkeypatch.setattr(embed, "match_features", matched)
+        monkeypatch.setattr(embed, "_sample_triplet_indices", sampled)
+        cfg = TrainConfig(max_epochs=1, triplets_per_batch=20, hidden_dim=16, embed_dim=8)
+        train(small_dataset, cfg, chunk_len=7, rng=RngState(3))
+        assert seen == expected and any(e - s == 8 for s, e in seen)
 
     def test_every_batch_runs_in_one_buffer_set(self, small_dataset, monkeypatch):
         seen = []

@@ -201,6 +201,34 @@ class TestSeqPack:
         assert back.latent_dimension == 0
         assert all(s.latent is None for s in back)
 
+    def test_partly_labelled_dataset_keeps_its_latents(self, rng, tmp_path):
+        g = rng.gen
+        lat = g.normal(size=(3, 2)).astype(np.float32).astype(np.float64)
+        ds = Dataset(dimension=2, sequences=(
+            Sequence(id="a", frames=g.normal(size=(3, 2)), latent=lat),
+            Sequence(id="b", frames=g.normal(size=(4, 2))),
+        ))
+        write_seqpack(ds, tmp_path / "p")
+        manifest = json.loads((tmp_path / "p" / MANIFEST_NAME).read_text())
+        assert manifest["latent_dim"] == 2
+        assert [r["latent"] for r in manifest["sequences"]] == ["a.lat.f32", None]
+        a, b = read_seqpack(tmp_path / "p")
+        np.testing.assert_array_equal(a.latent, lat)
+        assert b.latent is None
+
+    @pytest.mark.parametrize("records, message", [
+        (lambda recs: recs[:1], "at least 2 sequences"),
+        (lambda recs: [recs[0], recs[0]], "ids must be unique"),
+    ], ids=["one-sequence", "duplicate-id"])
+    def test_records_that_form_no_dataset_name_the_manifest(self, dataset, tmp_path,
+                                                            records, message):
+        mpath = write_seqpack(dataset, tmp_path / "p")
+        manifest = json.loads(mpath.read_text())
+        manifest["sequences"] = records(manifest["sequences"])
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=rf"manifest\.json: .*{message}"):
+            read_seqpack(tmp_path / "p")
+
 
 class TestModelContainer:
     def test_embedding_round_trip_exact(self, tmp_path):
