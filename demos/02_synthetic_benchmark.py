@@ -16,7 +16,7 @@ cfg = sr.reference_run_config().generator
 ds = sr.generate_dataset(cfg)
 again = sr.generate_dataset(cfg)
 print(f"{len(ds)} sequences, feature dim {ds.dimension}, "
-      f"latent dim {ds.latent_dimension}")
+      f"latent dim {ds.sequences[0].latent.shape[1]}")
 print("deterministic:", np.array_equal(ds.sequences[0].frames,
                                        again.sequences[0].frames))
 

@@ -151,7 +151,7 @@ class MomentumSGD:
         self.momentum = momentum
         self.stage = stage
         self.velocity = np.zeros_like(theta)
-        self._scaled = np.empty_like(theta)  # learning_rate * g, leaving the caller's g
+        self._scaled = np.empty_like(theta)  # scratch: learning_rate * g, the epoch's move
         self.epoch = 0
         self.batch = 0  # steps taken in the current epoch
         self.last_loss = math.nan
@@ -183,8 +183,9 @@ class MomentumSGD:
         if not np.all(np.isfinite(self.theta)):
             raise DivergenceError(self.stage, self.epoch, self.batch - 1, self.last_loss,
                                   "non-finite parameters")
-        delta = float(np.linalg.norm(self.theta - self._epoch_start))
-        self._epoch_start = self.theta.copy()
+        delta = float(np.linalg.norm(np.subtract(self.theta, self._epoch_start,
+                                                 out=self._scaled)))
+        np.copyto(self._epoch_start, self.theta)
         self.epoch += 1
         self.batch = 0
         return delta
@@ -272,13 +273,6 @@ class Dataset:
             if s.id == seq_id:
                 return s
         raise ConfigError(f"no sequence with id {seq_id!r}")
-
-    @property
-    def latent_dimension(self) -> int:
-        """Latent dimension q, or 0 if any sequence lacks latents."""
-        if any(s.latent is None for s in self.sequences):
-            return 0
-        return self.sequences[0].latent.shape[1]
 
     def all_frames(self) -> np.ndarray:
         return np.concatenate([s.frames for s in self.sequences], axis=0)

@@ -15,12 +15,9 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import pdist
-from scipy.stats import rankdata
 
-from .core import (ConfigError, Dataset, DimensionError, FormatError, RngState, as_frames,
-                   pairwise_sqdist, write_file)
+from .core import (ConfigError, Dataset, DegenerateInputError, DimensionError, FormatError,
+                   RngState, as_frames, pairwise_sqdist, write_file)
 from .align import Matching, PenaltyConfig, solve_exact_dp
 from .embed import EmbeddingModel, embed_batch
 from .dynamics import RecurrentPredictor, rnn_forward_batch, transition_pairs
@@ -53,22 +50,79 @@ def _require_latents(dataset: Dataset):
         raise ConfigError("this metric needs latent ground truth on every sequence")
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n along the last axis of ``a``, tied values sharing their mean rank.
+
+    Equal to ``scipy.stats.rankdata(a, axis=-1)``: every rank is a whole or
+    half integer, exact in float64. A run of tied values gets its mean rank
+    whatever the order of its members, so the sort need not be stable. NaN
+    has no rank: it is a :class:`DegenerateInputError`.
+    """
+    order = np.argsort(a, axis=-1)
+    s = np.take_along_axis(a, order, axis=-1)
+    if np.isnan(s[..., -1]).any():  # argsort puts NaN last
+        raise DegenerateInputError("cannot rank NaN scores")
+    first = np.ones(s.shape, dtype=bool)  # s[..., p] starts a run of equal values
+    np.not_equal(s[..., 1:], s[..., :-1], out=first[..., 1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=first.size)
+    # each run's mean 1-based flat position, less its row's flat offset
+    sorted_ranks = np.repeat(starts + (counts + 1) / 2.0, counts).reshape(a.shape)
+    sorted_ranks -= np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1] + (1,))
+    ranks = np.empty(a.shape)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
+    return ranks
+
+
 def roc_auc(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
-    """Rank-based (Mann-Whitney) AUC with tie correction."""
+    """Rank-based (Mann-Whitney) AUC with tie correction; a NaN score is rejected."""
     pos = np.asarray(scores_pos, dtype=np.float64)
     neg = np.asarray(scores_neg, dtype=np.float64)
     if pos.size == 0 or neg.size == 0:
         raise ConfigError("AUC needs at least one positive and one negative")
-    ranks = rankdata(np.concatenate([pos, neg]))
+    ranks = _average_ranks(np.concatenate([pos, neg]))
     u = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
 
 
+_OFFSET_BLOCK = 16  # pair offsets per block in default_pose_epsilon; (16, N) stays in cache
+
+
 def default_pose_epsilon(dataset: Dataset, percentile: float = 5.0) -> float:
-    """Instance-relative match threshold: a low percentile of latent distances."""
+    """Instance-relative match threshold: a low percentile of latent distances.
+
+    Equal, bit for bit, to ``np.percentile(scipy.spatial.distance.pdist(z),
+    percentile)`` over the stacked latents z: each distance adds its squared
+    coordinate differences in coordinate order, as ``pdist`` does, and a
+    percentile depends only on the multiset of distances, not their order.
+    """
     _require_latents(dataset)
     z = np.concatenate([s.latent for s in dataset], axis=0)
-    return float(np.percentile(pdist(z), percentile))
+    n = z.shape[0]
+    # Frame i meets frame (i + t) mod n. Each offset t < n/2 gives n distinct
+    # pairs; t = n/2 (n even) meets each of its pairs twice, so it keeps its
+    # first n/2. A block of offsets is one window view of the latents repeated.
+    zz = np.tile(z.T, 2)
+    win = np.lib.stride_tricks.sliding_window_view(zz, n, axis=1)  # win[k, t, i] = zz[k, t + i]
+    full = (n - 1) // 2
+    spans = [(t, min(t + _OFFSET_BLOCK, full + 1), n) for t in range(1, full + 1, _OFFSET_BLOCK)]
+    if n % 2 == 0:
+        spans.append((n // 2, n // 2 + 1, n // 2))
+    dist = np.empty(n * (n - 1) // 2)
+    scratch = np.empty(_OFFSET_BLOCK * n)
+    pos = 0
+    for lo, hi, cols in spans:
+        out = dist[pos:pos + (hi - lo) * cols].reshape(hi - lo, cols)
+        tmp = scratch[:out.size].reshape(out.shape)
+        pos += out.size
+        np.subtract(win[0, lo:hi, :cols], zz[0, :cols], out=out)
+        np.multiply(out, out, out=out)
+        for k in range(1, z.shape[1]):
+            np.subtract(win[k, lo:hi, :cols], zz[k, :cols], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            out += tmp
+        np.sqrt(out, out=out)
+    return float(np.percentile(dist, percentile, overwrite_input=True))
 
 
 def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
@@ -103,7 +157,7 @@ def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
     for lo, hi in zip(starts, starts[1:]):
         qs, others = queries[(lo <= queries) & (queries < hi)], np.r_[0:lo, hi:total]
         labels = np.linalg.norm(lats[others] - lats[qs, None], axis=2) <= pose_epsilon
-        ranks = rankdata(-pairwise_sqdist(feats[qs], feats[others]), axis=1)
+        ranks = _average_ranks(-pairwise_sqdist(feats[qs], feats[others]))
         # Mann-Whitney U per row; average ranks are half-integers, so the sums are exact
         n_pos, n_neg = labels.sum(axis=1), (~labels).sum(axis=1)
         u = np.where(labels, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
@@ -333,6 +387,7 @@ def agglomerative_representatives(dataset: Dataset, embedder,
     if num_clusters == n:
         return list(refs)
 
+    from scipy.cluster.hierarchy import fcluster, linkage  # the package's one scipy user
     labels = fcluster(linkage(feats, method="average"), t=num_clusters,
                       criterion="maxclust")
     reps = []

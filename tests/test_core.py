@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,8 +169,9 @@ def test_dataset_rejects_latents_of_different_widths():
     b = Sequence(id="b", frames=g.normal(size=(10, 2)), latent=g.normal(size=(10, 3)))
     with pytest.raises(DimensionError, match="latents must share one dimension"):
         Dataset(dimension=2, sequences=(a, b))
-    c = Sequence(id="c", frames=g.normal(size=(10, 2)))
-    assert Dataset(dimension=2, sequences=(a, c)).latent_dimension == 0
+    c = Sequence(id="c", frames=g.normal(size=(10, 2)))  # a missing latent is no second width
+    mixed = Dataset(dimension=2, sequences=(a, c))
+    assert mixed.by_id("a").latent.shape == (10, 2) and mixed.by_id("c").latent is None
 
 
 def test_rng_reproducibility():
@@ -220,6 +222,27 @@ def test_momentum_sgd_matches_the_per_block_update():
     np.testing.assert_array_equal(theta, ref_theta)  # updated in place, bit for bit
     assert sgd.end_epoch() == float(np.linalg.norm(theta - start))
     assert (sgd.epoch, sgd.batch) == (1, 0)
+
+
+def test_momentum_sgd_end_epoch_allocates_no_parameter_sized_vector():
+    # a fresh theta - start and theta.copy() per epoch are 11 MB each for the predictor
+    g = RngState(9).gen
+    theta = g.normal(size=250_000)
+    start = theta.copy()
+    sgd = MomentumSGD(theta, learning_rate=0.03, momentum=0.9, stage="predictor")
+    sgd.step(1.0, g.normal(size=theta.size))
+    expect = float(np.linalg.norm(theta - start))
+    tracemalloc.start()
+    try:
+        delta = sgd.end_epoch()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < theta.nbytes // 4  # the finiteness mask, one byte a parameter, stays
+    assert delta == expect  # the same norm of the same values
+    start = theta.copy()
+    sgd.step(1.0, g.normal(size=theta.size))
+    assert sgd.end_epoch() == float(np.linalg.norm(theta - start))  # the new epoch's start
 
 
 def test_momentum_sgd_reports_divergence():

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.spatial.distance import pdist
+from scipy.stats import rankdata
 
+from seqrep import evaluate
 from seqrep.core import (ConfigError, Dataset, DegenerateInputError, DimensionError,
                          FormatError, RngState, Sequence, pairwise_sqdist)
 from seqrep.align import Matching
@@ -42,6 +46,52 @@ class TestRocAuc:
         wins = sum(1.0 if p > n else 0.5 if p == n else 0.0
                    for p in pos for n in neg)
         assert roc_auc(pos, neg) == pytest.approx(wins / (20 * 30), rel=1e-12)
+
+    def test_nan_score_is_rejected_and_infinities_keep_their_order(self):
+        for pos, neg in (([np.nan], [1.0]), ([1.0], [2.0, np.nan])):
+            with pytest.raises(DegenerateInputError, match="NaN"):
+                roc_auc(pos, neg)
+        assert roc_auc([np.inf], [1.0, np.inf]) == 0.75
+        assert roc_auc([-np.inf], [-np.inf, 0.0]) == 0.25
+
+
+rank_shapes = array_shapes(min_dims=1, max_dims=2, max_side=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(
+    arrays(np.float64, rank_shapes, elements=st.integers(-3, 3).map(float)),  # many ties
+    arrays(np.float64, rank_shapes, elements=st.floats(allow_nan=False)),  # +-inf, +-0
+    rank_shapes.map(lambda shape: np.full(shape, 2.5)),  # all-equal rows
+))
+def test_average_ranks_equal_scipy_rankdata(a):
+    expect = rankdata(a, axis=-1)
+    got = evaluate._average_ranks(a)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+def latent_only_dataset(z, split):
+    """Two sequences whose frames are their latents: z[:split] and z[split:]."""
+    return Dataset(dimension=z.shape[1], sequences=(
+        Sequence(id="a", frames=z[:split], latent=z[:split]),
+        Sequence(id="b", frames=z[split:], latent=z[split:])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(z=arrays(np.float64, st.tuples(st.integers(2, 70), st.integers(1, 4)),
+                elements=st.floats(-1e3, 1e3)),
+       split=st.floats(0.0, 1.0),
+       percentile=st.sampled_from([0.0, 5.0, 37.5, 50.0, 100.0]))
+def test_pose_epsilon_equals_pdist_percentile_bit_for_bit(z, split, percentile):
+    ds = latent_only_dataset(z, 1 + int(split * (len(z) - 2)))
+    assert default_pose_epsilon(ds, percentile) == np.percentile(pdist(z), percentile)
+
+
+@pytest.mark.parametrize("percentile", [1.0, 5.0, 50.0, 95.0])
+def test_pose_epsilon_on_the_reference_dataset_equals_pdist(ref_dataset, percentile):
+    z = np.concatenate([s.latent for s in ref_dataset])
+    expect = np.percentile(pdist(z), percentile)
+    assert default_pose_epsilon(ref_dataset, percentile) == expect
 
 
 class TestRetrieval:
@@ -81,6 +131,15 @@ class TestRetrieval:
                             percentile)
         eps = default_pose_epsilon(small_dataset, percentile)
         assert eps == pytest.approx(old, rel=1e-12, abs=0)
+
+    def test_overflowing_feature_distances_are_rejected(self):
+        # |a|^2 + |b|^2 - 2 a.b is inf - inf: a NaN distance has no rank
+        z = np.array([[0.0], [1.0]])
+        ds = latent_only_dataset(np.concatenate([z, z]), 2)
+        big = [np.array([[1e200], [-1e200]])] * 2
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateInputError, match="NaN"):
+            retrieval_auc_from_features(ds, big, pose_epsilon=0.5)
 
     def test_deterministic_given_rng(self, small_dataset):
         model = init_embedding_model(small_dataset.dimension, 16, 8, RngState(3))

@@ -198,7 +198,6 @@ class TestSeqPack:
         ))
         write_seqpack(ds, tmp_path / "p")
         back = read_seqpack(tmp_path / "p")
-        assert back.latent_dimension == 0
         assert all(s.latent is None for s in back)
 
     def test_partly_labelled_dataset_keeps_its_latents(self, rng, tmp_path):

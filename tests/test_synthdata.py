@@ -34,7 +34,7 @@ class TestConfig:
         ds = generate_dataset(cfg)
         assert len(ds) == 12
         assert ds.dimension == 64
-        assert ds.latent_dimension == 2
+        assert {s.latent.shape[1] for s in ds} == {2}
         assert all(140 <= len(s) <= 160 for s in ds)
 
 
