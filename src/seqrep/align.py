@@ -143,18 +143,10 @@ def alignment_cost(query_emb, target_emb, pi, penalties: MatchPenalties) -> Cost
                          duplicate=duplicate, gap=gap)
 
 
-def _sqdist(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The data costs of an instance; a DegenerateInputError where they overflow."""
-    d2 = pairwise_sqdist(q, t)
-    if not np.all(np.isfinite(d2)):
-        raise DegenerateInputError("squared distances between query and target overflow")
-    return d2
-
-
 def default_penalties(query_emb, target_emb) -> MatchPenalties:
     """Instance-relative penalty defaults, scaled by the mean pairwise data cost."""
     q, t = _check_instance(query_emb, target_emb)
-    e_unary = float(np.mean(_sqdist(q, t)))
+    e_unary = float(np.mean(pairwise_sqdist(q, t)))
     return MatchPenalties(
         lambda1=10.0 * e_unary,
         lambda2=0.5 * e_unary,
@@ -206,7 +198,7 @@ def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matchi
         )
 
     # Per-position assignment cost: column 0 is the outlier price.
-    d2 = _sqdist(q, t)
+    d2 = pairwise_sqdist(q, t)
     unary = np.concatenate(
         [np.full((n, 1), penalties.outlier_cost), d2], axis=1
     )
@@ -308,7 +300,7 @@ def _solve_batch(unary: np.ndarray, penalties: MatchPenalties) -> tuple[np.ndarr
 
 def _solve_chunks(q: np.ndarray, t: np.ndarray, bounds, penalties: MatchPenalties) -> list[Matching]:
     """Solve ``q`` against every target chunk ``[s, e)`` of ``bounds`` in one batch."""
-    d2 = _sqdist(q, t)
+    d2 = pairwise_sqdist(q, t)
     width = max(e - s for s, e in bounds) + 1
     unary = np.full((len(bounds), q.shape[0], width), np.inf)
     unary[:, :, 0] = penalties.outlier_cost

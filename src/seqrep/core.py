@@ -74,15 +74,29 @@ def as_frames(x, name: str = "frames") -> np.ndarray:
     return a
 
 
+_BLOCK = 1 << 15  # elements per block of the in-place passes below; their scratch is one block
+
+
 def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) squared euclidean distances between the rows of (n, d) ``a`` and (m, d) ``b``.
 
     Expanded as |a|^2 + |b|^2 - 2 a.b so no (n, m, d) difference array is
-    built; the rounding residue below zero is clipped.
+    built; the rounding residue below zero is clipped. One GEMM fills the
+    output, which the rest then overwrites row block by row block, so no
+    second (n, m) array exists. A distance that is not finite (the squared
+    norms overflow) raises :class:`DegenerateInputError`.
     """
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+    d = a @ b.T
+    rows = max(1, _BLOCK // max(1, d.shape[1]))
+    for lo in range(0, len(d), rows):
+        blk = d[lo:lo + rows]
+        np.subtract(aa[lo:lo + rows] + bb, 2.0 * blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+        if not np.isfinite(blk).all():
+            raise DegenerateInputError("squared distances overflow to inf or NaN")
+    return d
 
 
 def write_file(path, data: bytes | str) -> Path:
@@ -140,6 +154,8 @@ class MomentumSGD:
     up), or a positive loss with an exactly zero gradient (collapsed: no
     step can lower it) raises :class:`DivergenceError` naming ``stage``, the
     epoch and the batch, as does a non-finite vector in :meth:`end_epoch`.
+    Both walk the vector in blocks of ``_BLOCK`` elements, so their scratch
+    is one block, not a parameter-sized vector.
     """
 
     BLOWUP_FACTOR = 1000.0
@@ -151,7 +167,7 @@ class MomentumSGD:
         self.momentum = momentum
         self.stage = stage
         self.velocity = np.zeros_like(theta)
-        self._scaled = np.empty_like(theta)  # scratch: learning_rate * g, the epoch's move
+        self._scaled = np.empty(min(theta.size, _BLOCK))  # scratch: learning_rate * g, a block
         self.epoch = 0
         self.batch = 0  # steps taken in the current epoch
         self.last_loss = math.nan
@@ -172,19 +188,23 @@ class MomentumSGD:
                                   "collapsed: positive loss with an exactly zero gradient")
         if loss > 0 and math.isnan(self.first_loss):
             self.first_loss = loss
-        self.velocity *= self.momentum
-        self.velocity -= np.multiply(grad, self.learning_rate, out=self._scaled)
-        self.theta += self.velocity
+        for lo in range(0, self.theta.size, _BLOCK):
+            v = self.velocity[lo:lo + _BLOCK]
+            v *= self.momentum
+            v -= np.multiply(grad[lo:lo + _BLOCK], self.learning_rate,
+                             out=self._scaled[:len(v)])
+            self.theta[lo:lo + _BLOCK] += v
         self.batch += 1
         self.last_loss = loss
 
     def end_epoch(self) -> float:
         """Check the vector is finite; return its euclidean move over the epoch."""
-        if not np.all(np.isfinite(self.theta)):
-            raise DivergenceError(self.stage, self.epoch, self.batch - 1, self.last_loss,
-                                  "non-finite parameters")
+        for lo in range(0, self.theta.size, _BLOCK):
+            if not np.isfinite(self.theta[lo:lo + _BLOCK]).all():
+                raise DivergenceError(self.stage, self.epoch, self.batch - 1, self.last_loss,
+                                      "non-finite parameters")
         delta = float(np.linalg.norm(np.subtract(self.theta, self._epoch_start,
-                                                 out=self._scaled)))
+                                                 out=self._epoch_start)))
         np.copyto(self._epoch_start, self.theta)
         self.epoch += 1
         self.batch = 0

@@ -140,32 +140,32 @@ def _cell_backward(pred: RecurrentPredictor, cache, d_y: np.ndarray,
                    grad: np.ndarray) -> np.ndarray:
     """Backpropagate ``d_y`` = dL/dy through the cached cell into ``grad``.
 
-    ``cache`` is :func:`_cell_forward`'s time-major ``(X, Z, C, TC, H)``.
-    ``grad`` has the layout of ``theta`` and every entry of it is
-    overwritten, so what it held before does not matter. The (l, B, 4m)
-    gate gradients dZ are filled step by step, the forget gate's with 0 at
-    t = 0 (c0 = 0) and no dz·Whᵀ past it; then dWx = Xᵀ·dZ over l·B rows,
-    dWh = H[:-1]ᵀ·dZ[1:] over (l-1)·B rows (h0 = 0) and db = ΣdZ.
+    ``cache`` is :func:`_cell_forward`'s time-major ``(X, Z, C, TC, H)`` and
+    is consumed: the (l, B, 4m) gate gradients dZ go over Z step by step,
+    each gate's after the last read of its activation, the forget gate's
+    with 0 at t = 0 (c0 = 0) and no dz·Whᵀ past it. Then dWx = Xᵀ·dZ over
+    l·B rows, dWh = H[:-1]ᵀ·dZ[1:] over (l-1)·B rows (h0 = 0) and db = ΣdZ
+    overwrite every entry of ``grad``, which has the layout of ``theta``.
     """
-    X, Z, C, TC, H = cache
+    X, dZ, C, TC, H = cache
     m = pred.hidden_dim
     grads = pred.blocks(grad)
     np.matmul(H[-1].T, d_y, out=grads["Wy"])
     d_y.sum(axis=0, out=grads["by"])
-    dZ = np.empty_like(Z)
     dh = d_y @ pred.Wy.T
     dc = np.zeros_like(dh)
-    for t in reversed(range(len(Z))):
-        i, f, g, o = np.split(Z[t], 4, axis=1)
-        di, df, dg, do = np.split(dZ[t], 4, axis=1)
+    for t in reversed(range(len(dZ))):
+        i, f, g, o = np.split(dZ[t], 4, axis=1)  # the activations, until overwritten
         dc += dh * o * (1.0 - TC[t] * TC[t])
-        np.multiply(dc * g * i, 1.0 - i, out=di)
-        np.multiply(dc * (C[t - 1] if t else 0.0) * f, 1.0 - f, out=df)
-        np.multiply(dc * i, 1.0 - g * g, out=dg)
-        np.multiply(dh * TC[t] * o, 1.0 - o, out=do)
+        np.multiply(dh * TC[t] * o, 1.0 - o, out=o)
+        di = dc * g * i
+        np.multiply(dc * i, 1.0 - g * g, out=g)
+        np.multiply(di, 1.0 - i, out=i)
+        dc_next = dc * f  # f's last read: df goes over it
+        np.multiply(dc * (C[t - 1] if t else 0.0) * f, 1.0 - f, out=f)
+        dc = dc_next
         if t:
             dh = dZ[t] @ pred.Wh.T
-            dc *= f
     rows = dZ.reshape(-1, 4 * m)
     np.matmul(X.reshape(len(rows), X.shape[2]).T, rows, out=grads["Wx"])
     np.matmul(H[:-1].reshape(-1, m).T, dZ[1:].reshape(-1, 4 * m), out=grads["Wh"])
@@ -182,7 +182,7 @@ def _checked_contexts(pred: RecurrentPredictor, contexts) -> np.ndarray:
     return contexts
 
 
-_FORWARD_BLOCK = 256  # contexts per cell run in a forward-only call
+_FORWARD_BLOCK = 64  # contexts per cell run in a forward-only call
 
 
 def rnn_forward_batch(pred: RecurrentPredictor, contexts: np.ndarray) -> np.ndarray:
@@ -251,19 +251,23 @@ class PredictorLog:
 
 
 def transition_pairs(embedded, context_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (context, next frame) pair of each embedded sequence, concatenated in input order.
+    """Every (context, next frame) pair of each embedded sequence, in input order.
 
     Context t of a sequence holds its frames t .. t+l-1 and its target is
     frame t+l, so a sequence of n > l frames gives n - l pairs in time order
-    and a shorter one none. Returns ``(contexts, targets)`` of shapes
-    (w, l, d) and (w, d); no pair at all is a ConfigError.
+    and a shorter one none. Returns ``(windows, first)``: ``windows`` is an
+    (N - l, l + 1, d) read-only view of every run of l + 1 consecutive rows
+    of the N frames of those sequences concatenated, and pair k is
+    ``windows[first[k]]``, its context ``[:l]`` and its target ``[l]``. No
+    pair at all is a ConfigError.
     """
     long = [e for e in embedded if len(e) > context_len]
     if not long:
         raise ConfigError("no sequence is longer than the context length")
-    contexts = [np.lib.stride_tricks.sliding_window_view(e[:-1], context_len, axis=0)
-                .transpose(0, 2, 1) for e in long]
-    return np.concatenate(contexts), np.concatenate([e[context_len:] for e in long])
+    first = np.flatnonzero(np.concatenate(  # the rows with l more of their sequence after them
+        [np.arange(len(e)) < len(e) - context_len for e in long]))
+    return (np.lib.stride_tricks.sliding_window_view(np.concatenate(long), context_len + 1,
+                                                     axis=0).transpose(0, 2, 1), first)
 
 
 def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 4,
@@ -298,10 +302,11 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     # Each sequence's pairs form one block, blocks in sorted-id order. An
     # epoch permutes within every block, then takes rank 0 of each block,
     # rank 1 of each, and so on: the stable sort of the ranks.
-    blocks = [embedded[sid] for sid in sorted(embedded)]
-    contexts, targets = transition_pairs(blocks, context_len)
-    sizes = [len(e) - context_len for e in blocks]
-    starts = np.cumsum(sizes) - sizes
+    ids = sorted(embedded)
+    sizes = [len(embedded[sid]) - context_len for sid in ids]
+    # popped: the concatenated frames under the windows are then the only copy
+    windows, first = transition_pairs([embedded.pop(sid) for sid in ids], context_len)
+    starts = first[np.cumsum(sizes) - sizes]  # each block's first window
     round_robin = np.argsort(np.concatenate([np.arange(n) for n in sizes]), kind="stable")
 
     pred = init_predictor(model.embed_dim, config.hidden_dim, context_len,
@@ -311,12 +316,12 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     g = rng.gen
 
     for _ in range(config.max_epochs):
-        order = np.concatenate([first + g.permutation(n)
-                                for first, n in zip(starts, sizes)])[round_robin]
+        order = np.concatenate([s + g.permutation(n)
+                                for s, n in zip(starts, sizes)])[round_robin]
         losses = []
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            loss, _ = batch_loss_and_grad(pred, contexts[batch], targets[batch], grad)
+            pairs = windows[order[start:start + config.batch_size]]
+            loss, _ = batch_loss_and_grad(pred, pairs[:, :-1], pairs[:, -1], grad)
             sgd.step(loss, grad)
             losses.append(loss)
         log.epoch_loss.append(float(np.mean(losses)))

@@ -242,24 +242,29 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
         raise ConfigError(f"need exclusion_window >= 0 and k_max >= 1, got "
                           f"{exclusion_window} and {k_max}")
     l = predictor.context_len
-    emb = [embed_batch(model, s.frames) for s in dataset]
-    contexts, truth = transition_pairs(emb, l)
-    pred_err = np.linalg.norm(rnn_forward_batch(predictor, contexts) - truth, axis=1)
-    del contexts  # a (w, l, d) copy; the distances below need only the targets
+    frames = np.concatenate([embed_batch(model, s.frames) for s in dataset])
+    emb = np.split(frames, np.cumsum([len(s) for s in dataset])[:-1])  # views
+    windows, first = transition_pairs(emb, l)
+    truth = windows[first, l]
+    pred_err = np.linalg.norm(rnn_forward_batch(predictor, windows[first, :l]) - truth, axis=1)
+    del windows  # a view of a copy of the frames
 
     # Squared distances, rooted after selection (sqrt is monotone). A sequence's
     # targets (rows) and frames (columns) are contiguous: its band is one slice.
-    d = pairwise_sqdist(truth, np.concatenate(emb, axis=0))
-    row = col = 0
+    # Every distance is finite, so the band alone makes a row's candidates fewer.
+    d = pairwise_sqdist(truth, frames)
+    row = col = widest = 0
     for e in emb:
         t = np.arange(l, len(e))
         band = np.abs(t[:, None] - np.arange(len(e))) <= exclusion_window
         d[row:row + t.size, col:col + len(e)][band] = np.inf
+        widest = max(widest, int(band.sum(axis=1).max(initial=0)))
         row, col = row + t.size, col + len(e)
-    n_valid = int(np.min(np.sum(np.isfinite(d), axis=1)))
+    n_valid = len(frames) - widest
     if k_max > n_valid:
         raise ConfigError(f"k_max {k_max} exceeds available candidates {n_valid}")
-    part = np.sqrt(np.sort(np.partition(d, k_max - 1, axis=1)[:, :k_max], axis=1))
+    d.partition(k_max - 1, axis=1)  # in place: the matrix is this function's own
+    part = np.sqrt(np.sort(d[:, :k_max], axis=1))
 
     return PredictionCurve(
         prediction_error_mean=float(pred_err.mean()),

@@ -44,6 +44,26 @@ def test_squared_l2_matches_bruteforce_loop(rng):
             assert d2[i, j] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [5, 32, 100], ids=["under-a-block", "one-block", "ragged"])
+def test_squared_l2_row_blocks_equal_the_one_expression_form(rng, n):
+    # 1000 columns make a block 32 rows; the blocks overwrite the GEMM's output
+    a = rng.gen.normal(size=(n, 16))
+    b = np.concatenate([a[:3], rng.gen.normal(size=(997, 16))])  # zeros to clip
+    expect = np.maximum(np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+                        - 2.0 * (a @ b.T), 0.0)
+    np.testing.assert_array_equal(pairwise_sqdist(a, b), expect)
+
+
+@pytest.mark.parametrize("a, b", [([[2e200]], [[1e200], [2.1e200]]),  # inf - inf
+                                  ([[1e160]], [[-1e160]]),  # inf
+                                  ([[0.0]] * 40 + [[1e200]], [[1.0]] * 900)],  # last block
+                         ids=["nan", "inf", "last-block"])
+def test_squared_l2_overflow_raises(a, b):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DegenerateInputError, match="overflow"):
+        pairwise_sqdist(np.array(a), np.array(b))
+
+
 def test_squared_l2_dimension_mismatch():
     with pytest.raises(ValueError):
         pairwise_sqdist(np.ones((2, 2)), np.ones((2, 3)))
@@ -238,11 +258,48 @@ def test_momentum_sgd_end_epoch_allocates_no_parameter_sized_vector():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < theta.nbytes // 4  # the finiteness mask, one byte a parameter, stays
+    assert peak < 64_000  # a block's finiteness mask is 32 kB; the whole vector's was 250 kB
     assert delta == expect  # the same norm of the same values
     start = theta.copy()
     sgd.step(1.0, g.normal(size=theta.size))
     assert sgd.end_epoch() == float(np.linalg.norm(theta - start))  # the new epoch's start
+
+
+def test_momentum_sgd_blocks_cover_the_whole_vector():
+    # two full blocks and a ragged tail, against the whole-vector expressions
+    g = RngState(10).gen
+    theta = g.normal(size=2 * 32_768 + 5)
+    start, ref_theta, ref_v = theta.copy(), theta.copy(), np.zeros(theta.size)
+    sgd = MomentumSGD(theta, learning_rate=0.03, momentum=0.9, stage="predictor")
+    for _ in range(3):
+        grad = g.normal(size=theta.size)
+        sgd.step(1.0, grad)
+        ref_v = 0.9 * ref_v - 0.03 * grad
+        ref_theta = ref_theta + ref_v
+    np.testing.assert_array_equal(theta, ref_theta)
+    assert sgd.end_epoch() == float(np.linalg.norm(theta - start))
+    theta[-1] = np.inf  # only the tail block sees it
+    with pytest.raises(DivergenceError, match="non-finite parameters"):
+        sgd.end_epoch()
+
+
+def test_momentum_sgd_needs_no_parameter_sized_scratch():
+    # the predictor's 1.4 M parameters: velocity and epoch start are 11 MB
+    # each, and a third vector of scratch was another 11 MB
+    g = RngState(11).gen
+    theta = g.normal(size=1_378_432)
+    grad = g.normal(size=theta.size)
+    tracemalloc.start()
+    try:
+        sgd = MomentumSGD(theta, learning_rate=0.03, momentum=0.9, stage="predictor")
+        before, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sgd.step(1.0, grad)
+        stepped = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert built < 2 * theta.nbytes + 1_000_000
+    assert stepped < 1_000_000
 
 
 def test_momentum_sgd_reports_divergence():

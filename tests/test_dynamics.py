@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import seqrep as sr
+from seqrep import dynamics
 from seqrep.core import (
     ConfigError,
     DegenerateInputError,
@@ -18,6 +19,7 @@ from seqrep.core import (
 from seqrep.dynamics import (
     PredictorConfig,
     RecurrentPredictor,
+    _cell_backward,
     _cell_forward,
     batch_loss_and_grad,
     init_predictor,
@@ -81,6 +83,33 @@ def per_step_backward(pred, cache, h_last, d_y):
         grads["b"] += dz.sum(axis=0)
         dh = dz @ pred.Wh.T
         dc = dc * f
+    return grad
+
+
+def allocating_cell_backward(pred, cache, d_y):
+    """The fused backward with its own (l, B, 4m) dZ array; the cache stays as it was."""
+    X, Z, C, TC, H = cache
+    m = pred.hidden_dim
+    grad = np.empty_like(pred.theta)
+    grads = pred.blocks(grad)
+    grads["Wy"][...] = H[-1].T @ d_y
+    grads["by"][...] = d_y.sum(axis=0)
+    dZ = np.empty_like(Z)
+    dh = d_y @ pred.Wy.T
+    dc = np.zeros_like(dh)
+    for t in reversed(range(len(Z))):
+        i, f, g, o = np.split(Z[t], 4, axis=1)
+        dc = dc + dh * o * (1.0 - TC[t] * TC[t])
+        dZ[t] = np.concatenate([(dc * g * i) * (1.0 - i),
+                                (dc * (C[t - 1] if t else 0.0) * f) * (1.0 - f),
+                                (dc * i) * (1.0 - g * g),
+                                (dh * TC[t] * o) * (1.0 - o)], axis=1)
+        dh = dZ[t] @ pred.Wh.T
+        dc = dc * f
+    rows = dZ.reshape(-1, 4 * m)
+    grads["Wx"][...] = X.reshape(len(rows), -1).T @ rows
+    grads["Wh"][...] = H[:-1].reshape(-1, m).T @ dZ[1:].reshape(-1, 4 * m)
+    grads["b"][...] = rows.sum(axis=0)
     return grad
 
 
@@ -149,7 +178,8 @@ class TestForward:
 
     def test_row_blocks_keep_the_bits_and_bound_the_memory(self, rng):
         # the k-NN protocol's 1,750 windows at the reference shapes: one
-        # unblocked cell run peaked at 236 MB for a 1.7 MB output
+        # unblocked cell run peaked at 236 MB for a 1.7 MB output, blocks of
+        # 256 contexts at 36.4 MB, and blocks of 64 peak at 10.4 MB
         pred = init_predictor(128, 512, 4, RngState(7))
         contexts = random_unit_rows(rng.gen, 1750 * 4, 128).reshape(1750, 4, 128)
         tracemalloc.start()
@@ -158,7 +188,7 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64_000_000
+        assert peak < 14_000_000
         np.testing.assert_array_equal(y, _cell_forward(pred, contexts)[0])
 
     def test_dimension_mismatch(self, rng):
@@ -256,6 +286,34 @@ class TestGradient:
         assert loss == fresh_loss
         np.testing.assert_array_equal(grad, fresh)
 
+    @pytest.mark.parametrize("batch", [128, 37])
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_in_place_backward_equals_the_allocating_one(self, batch, length):
+        # reference d and m; dZ goes over the gate activations of the cache
+        pred = init_predictor(128, 512, length, RngState(5))
+        g = RngState(6).gen
+        contexts = random_unit_rows(g, batch * length, 128).reshape(batch, length, 128)
+        d_y = g.normal(size=(batch, 128)) / batch
+        _, cache = _cell_forward(pred, contexts)
+        ref = allocating_cell_backward(pred, tuple(a.copy() for a in cache), d_y)
+        grad = _cell_backward(pred, cache, d_y, np.full_like(pred.theta, np.nan))
+        np.testing.assert_array_equal(grad, ref)
+
+    def test_batch_holds_one_gate_array(self, rng):
+        # at B=128, l=4, d=128, m=512 the forward's cache is 15.2 MB, of which
+        # the gates are 8.4 MB; a separate dZ took the batch from 18.8 to 26.6 MB
+        pred = init_predictor(128, 512, 4, RngState(7))
+        contexts = random_unit_rows(rng.gen, 128 * 4, 128).reshape(128, 4, 128)
+        targets = random_unit_rows(rng.gen, 128, 128)
+        grad = np.empty_like(pred.theta)
+        tracemalloc.start()
+        try:
+            batch_loss_and_grad(pred, contexts, targets, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 21_000_000
+
     def test_bptt_matches_finite_differences(self):
         from gradcheck import max_block_relative_error, numeric_gradients
 
@@ -307,19 +365,53 @@ class TestTransitionPairs:
         lengths = (6, 3, 8, 4)  # the 3-frame sequence has no pair
         embedded = [np.repeat(100.0 * i + np.arange(n), d).reshape(n, d)
                     for i, n in enumerate(lengths)]
-        contexts, targets = transition_pairs(embedded, l)
+        windows, first = transition_pairs(embedded, l)
         expect = [(i, t) for i, n in enumerate(lengths) for t in range(n - l)]
-        assert contexts.shape == (len(expect), l, d) and targets.shape == (len(expect), d)
-        for row, (i, t) in enumerate(expect):
-            np.testing.assert_array_equal(contexts[row], embedded[i][t:t + l])
-            np.testing.assert_array_equal(targets[row], embedded[i][t + l])
+        assert windows.shape == (6 + 8 + 4 - l, l + 1, d) and first.shape == (len(expect),)
+        assert not windows.flags.writeable
+        for k, (i, t) in enumerate(expect):
+            np.testing.assert_array_equal(windows[first[k], :l], embedded[i][t:t + l])
+            np.testing.assert_array_equal(windows[first[k], l], embedded[i][t + l])
 
     def test_no_pair_raises(self):
         with pytest.raises(ConfigError, match="longer than the context length"):
             transition_pairs([np.zeros((4, 2)), np.zeros((2, 2))], 4)
 
 
+def copied_pairs(embedded, l):
+    """The (w, l, d) context and (w, d) target stacks that training once copied out."""
+    long = [e for e in embedded if len(e) > l]
+    contexts = [np.lib.stride_tricks.sliding_window_view(e[:-1], l, axis=0)
+                .transpose(0, 2, 1) for e in long]
+    return np.concatenate(contexts), np.concatenate([e[l:] for e in long])
+
+
 class TestTrainPredictor:
+    def test_batches_gather_the_copied_pairs(self, monkeypatch):
+        # each epoch trains on the copied stacks' pairs, each exactly once
+        seqs = tuple(Sequence(id=f"s{i}", frames=np.random.default_rng(i).normal(size=(n, 6)))
+                     for i, n in enumerate([40, 3, 23, 31]))
+        ds = Dataset(dimension=6, sequences=seqs)
+        model = init_embedding_model(6, 12, 6, RngState(3))
+        seen, real = [], dynamics.batch_loss_and_grad
+
+        def spy(pred, contexts, targets, out=None):
+            seen.append(np.concatenate([contexts, targets[:, None]], axis=1)
+                        .reshape(len(targets), -1))
+            return real(pred, contexts, targets, out)
+
+        monkeypatch.setattr(dynamics, "batch_loss_and_grad", spy)
+        cfg = PredictorConfig(hidden_dim=10, max_epochs=2, batch_size=16)
+        train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(9))
+        contexts, targets = copied_pairs([embed_batch(model, s.frames) for s in seqs], 4)
+        pairs = np.concatenate([contexts, targets[:, None]], axis=1).reshape(len(targets), -1)
+        expect = pairs[np.lexsort(pairs.T)]
+        per_epoch = len(seen) // 2
+        assert [len(b) for b in seen] == ([16] * 5 + [2]) * 2  # 82 pairs an epoch
+        for epoch in (seen[:per_epoch], seen[per_epoch:]):
+            got = np.concatenate(epoch)
+            np.testing.assert_array_equal(got[np.lexsort(got.T)], expect)
+
     def test_loss_decreases(self, tiny_setup):
         _, _, _, log = tiny_setup
         assert log.epoch_loss[5] < log.epoch_loss[0]

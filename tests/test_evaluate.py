@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,21 @@ class TestKnnCurve:
         with pytest.raises(ConfigError):
             knn_prediction_curve(ds, model, pred, k_max=k_max, exclusion_window=window)
 
+    def test_holds_one_distance_matrix(self, ref_dataset):
+        # reference shapes (1,709 x 1,757 distances, 24 MB): the copies of the
+        # matrix took the protocol to 53 MB; its working set now fits in 1.3x
+        model = init_embedding_model(ref_dataset.dimension, 256, 128, RngState(1))
+        pred = init_predictor(128, 512, 4, RngState(2))
+        frames = sum(len(s) for s in ref_dataset)
+        matrix = 8 * frames * (frames - 4 * len(ref_dataset))
+        tracemalloc.start()
+        try:
+            knn_prediction_curve(ref_dataset, model, pred, k_max=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * matrix
+
     @pytest.mark.parametrize("window", [0, 1, 2, 3])
     def test_exclusion_matches_per_row_reference(self, window):
         # the reference roots the full distance matrix before selecting;
@@ -297,6 +313,36 @@ def uneven_setup():
     ds = Dataset(dimension=6, sequences=seqs)
     model = init_embedding_model(6, 10, 5, RngState(1))
     return ds, model, init_predictor(5, 8, 4, RngState(2))
+
+
+class TestOverflowingDistances:
+    """Finite rows whose squared norms overflow: inf - inf is a NaN distance,
+    which an argmin or a partition took as a valid, wrong answer."""
+
+    def test_nearest_neighbor_assignment(self):
+        # target 2 is nearest; the NaN distance to target 1 made the answer [1]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateInputError, match="overflow"):
+            nearest_neighbor_assignment([[2e200]], [[1e200], [2.1e200]])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["latents", "features"])
+    def test_zero_shot_pose_error(self, scale):
+        # large latents overflow the oracle's distances; the scaled embedder the features'
+        train = latent_only_dataset(np.array([[1e200], [2.1e200], [0.0], [1.0]]), 2)
+        test = latent_only_dataset(np.array([[2e200], [3.0], [4.0], [5.0]]), 2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateInputError, match="overflow"):
+            zero_shot_pose_error(train, test, lambda x: np.asarray(x) * (scale / 1e200))
+
+    def test_knn_prediction_curve(self, monkeypatch):
+        # a normalized embedding cannot overflow; a scaled stand-in reaches the
+        # protocol's distances, which NaN left with too few candidates
+        ds, model, pred = uneven_setup()
+        real = evaluate.embed_batch
+        monkeypatch.setattr(evaluate, "embed_batch", lambda m, x: real(m, x) * 1e200)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateInputError, match="overflow"):
+            knn_prediction_curve(ds, model, pred, k_max=2)
 
 
 class TestAlignmentAccuracy:
