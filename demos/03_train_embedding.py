@@ -41,11 +41,9 @@ zs = sr.zero_shot_pose_error(train_half, test_half, model)
 print(f"\nzero-shot latent error: {zs.mean_error:.3f} "
       f"(oracle bound {zs.oracle_mean_error:.3f})")
 
-# The embedding also powers sequence neighborhoods and condensation.
+# The embedding also powers sequence neighborhoods.
 nn = sr.sequence_neighbors(ds, model, 3)
 print(f"\nneighbors of seq000: {nn['seq000']}")
-reps = sr.agglomerative_representatives(ds, model, 8)
-print(f"8 representative postures: {reps}")
 
 # Manifold structure: one latent cycle of a sequence should trace a closed
 # loop in the 2D projection of the trained embedding, the way repetitive

@@ -43,7 +43,6 @@ from .embed import (
     sequence_neighbors,
     train,
     triplet_grad,
-    triplet_loss,
 )
 from .dynamics import (
     PredictorConfig,
@@ -65,7 +64,6 @@ from .synthdata import (
 )
 from .evaluate import (
     EvalReport,
-    agglomerative_representatives,
     alignment_accuracy,
     alignment_benchmark,
     default_pose_epsilon,

@@ -129,22 +129,6 @@ def embed_batch(model: EmbeddingModel, frames) -> np.ndarray:
     return y
 
 
-def triplet_loss(pa, pp, pn, delta: float) -> float:
-    """Margin ranking hinge on squared distances: max(0, d(a,p) - d(a,n) + delta).
-
-    The single-triplet reference that tests hold :func:`triplet_grad`'s
-    batch loss against.
-    """
-    if delta <= 0:
-        raise ConfigError(f"margin must be positive, got {delta}")
-    pa, pp, pn = as_vector(pa), as_vector(pp), as_vector(pn)
-    if not (pa.shape == pp.shape == pn.shape):
-        raise DimensionError("triplet members must share one dimension")
-    dp = pa - pp
-    dn = pa - pn
-    return float(max(0.0, float(dp @ dp) - float(dn @ dn) + delta))
-
-
 def _backprop(model: EmbeddingModel, x: np.ndarray, buf: dict[str, np.ndarray]) -> np.ndarray:
     """Gradient of ``buf``'s leading ``d_y`` rows through the forward cached there."""
     z1, a1, norms, y, d_y, d_z2, d_a1, live = (

@@ -3,9 +3,8 @@
 Metrics mirror the standard protocols at desk scale: frame retrieval scored
 by ROC AUC against latent-pose ground truth, zero-shot pose transfer by
 nearest-neighbor latent adoption, next-frame prediction against a k-nearest
--neighbor bar, correspondence accuracy against known resampling alignments,
-a 2D principal-component projection of the embedding, and agglomerative
-condensation into representative postures.
+-neighbor bar, correspondence accuracy against known resampling alignments, and
+a 2D principal-component projection of the embedding.
 """
 
 from __future__ import annotations
@@ -372,36 +371,6 @@ def pca_project_2d(dataset: Dataset, embedder) -> Projection2D:
         degenerate=False,
         frame_refs=refs,
     )
-
-
-def agglomerative_representatives(dataset: Dataset, embedder,
-                                  num_clusters: int) -> list[tuple[str, int]]:
-    """Average-linkage condensation into mutually dissimilar representative frames.
-
-    Clusters the embedded frames down to ``num_clusters`` and returns each
-    cluster's medoid reference, ordered by first frame appearance; medoid
-    ties break toward the earlier frame.
-    """
-    feats = np.concatenate(_sequence_features(dataset, embedder), axis=0)
-    refs = [(s.id, i) for s in dataset for i in range(len(s))]
-    n = feats.shape[0]
-    if num_clusters < 1:
-        raise ConfigError("num_clusters must be >= 1")
-    if num_clusters > n:
-        raise ConfigError(f"num_clusters {num_clusters} exceeds frame count {n}")
-    if num_clusters == n:
-        return list(refs)
-
-    from scipy.cluster.hierarchy import fcluster, linkage  # the package's one scipy user
-    labels = fcluster(linkage(feats, method="average"), t=num_clusters,
-                      criterion="maxclust")
-    reps = []
-    for lab in sorted(set(labels), key=lambda l: int(np.argmax(labels == l))):
-        members = np.flatnonzero(labels == lab)
-        d = pairwise_sqdist(feats[members], feats[members])
-        medoid = members[int(np.argmin(d.sum(axis=1)))]
-        reps.append(refs[medoid])
-    return reps
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from seqrep.align import MatchPenalties, _chunk_bounds, alignment_cost
-from seqrep.cli import main
+from seqrep.cli import build_parser, main
 from seqrep.embed import EmbeddingModel, embed_batch
 from seqrep.evaluate import EvalReport, pca_project_2d
 from seqrep.seqpack import load_model, read_seqpack, save_model
@@ -447,3 +448,47 @@ class TestDeterminism:
         assert main(["gen", "--config", cfg, "--seed", "123", "--out", str(a)]) == 0
         assert main(["gen", "--config", cfg, "--out", str(b)]) == 0
         assert (a / "seq000.f32").read_bytes() != (b / "seq000.f32").read_bytes()
+
+
+# every command path's flags: (required, type); -h/--help aside
+COMMON_FLAGS = {"--seed": (False, int), "--config": (False, None), "--out": (True, None)}
+REQUIRED = (True, None)
+ARGV_SURFACE = {
+    "gen": {},
+    "align": {"--data": REQUIRED, "--model": REQUIRED, "--query": REQUIRED,
+              "--target": REQUIRED, "--chunk-len": (False, int)},
+    "train-embed": {"--data": REQUIRED},
+    "train-dyn": {"--data": REQUIRED, "--model": REQUIRED},
+    "eval retrieval": {"--data": REQUIRED, "--model": REQUIRED},
+    "eval zeroshot": {"--data": REQUIRED, "--test": REQUIRED, "--model": REQUIRED},
+    "eval predict": {"--data": REQUIRED, "--model": REQUIRED, "--pred": REQUIRED},
+    "eval alignment": {"--model": REQUIRED},
+    "project": {"--data": REQUIRED, "--model": REQUIRED},
+    "synth": {"--data": REQUIRED, "--model": REQUIRED, "--pred": REQUIRED,
+              "--seed-seq": REQUIRED, "--steps": (True, int)},
+}
+
+
+def command_flags(parser, words=()) -> dict[str, dict]:
+    """``{"<command words>": {flag: (required, type)}}`` for every leaf command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(words): {s: (a.required, a.type) for a in parser._actions
+                                  for s in a.option_strings if s not in ("-h", "--help")}}
+    return {path: flags for word, sub in subs[0].choices.items()
+            for path, flags in command_flags(sub, (*words, word)).items()}
+
+
+def test_argv_surface_is_pinned():
+    assert command_flags(build_parser()) == {
+        path: {**COMMON_FLAGS, **flags} for path, flags in ARGV_SURFACE.items()}
+
+
+def test_inputs_load_in_order_data_test_model(pipeline, capsys):
+    root, cfg, data, _, _ = pipeline
+    test, model = root / "no_test", root / "no_model.bin"
+    assert main(["eval", "zeroshot", "--config", cfg, "--data", str(data),
+                 "--test", str(test), "--model", str(model),
+                 "--out", str(root / "order")]) == 1
+    err = capsys.readouterr().err
+    assert "FileNotFoundError" in err and str(test) in err and str(model) not in err

@@ -31,8 +31,17 @@ from seqrep.embed import (
     sequence_neighbors,
     train,
     triplet_grad,
-    triplet_loss,
 )
+
+
+def triplet_loss(pa, pp, pn, delta: float) -> float:
+    """Margin ranking hinge on squared distances: max(0, d(a,p) - d(a,n) + delta).
+
+    The single-triplet reference that :func:`triplet_grad`'s batch loss is
+    held against.
+    """
+    dp, dn = np.subtract(pa, pp), np.subtract(pa, pn)
+    return max(0.0, float(dp @ dp) - float(dn @ dn) + delta)
 
 
 @pytest.fixture(scope="module")

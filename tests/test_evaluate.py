@@ -17,7 +17,6 @@ from seqrep.dynamics import init_predictor
 from seqrep.embed import embed_batch, fit_whitener, init_embedding_model
 from seqrep.evaluate import (
     EvalReport,
-    agglomerative_representatives,
     alignment_accuracy,
     default_pose_epsilon,
     knn_prediction_curve,
@@ -428,37 +427,6 @@ def blob_dataset(rng, separation=50.0):
     ))
 
 
-class TestAgglomerative:
-    def test_every_frame_its_own_cluster(self, rng):
-        ds = blob_dataset(rng)
-        reps = agglomerative_representatives(ds, lambda x: np.asarray(x), 40)
-        assert reps == [(s.id, i) for s in ds for i in range(len(s))]
-
-    def test_two_blobs_two_medoids(self, rng):
-        ds = blob_dataset(rng)
-        reps = agglomerative_representatives(ds, lambda x: np.asarray(x), 2)
-        assert len(reps) == 2
-        assert {r[0] for r in reps} == {"a", "b"}
-
-    def test_representatives_are_mutually_distant(self, rng):
-        ds = blob_dataset(rng)
-        feats = np.concatenate([s.frames for s in ds])
-        refs = [(s.id, i) for s in ds for i in range(len(s))]
-        reps = agglomerative_representatives(ds, lambda x: np.asarray(x), 2)
-        rep_rows = np.stack([feats[refs.index(r)] for r in reps])
-        rep_dist = np.linalg.norm(rep_rows[0] - rep_rows[1])
-        alld = np.linalg.norm(feats[:, None] - feats[None], axis=-1)
-        median = np.median(alld[np.triu_indices(len(feats), 1)])
-        assert rep_dist >= median
-
-    def test_validation(self, rng):
-        ds = blob_dataset(rng)
-        with pytest.raises(ConfigError):
-            agglomerative_representatives(ds, lambda x: np.asarray(x), 0)
-        with pytest.raises(ConfigError):
-            agglomerative_representatives(ds, lambda x: np.asarray(x), 1000)
-
-
 class TestReports:
     def test_save_load_lossless(self, tmp_path):
         rep = EvalReport(metric="demo",
@@ -533,7 +501,6 @@ FEATURE_PROTOCOLS = {
     "retrieval": lambda ds, f: retrieval_auc(ds, f, num_queries=40, rng=RngState(0)),
     "zeroshot": lambda ds, f: zero_shot_pose_error(*_halves(ds), f),
     "projection": lambda ds, f: pca_project_2d(ds, f),
-    "agglomerative": lambda ds, f: agglomerative_representatives(ds, f, 3),
 }
 BAD_EMBEDDERS = {
     "drops_last_row": (lambda x: np.asarray(x)[:-1], DimensionError),

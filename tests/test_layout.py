@@ -1,6 +1,6 @@
 """Each layout has one owner: no seqrep module imports another's private name.
 
-Importing the package loads numpy, not scipy's stats, spatial or cluster.
+No module imports scipy, so importing the package loads numpy only.
 """
 
 import ast
@@ -29,9 +29,19 @@ def test_no_module_imports_a_private_name_of_another():
     assert private_imports() == []
 
 
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_import_loads_no_scipy_submodule():
     # scipy.stats, .spatial and .cluster were about 68 of the 101 MB that the
-    # import left resident; agglomerative_representatives imports scipy when called
+    # import left resident, back when ranks and distances came from scipy
     code = ("import sys, seqrep, seqrep.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'spatial'], "
             "['scipy', 'cluster'])))")
