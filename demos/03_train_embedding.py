@@ -25,9 +25,10 @@ print(f"whitened-raw baseline AUC: {auc_white:.3f}")
 t0 = time.time()
 model, log = sr.train(ds, run.train, chunk_len=run.chunk_len, rng=sr.RngState(99))
 print(f"trained {log.epochs_run} epochs in {time.time() - t0:.0f}s")
-print(f"  mean batch loss: epoch 0 {log.mean_loss(0):.4f} -> "
-      f"epoch {log.epochs_run - 1} {log.mean_loss(log.epochs_run - 1):.4f}")
-print(f"  negative-mining percentile schedule: {log.epoch_percentile[:8]} ...")
+print(f"  mean batch loss: epoch 0 {log.epoch_loss[0]:.4f} -> "
+      f"epoch {log.epochs_run - 1} {log.epoch_loss[-1]:.4f}")
+schedule = [run.train.percentile_at(e) for e in range(8)]
+print(f"  negative-mining percentile schedule: {schedule} ...")
 
 auc = sr.retrieval_auc(ds, model, num_queries=200, rng=rng.split(0))
 print(f"\ntrained retrieval AUC: {auc:.3f}  (baseline {auc_white:.3f})")

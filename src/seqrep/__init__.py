@@ -17,6 +17,7 @@ from .core import (
     ResourceLimitError,
     RngState,
     Sequence,
+    TrainLog,
     l2_normalize,
     pairwise_sqdist,
 )
@@ -34,7 +35,6 @@ from .align import (
 from .embed import (
     EmbeddingModel,
     TrainConfig,
-    TrainLog,
     Whitener,
     augment,
     embed_batch,
@@ -49,7 +49,6 @@ from .dynamics import (
     RecurrentPredictor,
     init_predictor,
     interpolate_features,
-    predict_next,
     rnn_forward_batch,
     synthesize,
     train_predictor,
@@ -59,7 +58,6 @@ from .synthdata import (
     GeneratorConfig,
     alignment_pair_config,
     generate_dataset,
-    max_latent_step,
     resample_pair,
 )
 from .evaluate import (
@@ -72,7 +70,6 @@ from .evaluate import (
     pca_project_2d,
     retrieval_auc,
     retrieval_auc_from_features,
-    roc_auc,
     zero_shot_pose_error,
 )
 from .seqpack import (

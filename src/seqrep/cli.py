@@ -44,9 +44,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems instead of exiting the process."""
+    """argparse that prints the usage of the (sub)command whose arguments were
+    wrong and raises, instead of exiting the process."""
 
     def error(self, message):
+        self.print_usage(sys.stderr)
         raise _UsageError(message)
 
 
@@ -248,7 +250,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        parser.print_usage(sys.stderr)
         print(f"seqrep: error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -145,6 +145,27 @@ def block_views(vec: np.ndarray, **shapes: tuple[int, ...]) -> dict[str, np.ndar
                                                 itertools.accumulate(sizes))}
 
 
+@dataclass
+class TrainLog:
+    """A training run's record, which its :class:`MomentumSGD` alone writes: each
+    batch's loss and epoch, in step order, and each epoch's parameter move."""
+
+    batch_loss: list[float] = field(default_factory=list)
+    batch_epoch: list[int] = field(default_factory=list)
+    epoch_param_delta: list[float] = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.epoch_param_delta)
+
+    @property
+    def epoch_loss(self) -> list[float]:
+        """Each finished epoch's mean batch loss, in batch order; NaN for one without batches."""
+        per_epoch = [[l for l, b in zip(self.batch_loss, self.batch_epoch) if b == e]
+                     for e in range(self.epochs_run)]
+        return [float(np.mean(losses)) if losses else math.nan for losses in per_epoch]
+
+
 class MomentumSGD:
     """Plain momentum SGD on one parameter vector, which it updates in place.
 
@@ -155,7 +176,8 @@ class MomentumSGD:
     step can lower it) raises :class:`DivergenceError` naming ``stage``, the
     epoch and the batch, as does a non-finite vector in :meth:`end_epoch`.
     Both walk the vector in blocks of ``_BLOCK`` elements, so their scratch
-    is one block, not a parameter-sized vector.
+    is one block, not a parameter-sized vector. Each records what it did in
+    :attr:`log`.
     """
 
     BLOWUP_FACTOR = 1000.0
@@ -170,9 +192,9 @@ class MomentumSGD:
         self._scaled = np.empty(min(theta.size, _BLOCK))  # scratch: learning_rate * g, a block
         self.epoch = 0
         self.batch = 0  # steps taken in the current epoch
-        self.last_loss = math.nan
         self.first_loss = math.nan  # the run's first positive batch loss; NaN bounds nothing
         self._epoch_start = theta.copy()
+        self.log = TrainLog()
 
     def step(self, loss: float, grad: np.ndarray) -> None:
         """One update from a batch's loss and its gradient (same layout as ``theta``)."""
@@ -195,17 +217,20 @@ class MomentumSGD:
                              out=self._scaled[:len(v)])
             self.theta[lo:lo + _BLOCK] += v
         self.batch += 1
-        self.last_loss = loss
+        self.log.batch_loss.append(loss)
+        self.log.batch_epoch.append(self.epoch)
 
     def end_epoch(self) -> float:
-        """Check the vector is finite; return its euclidean move over the epoch."""
+        """Check the vector is finite; log and return its euclidean move over the epoch."""
         for lo in range(0, self.theta.size, _BLOCK):
             if not np.isfinite(self.theta[lo:lo + _BLOCK]).all():
-                raise DivergenceError(self.stage, self.epoch, self.batch - 1, self.last_loss,
+                last = self.log.batch_loss[-1] if self.log.batch_loss else math.nan
+                raise DivergenceError(self.stage, self.epoch, self.batch - 1, last,
                                       "non-finite parameters")
         delta = float(np.linalg.norm(np.subtract(self.theta, self._epoch_start,
                                                  out=self._epoch_start)))
         np.copyto(self._epoch_start, self.theta)
+        self.log.epoch_param_delta.append(delta)
         self.epoch += 1
         self.batch = 0
         return delta

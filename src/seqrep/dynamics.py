@@ -21,6 +21,7 @@ from .core import (
     Dataset,
     MomentumSGD,
     RngState,
+    TrainLog,
     as_frames,
     as_vector,
     block_views,
@@ -243,13 +244,6 @@ class PredictorConfig:
             raise ConfigError("predictor momentum must lie in [0, 1)")
 
 
-@dataclass
-class PredictorLog:
-    epoch_loss: list[float] = field(default_factory=list)
-    epoch_param_delta: list[float] = field(default_factory=list)
-    skipped_sequences: list[str] = field(default_factory=list)
-
-
 def transition_pairs(embedded, context_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Every (context, next frame) pair of each embedded sequence, in input order.
 
@@ -272,7 +266,7 @@ def transition_pairs(embedded, context_len: int) -> tuple[np.ndarray, np.ndarray
 
 def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 4,
                     config: PredictorConfig | None = None,
-                    rng: RngState | None = None) -> tuple[RecurrentPredictor, PredictorLog]:
+                    rng: RngState | None = None) -> tuple[RecurrentPredictor, TrainLog]:
     """Fit the recurrent predictor on all (context, next frame) pairs.
 
     Every sequence longer than ``context_len`` contributes one training pair
@@ -289,13 +283,11 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     if context_len < 1:
         raise ConfigError("context_len must be >= 1")
 
-    log = PredictorLog()
     embedded = {}
     for s in dataset:
         if len(s) <= context_len:
             logger.warning("sequence %r has %d frames, needs > %d; skipped",
                            s.id, len(s), context_len)
-            log.skipped_sequences.append(s.id)
             continue
         embedded[s.id] = embed_batch(model, s.frames)
 
@@ -318,16 +310,13 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     for _ in range(config.max_epochs):
         order = np.concatenate([s + g.permutation(n)
                                 for s, n in zip(starts, sizes)])[round_robin]
-        losses = []
         for start in range(0, len(order), config.batch_size):
             pairs = windows[order[start:start + config.batch_size]]
             loss, _ = batch_loss_and_grad(pred, pairs[:, :-1], pairs[:, -1], grad)
             sgd.step(loss, grad)
-            losses.append(loss)
-        log.epoch_loss.append(float(np.mean(losses)))
-        log.epoch_param_delta.append(sgd.end_epoch())
+        sgd.end_epoch()
 
-    return pred, log
+    return pred, sgd.log
 
 
 def _embed_context(pred: RecurrentPredictor, model: EmbeddingModel, frames,
@@ -338,11 +327,6 @@ def _embed_context(pred: RecurrentPredictor, model: EmbeddingModel, frames,
         raise ConfigError(f"expected exactly {pred.context_len} "
                           f"{name.replace('_', ' ')}, got {x.shape[0]}")
     return embed_batch(model, x)
-
-
-def predict_next(pred: RecurrentPredictor, model: EmbeddingModel, frames) -> np.ndarray:
-    """Embed the last ``context_len`` raw frames and predict the next embedding."""
-    return rnn_forward_batch(pred, _embed_context(pred, model, frames, "frames")[None])[0]
 
 
 def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,

@@ -23,6 +23,7 @@ from .core import (
     Dataset,
     MomentumSGD,
     RngState,
+    TrainLog,
     as_frames,
     as_vector,
     block_views,
@@ -320,26 +321,6 @@ class TrainConfig:
                    self.percentile_start - self.percentile_step * epoch)
 
 
-@dataclass
-class TrainLog:
-    """Per-batch losses plus per-epoch percentile and parameter movement."""
-
-    batch_loss: list[float] = field(default_factory=list)
-    batch_epoch: list[int] = field(default_factory=list)
-    epoch_percentile: list[float] = field(default_factory=list)
-    epoch_param_delta: list[float] = field(default_factory=list)
-
-    def mean_loss(self, epoch: int) -> float:
-        losses = [l for l, e in zip(self.batch_loss, self.batch_epoch) if e == epoch]
-        if not losses:
-            raise ValueError(f"no batches recorded for epoch {epoch}")
-        return float(np.mean(losses))
-
-    @property
-    def epochs_run(self) -> int:
-        return len(self.epoch_percentile)
-
-
 def train(dataset: Dataset, config: TrainConfig,
           penalties: PenaltyConfig = PenaltyConfig(), chunk_len: int = 40,
           rng: RngState | None = None) -> tuple[EmbeddingModel, TrainLog]:
@@ -369,7 +350,6 @@ def train(dataset: Dataset, config: TrainConfig,
     model = init_embedding_model(dataset.dimension, config.hidden_dim,
                                  config.embed_dim, rng.split(0))
     sgd = MomentumSGD(model.theta, config.learning_rate, config.momentum, "embed")
-    log = TrainLog()
     k = min(config.neighborhood_size, len(dataset) - 1)
     pairs_per_epoch = len(dataset) if config.pairs_per_epoch is None else config.pairs_per_epoch
     g = rng.gen
@@ -403,10 +383,6 @@ def train(dataset: Dataset, config: TrainConfig,
                 a, pos, neg = np.split(augment(rows, config.noise_sigma, feature_std, rng), 3)
                 loss, grads = triplet_grad(model, a, pos, neg, config.margin, buffers)
                 sgd.step(loss, grads)
-                log.batch_loss.append(loss)
-                log.batch_epoch.append(epoch)
+        sgd.end_epoch()
 
-        log.epoch_percentile.append(p)
-        log.epoch_param_delta.append(sgd.end_epoch())
-
-    return model, log
+    return model, sgd.log

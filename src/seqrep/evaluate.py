@@ -73,17 +73,6 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def roc_auc(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
-    """Rank-based (Mann-Whitney) AUC with tie correction; a NaN score is rejected."""
-    pos = np.asarray(scores_pos, dtype=np.float64)
-    neg = np.asarray(scores_neg, dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise ConfigError("AUC needs at least one positive and one negative")
-    ranks = _average_ranks(np.concatenate([pos, neg]))
-    u = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
-    return float(u / (pos.size * neg.size))
-
-
 _OFFSET_BLOCK = 16  # pair offsets per block in default_pose_epsilon; (16, N) stays in cache
 
 

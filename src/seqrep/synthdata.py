@@ -152,14 +152,6 @@ def generate_dataset(cfg: GeneratorConfig) -> Dataset:
     return Dataset(dimension=cfg.feature_dim, sequences=tuple(sequences))
 
 
-def max_latent_step(cfg: GeneratorConfig, n_frames: int) -> float:
-    """Config-derived bound on consecutive latent displacement."""
-    du = (1.0 + cfg.speed_jitter) / ((n_frames - 1) * max(_MIN_SPEED, 1.0 - cfg.speed_jitter))
-    phase_step = 2.0 * math.pi * cfg.cycles_range[1] * du
-    drift_rate = cfg.drift_strength * 2.0 * math.pi * _DRIFT_FREQ_HI
-    return phase_step + math.sqrt(cfg.latent_dim) * drift_rate * du
-
-
 def resample_pair(cfg: GeneratorConfig, seed: int,
                   target_scale: float = 1.0) -> tuple[Sequence, Sequence, np.ndarray]:
     """One latent trajectory rendered twice, with the true correspondence.

@@ -186,7 +186,13 @@ class TestPipeline:
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
-        assert "usage" in capsys.readouterr().err.lower()
+        assert capsys.readouterr().err.startswith("usage: seqrep [-h] {gen,")
+
+    def test_usage_error_prints_the_failing_commands_usage(self, capsys):
+        assert main(["align", "--data", "d"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: seqrep align [-h]") and err.count("usage:") == 1
+        assert "required: --model, --query, --target, --out" in err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["gen", "--wat", "1", "--out", "x"]) == 1

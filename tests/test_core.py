@@ -242,6 +242,8 @@ def test_momentum_sgd_matches_the_per_block_update():
     np.testing.assert_array_equal(theta, ref_theta)  # updated in place, bit for bit
     assert sgd.end_epoch() == float(np.linalg.norm(theta - start))
     assert (sgd.epoch, sgd.batch) == (1, 0)
+    assert sgd.log.batch_loss == [1.0] * 5 and sgd.log.batch_epoch == [0] * 5
+    assert sgd.log.epoch_param_delta == [float(np.linalg.norm(theta - start))]
 
 
 def test_momentum_sgd_end_epoch_allocates_no_parameter_sized_vector():

@@ -3,7 +3,7 @@
 Running every demo takes about 40 s on a 2-core Xeon, demo 04 alone about
 25 s, so this parses them instead: every ``sr.<name>`` and every
 ``from seqrep... import <name>`` must resolve. Parsing cannot see
-attributes of returned objects (such as ``log.mean_loss``) or what a
+attributes of returned objects (such as ``log.epoch_loss``) or what a
 function returns, so demos 01-03, which take about 1, 1 and 6 s, are also
 run whole.
 """

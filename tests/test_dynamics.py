@@ -15,6 +15,7 @@ from seqrep.core import (
     DivergenceError,
     RngState,
     Sequence,
+    TrainLog,
 )
 from seqrep.dynamics import (
     PredictorConfig,
@@ -24,7 +25,6 @@ from seqrep.dynamics import (
     batch_loss_and_grad,
     init_predictor,
     interpolate_features,
-    predict_next,
     rnn_forward_batch,
     synthesize,
     train_predictor,
@@ -34,6 +34,11 @@ from seqrep.embed import embed_batch, init_embedding_model
 from seqrep.seqpack import save_predictor
 
 from conftest import random_unit_rows
+
+
+def predict_next(pred, model, frames):
+    """Embed exactly ``context_len`` raw frames and predict the next embedding."""
+    return rnn_forward_batch(pred, dynamics._embed_context(pred, model, frames, "frames")[None])[0]
 
 
 def zero_predictor(d=3, m=5, bias=None, context_len=4):
@@ -424,10 +429,10 @@ class TestTrainPredictor:
         model = init_embedding_model(ds.dimension, 12, 6, RngState(3))
         cfg = PredictorConfig(hidden_dim=10, max_epochs=1, batch_size=32)
         with caplog.at_level("WARNING"):
-            _, log = train_predictor(mixed, model, context_len=4, config=cfg,
-                                     rng=RngState(9))
-        assert log.skipped_sequences == ["short"]
-        assert any("short" in r.message for r in caplog.records)
+            train_predictor(mixed, model, context_len=4, config=cfg, rng=RngState(9))
+        assert [r.args[0] for r in caplog.records if r.name == dynamics.logger.name] \
+            == ["short"]
+        assert "'short' has 3 frames, needs > 4; skipped" in caplog.text
 
     def test_invariant_to_dataset_order(self):
         ds = cyclic_dataset()
@@ -442,8 +447,11 @@ class TestTrainPredictor:
                                         rng=RngState(9)))
         (p1, log1), (p2, log2) = runs
         np.testing.assert_array_equal(p1.theta, p2.theta)
-        assert log1.epoch_loss == log2.epoch_loss
-        assert log1.skipped_sequences == log2.skipped_sequences == ["short"]
+        assert type(log1) is TrainLog and log1 == log2 and log1.epochs_run == 2
+        epochs = np.asarray(log1.batch_epoch)
+        assert np.array_equal(epochs, np.repeat([0, 1], len(epochs) // 2))
+        assert log1.epoch_loss == [float(np.mean(np.asarray(log1.batch_loss)[epochs == e]))
+                                   for e in (0, 1)]
 
     def test_all_short_raises(self):
         ds = Dataset(dimension=2, sequences=(

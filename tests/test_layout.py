@@ -1,6 +1,7 @@
 """Each layout has one owner: no seqrep module imports another's private name.
 
-No module imports scipy, so importing the package loads numpy only.
+No module imports scipy, so importing the package loads numpy only, and no
+public name exists only for the tests.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 import seqrep
 
 PACKAGE = Path(seqrep.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def private_imports() -> list[str]:
@@ -49,3 +51,29 @@ def test_import_loads_no_scipy_submodule():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def code_names(path: Path) -> set[str]:
+    """Every name, attribute and imported name that the code of ``path`` uses."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return found
+
+
+def test_every_public_name_has_a_library_demo_or_benchmark_caller():
+    """Each public top-level def or class is used by package code (its own
+    module's included, ``__init__``'s re-export not), a demo or the benchmark."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    callers = modules + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    used = set().union(*map(code_names, callers))
+    unused = [f"{path.name}: {node.name}" for path in modules
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []

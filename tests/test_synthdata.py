@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +7,23 @@ import pytest
 from seqrep.core import ConfigError
 from seqrep.config import reference_run_config
 from seqrep.synthdata import (
+    _DRIFT_FREQ_HI,
+    _MIN_SPEED,
     GeneratorConfig,
     alignment_pair_config,
     generate_dataset,
-    max_latent_step,
     resample_pair,
 )
 
 SMALL = GeneratorConfig(num_sequences=4, frames_range=(40, 50), seed=7)
+
+
+def max_latent_step(cfg: GeneratorConfig, n_frames: int) -> float:
+    """Config-derived bound on consecutive latent displacement."""
+    du = (1.0 + cfg.speed_jitter) / ((n_frames - 1) * max(_MIN_SPEED, 1.0 - cfg.speed_jitter))
+    phase_step = 2.0 * math.pi * cfg.cycles_range[1] * du
+    drift_rate = cfg.drift_strength * 2.0 * math.pi * _DRIFT_FREQ_HI
+    return phase_step + math.sqrt(cfg.latent_dim) * drift_rate * du
 
 
 class TestConfig:
