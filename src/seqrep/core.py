@@ -189,7 +189,7 @@ class MomentumSGD:
         self.momentum = momentum
         self.stage = stage
         self.velocity = np.zeros_like(theta)
-        self._scaled = np.empty(min(theta.size, _BLOCK))  # scratch: learning_rate * g, a block
+        self._scaled = np.empty(min(theta.size, _BLOCK), theta.dtype)  # learning_rate * g, a block
         self.epoch = 0
         self.batch = 0  # steps taken in the current epoch
         self.first_loss = math.nan  # the run's first positive batch loss; NaN bounds nothing
@@ -220,8 +220,8 @@ class MomentumSGD:
         self.log.batch_loss.append(loss)
         self.log.batch_epoch.append(self.epoch)
 
-    def end_epoch(self) -> float:
-        """Check the vector is finite; log and return its euclidean move over the epoch."""
+    def end_epoch(self) -> None:
+        """Check the vector is finite and log its euclidean move over the epoch."""
         for lo in range(0, self.theta.size, _BLOCK):
             if not np.isfinite(self.theta[lo:lo + _BLOCK]).all():
                 last = self.log.batch_loss[-1] if self.log.batch_loss else math.nan
@@ -233,7 +233,6 @@ class MomentumSGD:
         self.log.epoch_param_delta.append(delta)
         self.epoch += 1
         self.batch = 0
-        return delta
 
 
 def l2_normalize(a, eps: float = 1e-12) -> np.ndarray:

@@ -5,6 +5,10 @@ frames; an affine head maps the final hidden state back to embedding
 dimension. Trained as plain euclidean regression onto the next frame's
 embedding, it supports next-frame prediction, recursive activity synthesis
 with nearest-neighbor decoding, and on-sphere feature interpolation.
+
+The predictor computes in its parameter vector's dtype: float32 as
+:func:`init_predictor` builds it, float64 for any other vector given (the
+finite-difference checks run that kernel). Predictions come back float64.
 """
 
 from __future__ import annotations
@@ -17,13 +21,13 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DegenerateInputError,
     DimensionError,
     Dataset,
     MomentumSGD,
     RngState,
     TrainLog,
     as_frames,
-    as_vector,
     block_views,
     l2_normalize,
 )
@@ -47,7 +51,7 @@ class RecurrentPredictor:
     ``theta`` is the one parameter vector, ``Wx Wh b Wy by`` concatenated
     row-major; the named blocks are views of it. Gate blocks are stored side
     by side in the (.., 4m) matrices in the order input, forget, candidate,
-    output.
+    output. A float32 ``theta`` stays float32; any other becomes float64.
     """
 
     theta: np.ndarray
@@ -68,9 +72,13 @@ class RecurrentPredictor:
             raise ConfigError(f"hidden dim {m} must exceed embed dim {d}")
         if self.context_len < 1:
             raise ConfigError("context_len must be >= 1")
-        object.__setattr__(self, "theta", as_vector(self.theta, "parameter vector").copy())
-        for name, view in self.blocks(self.theta).items():
+        theta = np.asarray(self.theta)
+        theta = theta.astype(np.float32 if theta.dtype == np.float32 else np.float64)  # a copy
+        object.__setattr__(self, "theta", theta)
+        for name, view in self.blocks(theta).items():
             object.__setattr__(self, name, view)
+        if not np.isfinite(theta).all():
+            raise DegenerateInputError("parameter vector contains non-finite entries")
 
     def blocks(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of ``vec``, which has the layout of ``theta`` (e.g. a gradient)."""
@@ -80,7 +88,7 @@ class RecurrentPredictor:
 
 def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
                    rng: RngState | None = None) -> RecurrentPredictor:
-    """Scaled-uniform weights, zero biases except a unit forget-gate bias.
+    """Scaled-uniform float32 weights, zero biases except a unit forget-gate bias.
 
     Gains assume unit-NORM input vectors (per-coordinate scale 1/sqrt(d), as
     produced by the normalized embedding): the input block is boosted so gate
@@ -95,20 +103,18 @@ def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
     sx = 6.0 / math.sqrt(d)
     sh = 2.0 / math.sqrt(m)
     sy = 0.3 / math.sqrt(m)
-    b = np.zeros(4 * m)
-    b[m:2 * m] = 1.0
-    theta = np.concatenate([
-        g.uniform(-sx, sx, size=d * 4 * m),
-        g.uniform(-sh, sh, size=m * 4 * m),
-        b,
-        g.uniform(-sy, sy, size=m * d),
-        np.zeros(d),
-    ])
-    return RecurrentPredictor(theta, d, m, context_len)
+    pred = RecurrentPredictor(np.zeros(4 * m * (d + m + 1) + (m + 1) * d, np.float32),
+                              d, m, context_len)
+    pred.Wx[...] = g.uniform(-sx, sx, size=(d, 4 * m))
+    pred.Wh[...] = g.uniform(-sh, sh, size=(m, 4 * m))
+    pred.b[m:2 * m] = 1.0
+    pred.Wy[...] = g.uniform(-sy, sy, size=(m, d))
+    return pred
 
 
 def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
-    """Run the cell over (B, l, d) inputs from a zero state; returns ``(y, cache)``.
+    """Run the cell over (B, l, d) inputs in ``theta``'s dtype from a zero state;
+    returns ``(y, cache)``, both in that dtype.
 
     ``y`` is the head output, (B, d). The BPTT cache is time-major,
     ``(X, Z, C, TC, H)``: X the inputs as (l, B, d); Z the gate activations
@@ -121,7 +127,7 @@ def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
     X = np.ascontiguousarray(x.transpose(1, 0, 2))
     steps, batch, _ = X.shape
     Z = (X.reshape(steps * batch, pred.embed_dim) @ pred.Wx).reshape(steps, batch, 4 * m)
-    C, TC, H = (np.empty((steps, batch, m)) for _ in range(3))
+    C, TC, H = (np.empty((steps, batch, m), Z.dtype) for _ in range(3))
     for t in range(steps):
         z = Z[t]
         if t:
@@ -175,8 +181,9 @@ def _cell_backward(pred: RecurrentPredictor, cache, d_y: np.ndarray,
 
 
 def _checked_contexts(pred: RecurrentPredictor, contexts) -> np.ndarray:
-    """``contexts`` as a float64 (B, l >= 1, d) array; any other shape is an error."""
-    contexts = np.asarray(contexts, dtype=np.float64)
+    """``contexts`` as a (B, l >= 1, d) array in ``pred.theta``'s dtype, the one the
+    predictor computes in; any other shape is an error."""
+    contexts = np.asarray(contexts, dtype=pred.theta.dtype)
     if contexts.ndim != 3 or contexts.shape[1] < 1 or contexts.shape[2] != pred.embed_dim:
         raise DimensionError(f"contexts must be (B, l >= 1, {pred.embed_dim}), "
                              f"got shape {contexts.shape}")
@@ -209,11 +216,11 @@ def batch_loss_and_grad(pred: RecurrentPredictor, contexts: np.ndarray,
     """Mean squared-error over a (B, l, d) context batch, with exact BPTT gradient.
 
     Needs B >= 1, l >= 1 and (B, d) targets. Returns ``(loss, grad)``;
-    ``grad`` has the layout of ``pred.theta`` and is ``out`` when given
-    (every entry overwritten), else a new array.
+    ``grad`` has the layout and dtype of ``pred.theta`` and is ``out`` when
+    given (every entry overwritten), else a new array.
     """
     contexts = _checked_contexts(pred, contexts)
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=pred.theta.dtype)
     batch = contexts.shape[0]
     if batch < 1 or targets.shape != (batch, pred.embed_dim):
         raise DimensionError(f"need B >= 1 contexts and ({batch}, {pred.embed_dim}) "
@@ -270,11 +277,12 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     """Fit the recurrent predictor on all (context, next frame) pairs.
 
     Every sequence longer than ``context_len`` contributes one training pair
-    per valid window; the frozen embedding supplies the features. Batches
-    interleave pairs round-robin across source sequences so no sequence
-    dominates an update. Sequences too short for a single window are skipped
-    with a warning; if everything is skipped the dataset is unusable. Runs
-    ``max_epochs`` epochs; divergence raises :class:`DivergenceError`.
+    per valid window; the frozen embedding supplies the features, cast once to
+    the predictor's float32. Batches interleave pairs round-robin across
+    source sequences so no sequence dominates an update. Sequences too short
+    for a single window are skipped with a warning; if everything is skipped
+    the dataset is unusable. Runs ``max_epochs`` epochs; divergence raises
+    :class:`DivergenceError`.
     """
     if config is None:
         config = PredictorConfig()
@@ -283,13 +291,14 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     if context_len < 1:
         raise ConfigError("context_len must be >= 1")
 
+    pred = init_predictor(model.embed_dim, config.hidden_dim, context_len, rng.split(0))
     embedded = {}
     for s in dataset:
         if len(s) <= context_len:
             logger.warning("sequence %r has %d frames, needs > %d; skipped",
                            s.id, len(s), context_len)
             continue
-        embedded[s.id] = embed_batch(model, s.frames)
+        embedded[s.id] = embed_batch(model, s.frames).astype(pred.theta.dtype)
 
     # Each sequence's pairs form one block, blocks in sorted-id order. An
     # epoch permutes within every block, then takes rank 0 of each block,
@@ -301,8 +310,6 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     starts = first[np.cumsum(sizes) - sizes]  # each block's first window
     round_robin = np.argsort(np.concatenate([np.arange(n) for n in sizes]), kind="stable")
 
-    pred = init_predictor(model.embed_dim, config.hidden_dim, context_len,
-                          rng.split(0))
     sgd = MomentumSGD(pred.theta, config.learning_rate, config.momentum, "predictor")
     grad = np.empty_like(pred.theta)  # every batch overwrites all of it
     g = rng.gen

@@ -3,9 +3,10 @@
 A SeqPack is a directory holding ``manifest.json`` plus one raw payload file
 per sequence (32-bit little-endian floats, row-major frames x dim), with an
 optional latent payload per sequence. Models and predictors live in a
-single-file container: magic, version, kind, dims, then the parameter
-blocks as 64-bit little-endian floats, closed by a SHA-256 checksum over
-everything before it.
+single-file container: magic, version, kind, dims, the parameters' byte
+width, then the parameter blocks as little-endian floats of that width
+(the model's own dtype), closed by a SHA-256 checksum over everything
+before it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ _LATENT_SUFFIX = ".lat.f32"
 _MAX_PAYLOAD_NAME = MAX_ID_LEN + len(_LATENT_SUFFIX)
 
 _MAGIC = b"SQRP"
-_CONTAINER_VERSION = 1
+_CONTAINER_VERSION = 2
 _KIND_EMBEDDING = 1
 _KIND_PREDICTOR = 2
 
@@ -157,8 +158,8 @@ def _write_container(path: Path, kind: int, dims: tuple[int, ...], extra: int,
     head += _MAGIC
     head += struct.pack("<III", _CONTAINER_VERSION, kind, len(dims))
     head += struct.pack(f"<{len(dims)}I", *dims)
-    head += struct.pack("<I", extra)
-    head += np.ascontiguousarray(theta, dtype="<f8").tobytes()
+    head += struct.pack("<II", extra, theta.itemsize)
+    head += np.ascontiguousarray(theta, dtype=f"<f{theta.itemsize}").tobytes()
     digest = hashlib.sha256(bytes(head)).digest()
     write_file(path, bytes(head) + digest)
 
@@ -181,12 +182,13 @@ def _read_container(path: Path, expect_kind: int, expect_ndims: int):
         raise FormatError(f"{path}: container holds kind {kind}, expected {expect_kind}")
     if ndims != expect_ndims:
         raise FormatError(f"{path}: container declares {ndims} dims, expected {expect_ndims}")
-    off = 16 + 4 * ndims + 4
-    if len(body) < off or (len(body) - off) % 8:
-        raise FormatError(f"{path}: parameter payload is not a whole number of float64 values")
+    off = 16 + 4 * ndims + 8  # the header ends with extra and the parameters' itemsize
+    size = struct.unpack_from("<I", body, off - 4)[0] if len(body) >= off else 0
+    if size not in (4, 8) or (len(body) - off) % size:
+        raise FormatError(f"{path}: parameter payload is not a whole number of binary32 "
+                          f"or binary64 values (itemsize {size})")
     *dims, extra = struct.unpack_from(f"<{ndims + 1}I", body, 16)
-    theta = np.frombuffer(body, dtype="<f8", offset=off)
-    return dims, extra, theta
+    return dims, extra, np.frombuffer(body, dtype=f"<f{size}", offset=off)
 
 
 def _build(path, cls, *args):

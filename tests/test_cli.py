@@ -393,7 +393,7 @@ class TestExitCodes:
     def test_zero_dimension_model_is_validation_error(self, pipeline, capsys):
         root, cfg, data, model, _ = pipeline
         # a re-signed embedding container with hidden_dim 0: only b2 is left
-        body = (model.read_bytes()[:16] + struct.pack("<4I", 16, 0, 8, 0)
+        body = (model.read_bytes()[:16] + struct.pack("<5I", 16, 0, 8, 0, 8)
                 + np.full(8, 0.5, "<f8").tobytes())
         bad = root / "zero_dim.bin"
         bad.write_bytes(body + hashlib.sha256(body).digest())
@@ -402,6 +402,7 @@ class TestExitCodes:
                      "--model", str(bad), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "FormatError" in err and "zero_dim.bin" in err
+        assert "hidden_dim must be >= 1" in err
         assert not out.exists()
 
     def test_unwritable_output_is_runtime_error(self, pipeline):

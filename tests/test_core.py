@@ -240,7 +240,7 @@ def test_momentum_sgd_matches_the_per_block_update():
         ref_v = 0.9 * ref_v - 0.03 * grad
         ref_theta = ref_theta + ref_v
     np.testing.assert_array_equal(theta, ref_theta)  # updated in place, bit for bit
-    assert sgd.end_epoch() == float(np.linalg.norm(theta - start))
+    assert sgd.end_epoch() is None
     assert (sgd.epoch, sgd.batch) == (1, 0)
     assert sgd.log.batch_loss == [1.0] * 5 and sgd.log.batch_epoch == [0] * 5
     assert sgd.log.epoch_param_delta == [float(np.linalg.norm(theta - start))]
@@ -256,15 +256,16 @@ def test_momentum_sgd_end_epoch_allocates_no_parameter_sized_vector():
     expect = float(np.linalg.norm(theta - start))
     tracemalloc.start()
     try:
-        delta = sgd.end_epoch()
+        sgd.end_epoch()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64_000  # a block's finiteness mask is 32 kB; the whole vector's was 250 kB
-    assert delta == expect  # the same norm of the same values
+    assert sgd.log.epoch_param_delta[-1] == expect  # the same norm of the same values
     start = theta.copy()
     sgd.step(1.0, g.normal(size=theta.size))
-    assert sgd.end_epoch() == float(np.linalg.norm(theta - start))  # the new epoch's start
+    sgd.end_epoch()
+    assert sgd.log.epoch_param_delta[-1] == float(np.linalg.norm(theta - start))  # new start
 
 
 def test_momentum_sgd_blocks_cover_the_whole_vector():
@@ -279,10 +280,32 @@ def test_momentum_sgd_blocks_cover_the_whole_vector():
         ref_v = 0.9 * ref_v - 0.03 * grad
         ref_theta = ref_theta + ref_v
     np.testing.assert_array_equal(theta, ref_theta)
-    assert sgd.end_epoch() == float(np.linalg.norm(theta - start))
+    sgd.end_epoch()
+    assert sgd.log.epoch_param_delta[-1] == float(np.linalg.norm(theta - start))
     theta[-1] = np.inf  # only the tail block sees it
     with pytest.raises(DivergenceError, match="non-finite parameters"):
         sgd.end_epoch()
+
+
+def test_momentum_sgd_works_in_the_parameters_dtype():
+    # float32 parameters: velocity, scratch and epoch start are float32 too,
+    # and the update is the whole-vector float32 expression bit for bit
+    g = RngState(12).gen
+    theta = g.normal(size=32_768 + 5).astype(np.float32)
+    start, ref_theta, ref_v = theta.copy(), theta.copy(), np.zeros_like(theta)
+    sgd = MomentumSGD(theta, learning_rate=0.03, momentum=0.9, stage="predictor")
+    assert all(a.dtype == np.float32
+               for a in (sgd.velocity, sgd._scaled, sgd._epoch_start))
+    for _ in range(3):
+        grad = g.normal(size=theta.size).astype(np.float32)
+        sgd.step(1.0, grad)
+        ref_v = 0.9 * ref_v - 0.03 * grad
+        ref_theta = ref_theta + ref_v
+    assert theta.dtype == ref_theta.dtype == np.float32
+    np.testing.assert_array_equal(theta, ref_theta)
+    sgd.end_epoch()
+    assert sgd.log.epoch_param_delta[-1] == pytest.approx(
+        float(np.linalg.norm((theta - start).astype(np.float64))), rel=1e-6)
 
 
 def test_momentum_sgd_needs_no_parameter_sized_scratch():

@@ -41,6 +41,11 @@ def predict_next(pred, model, frames):
     return rnn_forward_batch(pred, dynamics._embed_context(pred, model, frames, "frames")[None])[0]
 
 
+def float64(pred):
+    """``pred`` with its parameters widened to float64, so it runs the float64 kernel."""
+    return replace(pred, theta=pred.theta.astype(np.float64))
+
+
 def zero_predictor(d=3, m=5, bias=None, context_len=4):
     by = np.zeros(d) if bias is None else np.asarray(bias, float)
     theta = np.concatenate([np.zeros(d * 4 * m + m * 4 * m + 4 * m + m * d), by])
@@ -146,6 +151,41 @@ class TestModel:
         theta[0] = np.inf
         with pytest.raises(DegenerateInputError):
             RecurrentPredictor(theta, 3, 5)
+        with pytest.raises(DegenerateInputError):
+            RecurrentPredictor(theta.astype(np.float32), 3, 5)
+
+    def test_init_keeps_the_stream_in_float32_and_bounded_memory(self):
+        d, m = 128, 512
+        init_predictor(3, 6)  # first-call set-up is not the builder's
+        tracemalloc.start()
+        try:
+            pred = init_predictor(d, m, 4, RngState(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # built as one float64 vector, then copied, the predictor peaked at 22.8 MB
+        assert peak <= 15_000_000
+        g = RngState(3).gen
+        sx, sh, sy = 6.0 / math.sqrt(d), 2.0 / math.sqrt(m), 0.3 / math.sqrt(m)
+        b = np.zeros(4 * m)
+        b[m:2 * m] = 1.0
+        draws = np.concatenate([g.uniform(-sx, sx, size=d * 4 * m),
+                                g.uniform(-sh, sh, size=m * 4 * m), b,
+                                g.uniform(-sy, sy, size=m * d), np.zeros(d)])
+        assert pred.theta.dtype == np.float32
+        np.testing.assert_array_equal(pred.theta, draws.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype, kept", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float16, np.float64),
+        (np.int64, np.float64)])
+    def test_theta_dtype_is_float32_or_float64(self, dtype, kept):
+        pred = init_predictor(3, 6, 4, RngState(1))
+        theta = pred.theta.astype(dtype)
+        for made in (RecurrentPredictor(theta, 3, 6), replace(pred, theta=theta)):
+            assert made.theta.dtype == kept and not np.shares_memory(made.theta, theta)
+            assert all(v.dtype == kept for v in made.blocks(made.theta).values())
+        assert RecurrentPredictor(pred.theta.tolist(), 3, 6).theta.dtype == np.float64
+        assert replace(pred, context_len=2).theta.dtype == np.float32
 
 
 class TestForward:
@@ -176,7 +216,7 @@ class TestForward:
         (9, 1, 5, 12), (9, 2, 5, 12), (9, 4, 5, 12), (128, 4, 128, 512)],
         ids=["1", "2", "4", "reference"])
     def test_skipping_the_zero_state_product_is_bit_exact(self, rng, batch, length, d, m):
-        pred = init_predictor(d, m, length, RngState(7))
+        pred = float64(init_predictor(d, m, length, RngState(7)))
         contexts = rng.gen.normal(size=(batch, length, d))
         np.testing.assert_array_equal(rnn_forward_batch(pred, contexts),
                                       per_step_forward(pred, contexts)[0])
@@ -194,7 +234,7 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 14_000_000
-        np.testing.assert_array_equal(y, _cell_forward(pred, contexts)[0])
+        np.testing.assert_array_equal(y, _cell_forward(pred, contexts.astype(np.float32))[0])
 
     def test_dimension_mismatch(self, rng):
         pred = init_predictor(3, 6, 4, RngState(1))
@@ -229,7 +269,7 @@ class TestLoss:
         assert loss == 2.0
 
     def test_equals_shared_primitive(self, rng):
-        pred = init_predictor(6, 8, 3, RngState(3))
+        pred = float64(init_predictor(6, 8, 3, RngState(3)))
         contexts = rng.gen.normal(size=(5, 3, 6))
         targets = rng.gen.normal(size=(5, 6))
         loss, _ = batch_loss_and_grad(pred, contexts, targets)
@@ -267,7 +307,7 @@ class TestGradient:
     @pytest.mark.parametrize("length", [1, 2, 4])
     def test_matches_the_per_step_reference(self, length):
         r = RngState(40 + length)
-        pred = init_predictor(5, 11, length, r)
+        pred = float64(init_predictor(5, 11, length, r))
         contexts = r.gen.normal(size=(7, length, 5))
         targets = r.gen.normal(size=(7, 5))
         loss, grad = batch_loss_and_grad(pred, contexts, targets)
@@ -298,26 +338,62 @@ class TestGradient:
         pred = init_predictor(128, 512, length, RngState(5))
         g = RngState(6).gen
         contexts = random_unit_rows(g, batch * length, 128).reshape(batch, length, 128)
-        d_y = g.normal(size=(batch, 128)) / batch
-        _, cache = _cell_forward(pred, contexts)
+        d_y = (g.normal(size=(batch, 128)) / batch).astype(np.float32)
+        _, cache = _cell_forward(pred, contexts.astype(np.float32))
         ref = allocating_cell_backward(pred, tuple(a.copy() for a in cache), d_y)
         grad = _cell_backward(pred, cache, d_y, np.full_like(pred.theta, np.nan))
         np.testing.assert_array_equal(grad, ref)
 
-    def test_batch_holds_one_gate_array(self, rng):
-        # at B=128, l=4, d=128, m=512 the forward's cache is 15.2 MB, of which
-        # the gates are 8.4 MB; a separate dZ took the batch from 18.8 to 26.6 MB
-        pred = init_predictor(128, 512, 4, RngState(7))
+    @staticmethod
+    def reference_batch_peak(pred, rng):
+        """Numpy peak of one B=128, l=4 batch into a preallocated gradient."""
         contexts = random_unit_rows(rng.gen, 128 * 4, 128).reshape(128, 4, 128)
         targets = random_unit_rows(rng.gen, 128, 128)
         grad = np.empty_like(pred.theta)
         tracemalloc.start()
         try:
             batch_loss_and_grad(pred, contexts, targets, grad)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 21_000_000
+
+    def test_batch_holds_one_gate_array(self, rng):
+        # at B=128, l=4, d=128, m=512 the forward's cache is 15.2 MB, of which
+        # the gates are 8.4 MB; a separate dZ took the batch from 18.8 to 26.6 MB
+        pred = float64(init_predictor(128, 512, 4, RngState(7)))
+        assert self.reference_batch_peak(pred, rng) < 21_000_000
+
+    def test_float32_batch_holds_one_gate_array_in_half_the_memory(self, rng):
+        # the float64 batch's 18.8 MB is 9.7 MB in float32
+        pred = init_predictor(128, 512, 4, RngState(7))
+        assert self.reference_batch_peak(pred, rng) < 21_000_000 // 2
+
+    @pytest.mark.parametrize("batch, length, d, m", [(7, 1, 5, 11), (7, 3, 5, 11),
+                                                     (128, 4, 128, 512)])
+    def test_float32_kernel_matches_the_float64_one(self, batch, length, d, m):
+        pred = init_predictor(d, m, length, RngState(8))
+        g = RngState(9).gen
+        contexts = random_unit_rows(g, batch * length, d).reshape(batch, length, d)
+        targets = random_unit_rows(g, batch, d)
+        loss, grad = batch_loss_and_grad(pred, contexts, targets)
+        ref_loss, ref = batch_loss_and_grad(float64(pred), contexts, targets)
+        assert grad.dtype == np.float32 and ref.dtype == np.float64
+        assert loss == pytest.approx(ref_loss, rel=1e-6)
+        ref_blocks = pred.blocks(ref)
+        for name, block in pred.blocks(grad).items():
+            scale = np.max(np.abs(ref_blocks[name]))
+            assert np.max(np.abs(block - ref_blocks[name])) <= 1e-5 * scale, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_caches_and_gradient_follow_theta(self, rng, dtype):
+        built = init_predictor(5, 11, 3, RngState(4))
+        pred = replace(built, theta=built.theta.astype(dtype))
+        contexts = rng.gen.normal(size=(7, 3, 5))  # float64 either way
+        y, cache = _cell_forward(pred, dynamics._checked_contexts(pred, contexts))
+        assert y.dtype == dtype and all(a.dtype == dtype for a in cache)
+        _, grad = batch_loss_and_grad(pred, contexts, rng.gen.normal(size=(7, 5)))
+        assert grad.dtype == dtype
+        assert rnn_forward_batch(pred, contexts).dtype == np.float64
 
     def test_bptt_matches_finite_differences(self):
         from gradcheck import max_block_relative_error, numeric_gradients
@@ -407,8 +483,11 @@ class TestTrainPredictor:
 
         monkeypatch.setattr(dynamics, "batch_loss_and_grad", spy)
         cfg = PredictorConfig(hidden_dim=10, max_epochs=2, batch_size=16)
-        train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(9))
-        contexts, targets = copied_pairs([embed_batch(model, s.frames) for s in seqs], 4)
+        pred, _ = train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(9))
+        assert pred.theta.dtype == np.float32  # and every batch was gathered in it
+        assert all(b.dtype == np.float32 for b in seen)
+        contexts, targets = copied_pairs(
+            [embed_batch(model, s.frames).astype(np.float32) for s in seqs], 4)
         pairs = np.concatenate([contexts, targets[:, None]], axis=1).reshape(len(targets), -1)
         expect = pairs[np.lexsort(pairs.T)]
         per_epoch = len(seen) // 2

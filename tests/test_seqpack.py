@@ -1,13 +1,14 @@
 import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from seqrep.core import ConfigError, Dataset, FormatError, RngState, Sequence
 from seqrep.embed import init_embedding_model
-from seqrep.dynamics import init_predictor
+from seqrep.dynamics import init_predictor, rnn_forward_batch
 from seqrep.seqpack import (
     MANIFEST_NAME,
     load_model,
@@ -246,6 +247,27 @@ class TestModelContainer:
         for name in ("Wx", "Wh", "b", "Wy", "by"):
             np.testing.assert_array_equal(getattr(back, name), getattr(pred, name))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predictor_keeps_its_dtype_and_predicts_the_same_bits(self, tmp_path, dtype, rng):
+        built = init_predictor(4, 7, context_len=3, rng=RngState(6))
+        pred = replace(built, theta=built.theta.astype(dtype))
+        save_predictor(pred, tmp_path / "p.bin")
+        blob = (tmp_path / "p.bin").read_bytes()
+        itemsize = np.dtype(dtype).itemsize
+        # magic, version 2, kind, ndims, d, m, extra, then the itemsize word
+        assert struct.unpack_from("<7I", blob, 4) == (2, 2, 2, 4, 7, 3, itemsize)
+        assert len(blob) == 32 + itemsize * pred.theta.size + 32
+        back = load_predictor(tmp_path / "p.bin")
+        assert back.theta.dtype == dtype
+        np.testing.assert_array_equal(back.theta, pred.theta)
+        contexts = rng.gen.normal(size=(5, 3, 4))
+        np.testing.assert_array_equal(rnn_forward_batch(back, contexts),
+                                      rnn_forward_batch(pred, contexts))
+
+    def test_embedding_is_stored_as_binary64(self, tmp_path):
+        save_model(init_embedding_model(6, 9, 4, RngState(5)), tmp_path / "m.bin")
+        assert struct.unpack_from("<I", (tmp_path / "m.bin").read_bytes(), 32)[0] == 8
+
     def test_save_is_byte_deterministic(self, tmp_path):
         model = init_embedding_model(6, 9, 4, RngState(5))
         save_model(model, tmp_path / "m1.bin")
@@ -256,7 +278,7 @@ class TestModelContainer:
         model = init_embedding_model(6, 9, 4, RngState(5))
         save_model(model, tmp_path / "m.bin")
         blob = bytearray((tmp_path / "m.bin").read_bytes())
-        blob[40] ^= 0xFF
+        blob[44] ^= 0xFF
         (tmp_path / "m.bin").write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="checksum"):
             load_model(tmp_path / "m.bin")
@@ -271,8 +293,14 @@ class TestModelContainer:
         lambda body: body[:12] + struct.pack("<I", 10**6) + body[16:],  # ndims
         lambda body: body + b"\0\0\0",  # payload not a multiple of 8 bytes
         lambda body: body[:-8],  # payload shorter than the dims imply
-        lambda body: body[:40] + np.array([np.nan], "<f8").tobytes() + body[48:],
-    ], ids=["ndims", "ragged", "short", "non-finite"])
+        lambda body: body[:44] + np.array([np.nan], "<f8").tobytes() + body[52:],
+        # the version-1 layout: no itemsize word
+        lambda body: body[:4] + struct.pack("<I", 1) + body[8:32] + body[36:],
+        lambda body: body[:32] + struct.pack("<I", 2) + body[36:],  # itemsize
+        lambda body: body[:32] + struct.pack("<I", 4) + body[36:],  # twice the binary32 values
+        lambda body: body[:32],  # no itemsize word
+    ], ids=["ndims", "ragged", "short", "non-finite", "version-1", "itemsize", "binary32",
+            "no-itemsize"])
     def test_checksummed_damage_names_file(self, tmp_path, damage):
         save_model(init_embedding_model(6, 9, 4, RngState(5)), tmp_path / "m.bin")
         body = damage((tmp_path / "m.bin").read_bytes()[:-32])
@@ -283,7 +311,7 @@ class TestModelContainer:
     def test_non_finite_predictor_parameter_names_file(self, tmp_path):
         save_predictor(init_predictor(4, 7, rng=RngState(6)), tmp_path / "p.bin")
         body = bytearray((tmp_path / "p.bin").read_bytes()[:-32])
-        body[-8:] = np.array([np.inf], "<f8").tobytes()
+        body[-4:] = np.array([np.inf], "<f4").tobytes()
         (tmp_path / "p.bin").write_bytes(bytes(body) + hashlib.sha256(body).digest())
         with pytest.raises(FormatError, match="p.bin"):
             load_predictor(tmp_path / "p.bin")
@@ -294,15 +322,15 @@ class TestModelContainer:
         path = tmp_path / "z.bin"
         if kind == "embedding":
             save_model(init_embedding_model(6, 9, 4, RngState(5)), path)
-            dims, extra, size = (8, 0, 8), 0, 8  # only b2 is left
+            dims, extra, size, itemsize = (8, 0, 8), 0, 8, 8  # only b2 is left
             load = load_model
         else:
             save_predictor(init_predictor(4, 7, rng=RngState(6)), path)
-            dims, extra, size = (0, 5), 4, 5 * 20 + 20  # only Wh and b are left
+            dims, extra, size, itemsize = (0, 5), 4, 5 * 20 + 20, 4  # only Wh and b are left
             load = load_predictor
         head = path.read_bytes()[:16]  # magic, version, kind, ndims
-        body = (head + struct.pack(f"<{len(dims) + 1}I", *dims, extra)
-                + np.full(size, 0.5, "<f8").tobytes())
+        body = (head + struct.pack(f"<{len(dims) + 2}I", *dims, extra, itemsize)
+                + np.full(size, 0.5, f"<f{itemsize}").tobytes())
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(FormatError, match=r"z\.bin.*dim must be >= 1"):
             load(path)
