@@ -113,8 +113,8 @@ def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
 
 
 def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
-    """Run the cell over (B, l, d) inputs in ``theta``'s dtype from a zero state;
-    returns ``(y, cache)``, both in that dtype.
+    """Run the cell over (B, l, d) inputs, cast to ``theta``'s dtype, from a zero
+    state; returns ``(y, cache)``, both in that dtype.
 
     ``y`` is the head output, (B, d). The BPTT cache is time-major,
     ``(X, Z, C, TC, H)``: X the inputs as (l, B, d); Z the gate activations
@@ -124,7 +124,7 @@ def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
     h·Wh at t = 0 (h0 = 0, and (a + 0) + b == a + b bit for bit).
     """
     m = pred.hidden_dim
-    X = np.ascontiguousarray(x.transpose(1, 0, 2))
+    X = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=pred.theta.dtype)
     steps, batch, _ = X.shape
     Z = (X.reshape(steps * batch, pred.embed_dim) @ pred.Wx).reshape(steps, batch, 4 * m)
     C, TC, H = (np.empty((steps, batch, m), Z.dtype) for _ in range(3))
@@ -181,9 +181,9 @@ def _cell_backward(pred: RecurrentPredictor, cache, d_y: np.ndarray,
 
 
 def _checked_contexts(pred: RecurrentPredictor, contexts) -> np.ndarray:
-    """``contexts`` as a (B, l >= 1, d) array in ``pred.theta``'s dtype, the one the
-    predictor computes in; any other shape is an error."""
-    contexts = np.asarray(contexts, dtype=pred.theta.dtype)
+    """``contexts`` as a (B, l >= 1, d) array, still in its own dtype (the cell
+    casts each block it runs); any other shape is an error."""
+    contexts = np.asarray(contexts)
     if contexts.ndim != 3 or contexts.shape[1] < 1 or contexts.shape[2] != pred.embed_dim:
         raise DimensionError(f"contexts must be (B, l >= 1, {pred.embed_dim}), "
                              f"got shape {contexts.shape}")

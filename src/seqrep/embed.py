@@ -25,7 +25,6 @@ from .core import (
     RngState,
     TrainLog,
     as_frames,
-    as_vector,
     block_views,
     pairwise_sqdist,
 )
@@ -38,7 +37,8 @@ class EmbeddingModel:
 
     ``theta`` is the one parameter vector, ``W1 b1 W2 b2`` concatenated
     row-major; the named blocks are views of it, so the trainer's in-place
-    updates show through them.
+    updates show through them. The encoder computes in ``theta``'s dtype: a
+    float32 ``theta`` stays float32, any other becomes float64.
     """
 
     theta: np.ndarray
@@ -54,9 +54,13 @@ class EmbeddingModel:
         for name in ("input_dim", "hidden_dim", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        object.__setattr__(self, "theta", as_vector(self.theta, "parameter vector").copy())
-        for name, view in self.blocks(self.theta).items():
+        theta = np.asarray(self.theta)
+        theta = theta.astype(np.float32 if theta.dtype == np.float32 else np.float64)  # a copy
+        object.__setattr__(self, "theta", theta)
+        for name, view in self.blocks(theta).items():
             object.__setattr__(self, name, view)
+        if not np.isfinite(theta).all():
+            raise DegenerateInputError("parameter vector contains non-finite entries")
 
     def blocks(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of ``vec``, which has the layout of ``theta`` (e.g. a gradient)."""
@@ -66,7 +70,7 @@ class EmbeddingModel:
 
 def init_embedding_model(input_dim: int, hidden_dim: int, embed_dim: int,
                          rng: RngState) -> EmbeddingModel:
-    """Scaled-uniform random weights and biases."""
+    """Scaled-uniform random weights and biases, in float32."""
     g = rng.gen
     s1 = 1.0 / math.sqrt(input_dim)
     s2 = 1.0 / math.sqrt(hidden_dim)
@@ -76,7 +80,7 @@ def init_embedding_model(input_dim: int, hidden_dim: int, embed_dim: int,
         g.uniform(-s1, s1, size=hidden_dim),
         g.uniform(-s2, s2, size=hidden_dim * embed_dim),
         g.uniform(-s2, s2, size=embed_dim),
-    ])
+    ], dtype=np.float32)
     return EmbeddingModel(theta, input_dim, hidden_dim, embed_dim)
 
 
@@ -90,7 +94,8 @@ def _buffers(model: EmbeddingModel, rows: int, backward: bool = True) -> dict[st
     widths = dict(z1=h, a1=h, z2=d, norms=1, y=d)
     if backward:
         widths.update(x=f, d_y=d, d_z2=d, d_a1=h, live=h)
-    buf = {k: np.empty((rows, w), dtype=bool if k == "live" else float) for k, w in widths.items()}
+    buf = {k: np.empty((rows, w), bool if k == "live" else model.theta.dtype)
+           for k, w in widths.items()}
     if backward:
         buf["grad"] = np.empty_like(model.theta)
     return buf
@@ -113,13 +118,13 @@ def _forward(model: EmbeddingModel, x: np.ndarray, buf: dict[str, np.ndarray]):
 
 
 def embed_batch(model: EmbeddingModel, frames) -> np.ndarray:
-    """Embed an (n, f) array of frames to (n, d) unit-norm vectors.
+    """Embed an (n, f) array of frames to (n, d) unit-norm float64 vectors.
 
     A pre-normalization norm that overflows raises DegenerateInputError. The
     check sits here, not in :func:`_forward`: inside a training batch the same
     overflow is divergence, which :class:`MomentumSGD` reports.
     """
-    x = as_frames(frames)
+    x = as_frames(frames).astype(model.theta.dtype, copy=False)
     if x.shape[1] != model.input_dim:
         raise DimensionError(
             f"frames have dimension {x.shape[1]}, model expects {model.input_dim}"
@@ -127,7 +132,7 @@ def embed_batch(model: EmbeddingModel, frames) -> np.ndarray:
     y, norms = _forward(model, x, _buffers(model, len(x), backward=False))
     if not np.all(np.isfinite(norms)):
         raise DegenerateInputError("pre-normalization output overflowed")
-    return y
+    return np.asarray(y, dtype=np.float64)
 
 
 def _backprop(model: EmbeddingModel, x: np.ndarray, buf: dict[str, np.ndarray]) -> np.ndarray:
@@ -177,7 +182,7 @@ def triplet_grad(model: EmbeddingModel, anchors, positives, negatives,
     pre += delta
     loss = float(np.sum(np.maximum(pre, 0.0)) / count)
 
-    scale = (2.0 / count) * (pre > 0)[:, None]  # 0 for an inactive hinge
+    scale = ((pre > 0) * pre.dtype.type(2.0 / count))[:, None]  # 0 for an inactive hinge
     np.multiply(scale, np.subtract(yn, yp, out=d_ya), out=d_ya)
     np.multiply(-scale, dpos, out=d_yp)
     np.multiply(scale, dneg, out=d_yn)
@@ -335,7 +340,10 @@ def train(dataset: Dataset, config: TrainConfig,
     unit-normalized ZCA-whitened raw features; afterwards the current
     embedding takes over (it must first outgrow the bootstrap features, so
     switching too early stalls training). Runs ``max_epochs`` epochs; a
-    diverging batch or parameter vector raises :class:`DivergenceError`.
+    diverging batch or parameter vector raises :class:`DivergenceError`. The
+    model returned holds the float64 mean of the epoch-end vectors of the
+    last ⌈max_epochs / 2⌉ epochs (Polyak-Ruppert averaging): epochs 15-29 of
+    30, a 1- or 2-epoch run's last iterate. The log keeps the optimizer's moves.
     """
     if rng is None:
         rng = RngState(0)
@@ -354,6 +362,7 @@ def train(dataset: Dataset, config: TrainConfig,
     pairs_per_epoch = len(dataset) if config.pairs_per_epoch is None else config.pairs_per_epoch
     g = rng.gen
     buffers = _buffers(model, 3 * config.triplets_per_batch)  # every batch reuses them
+    averaged, theta_sum = math.ceil(config.max_epochs / 2), np.zeros(model.theta.size)
 
     for epoch in range(config.max_epochs):
         p = config.percentile_at(epoch)
@@ -384,5 +393,8 @@ def train(dataset: Dataset, config: TrainConfig,
                 loss, grads = triplet_grad(model, a, pos, neg, config.margin, buffers)
                 sgd.step(loss, grads)
         sgd.end_epoch()
+        if epoch >= config.max_epochs - averaged:
+            theta_sum += model.theta
 
+    model.theta[...] = theta_sum / averaged
     return model, sgd.log

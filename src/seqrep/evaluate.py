@@ -113,6 +113,14 @@ def default_pose_epsilon(dataset: Dataset, percentile: float = 5.0) -> float:
     return float(np.percentile(dist, percentile, overwrite_input=True))
 
 
+def _latent_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) row distances, squared coordinate differences added in coordinate order."""
+    sq, diff = np.zeros((2, len(a), len(b)))
+    for za, zb in zip(a.T, b.T):
+        sq += np.square(np.subtract(zb, za[:, None], out=diff), out=diff)
+    return np.sqrt(sq, out=sq)
+
+
 def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
                                 pose_epsilon: float | None = None,
                                 num_queries: int = 500,
@@ -144,7 +152,7 @@ def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
     aucs = []
     for lo, hi in zip(starts, starts[1:]):
         qs, others = queries[(lo <= queries) & (queries < hi)], np.r_[0:lo, hi:total]
-        labels = np.linalg.norm(lats[others] - lats[qs, None], axis=2) <= pose_epsilon
+        labels = _latent_distances(lats[qs], lats[others]) <= pose_epsilon
         ranks = _average_ranks(-pairwise_sqdist(feats[qs], feats[others]))
         # Mann-Whitney U per row; average ranks are half-integers, so the sums are exact
         n_pos, n_neg = labels.sum(axis=1), (~labels).sum(axis=1)

@@ -7,6 +7,8 @@ their verdicts here so the terminal summary prints one line per criterion.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,12 @@ def small_dataset():
 @pytest.fixture()
 def rng():
     return RngState(2024)
+
+
+def float64(model):
+    """``model`` (an embedding or a predictor) with its parameters widened to
+    float64, so it runs the float64 kernels."""
+    return replace(model, theta=model.theta.astype(np.float64))
 
 
 def random_unit_rows(g: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -147,11 +147,14 @@ def test_criterion_05_representation_quality(ref_config, ref_dataset, ref_model,
     """Trained retrieval AUC at least 0.05 above the whitened baseline's.
 
     The gap depends on the training seed. Retraining the reference config
-    with seeds 99, 1, 2, 3, 4 and 5 (same data and eval stream) gave trained
-    AUCs 0.812, 0.732, 0.829, 0.855, 0.887 and 0.864 against whitened 0.734,
-    so the gate held for 5 of the 6 seeds and failed for seed 1 (gap
-    -0.002). It therefore pins one training run, ``TRAIN_SEED = 99``, and
-    checks that run rather than the learner over seeds.
+    with seeds 99 and 1-12 (same data and eval stream, 1 BLAS thread) gave
+    trained AUCs 0.850, 0.865, 0.796, 0.844, 0.897, 0.901, 0.870, 0.870,
+    0.858, 0.884, 0.902, 0.831 and 0.827 (mean 0.861) against whitened
+    0.734, so the gate held for all 13 seeds; the lowest gap is seed 2's
+    +0.062. The returned model is the mean of the late epoch-end
+    parameters; the last iterate held for 9 of the 13 (mean 0.817). The
+    test pins one training run, ``TRAIN_SEED = 99``, and checks that run
+    rather than the learner over seeds.
     """
     eval_rng = RngState(EVAL_SEED)
     t0 = time.perf_counter()

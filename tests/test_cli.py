@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqrep import embed
 from seqrep.align import MatchPenalties, _chunk_bounds, alignment_cost
 from seqrep.cli import build_parser, main
 from seqrep.embed import EmbeddingModel, embed_batch
 from seqrep.evaluate import EvalReport, pca_project_2d
 from seqrep.seqpack import load_model, read_seqpack, save_model
+
+from conftest import float64
 
 TINY = {
     "seed": 11,
@@ -355,13 +358,23 @@ class TestExitCodes:
         assert "DivergenceError" in capsys.readouterr().err
         assert not (root / "diverged.bin").exists()
 
-    @pytest.mark.parametrize("command, section, learning_rate, what", [
-        ("train-embed", "train", 1e150, "collapsed"),
-        ("train-dyn", "predictor", 100.0, "blew up"),
+    # 1e150 overflows the float32 encoder as built, so it collapses at 1e12;
+    # the float64 encoder (a widened θ) still collapses at 1e150
+    @pytest.mark.parametrize("command, section, learning_rate, what, widen", [
+        pytest.param("train-embed", "train", 1e150, "collapsed", True,
+                     id="train-embed-train-1e+150-collapsed"),
+        pytest.param("train-embed", "train", 1e12, "collapsed", False,
+                     id="train-embed-train-1e+12-collapsed-float32"),
+        pytest.param("train-dyn", "predictor", 100.0, "blew up", False,
+                     id="train-dyn-predictor-100.0-blew up"),
     ])
     def test_collapse_and_blow_up_are_runtime_errors(self, pipeline, command, section,
-                                                     learning_rate, what, capsys):
+                                                     learning_rate, what, widen, capsys,
+                                                     monkeypatch):
         root, _, data, model, _ = pipeline
+        if widen:
+            init = embed.init_embedding_model
+            monkeypatch.setattr(embed, "init_embedding_model", lambda *a: float64(init(*a)))
         cfg = root / "unstable_cfg.json"
         cfg.write_text(json.dumps({**TINY, section: {**TINY[section],
                                                      "learning_rate": learning_rate}}))
@@ -378,17 +391,20 @@ class TestExitCodes:
     def test_overflowed_encoder_is_validation_error(self, pipeline, capsys):
         root, cfg, data, model, _ = pipeline
         m = load_model(model)
-        theta = m.theta.copy()
-        theta[-1] = 1e300
-        bad = root / "overflow.bin"
-        save_model(EmbeddingModel(theta, m.input_dim, m.hidden_dim, m.embed_dim), bad)
-        out = root / "overflow_proj.txt"
-        with np.errstate(all="ignore"):
-            code = main(["project", "--config", cfg, "--data", str(data),
-                         "--model", str(bad), "--out", str(out)])
-        assert code == 1
-        assert "DegenerateInputError" in capsys.readouterr().err
-        assert not out.exists()
+        # a binary64 container overflows at 1e300, a binary32 one (as trained) at 1e30
+        for dtype, weight in ((np.float64, 1e300), (np.float32, 1e30)):
+            theta = m.theta.astype(dtype)
+            theta[-1] = weight
+            bad = root / "overflow.bin"
+            save_model(EmbeddingModel(theta, m.input_dim, m.hidden_dim, m.embed_dim), bad)
+            assert load_model(bad).theta.dtype == dtype
+            out = root / "overflow_proj.txt"
+            with np.errstate(all="ignore"):
+                code = main(["project", "--config", cfg, "--data", str(data),
+                             "--model", str(bad), "--out", str(out)])
+            assert code == 1
+            assert "DegenerateInputError" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_zero_dimension_model_is_validation_error(self, pipeline, capsys):
         root, cfg, data, model, _ = pipeline

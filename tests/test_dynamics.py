@@ -33,17 +33,12 @@ from seqrep.dynamics import (
 from seqrep.embed import embed_batch, init_embedding_model
 from seqrep.seqpack import save_predictor
 
-from conftest import random_unit_rows
+from conftest import float64, random_unit_rows
 
 
 def predict_next(pred, model, frames):
     """Embed exactly ``context_len`` raw frames and predict the next embedding."""
     return rnn_forward_batch(pred, dynamics._embed_context(pred, model, frames, "frames")[None])[0]
-
-
-def float64(pred):
-    """``pred`` with its parameters widened to float64, so it runs the float64 kernel."""
-    return replace(pred, theta=pred.theta.astype(np.float64))
 
 
 def zero_predictor(d=3, m=5, bias=None, context_len=4):
@@ -224,7 +219,9 @@ class TestForward:
     def test_row_blocks_keep_the_bits_and_bound_the_memory(self, rng):
         # the k-NN protocol's 1,750 windows at the reference shapes: one
         # unblocked cell run peaked at 236 MB for a 1.7 MB output, blocks of
-        # 256 contexts at 36.4 MB, and blocks of 64 peak at 10.4 MB
+        # 256 contexts at 36.4 MB, and blocks of 64 at 10.4 MB in float64 and
+        # 9.7 MB in float32 with the whole stack cast at once; cast block by
+        # block they peak at 6.1 MB
         pred = init_predictor(128, 512, 4, RngState(7))
         contexts = random_unit_rows(rng.gen, 1750 * 4, 128).reshape(1750, 4, 128)
         tracemalloc.start()
@@ -233,7 +230,7 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14_000_000
+        assert peak < 7_000_000
         np.testing.assert_array_equal(y, _cell_forward(pred, contexts.astype(np.float32))[0])
 
     def test_dimension_mismatch(self, rng):

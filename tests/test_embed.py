@@ -34,6 +34,8 @@ from seqrep.embed import (
     triplet_grad,
 )
 
+from conftest import float64
+
 
 def triplet_loss(pa, pp, pn, delta: float) -> float:
     """Margin ranking hinge on squared distances: max(0, d(a,p) - d(a,n) + delta).
@@ -69,6 +71,27 @@ class TestModel:
         with pytest.raises(DegenerateInputError):
             EmbeddingModel(theta, 2, 3, 2)
 
+    def test_init_keeps_the_stream_in_float32(self):
+        g = RngState(3).gen
+        s1, s2 = 1.0 / math.sqrt(6), 1.0 / math.sqrt(9)
+        draws = np.concatenate([g.uniform(-s1, s1, size=6 * 9), g.uniform(-s1, s1, size=9),
+                                g.uniform(-s2, s2, size=9 * 4), g.uniform(-s2, s2, size=4)])
+        model = init_embedding_model(6, 9, 4, RngState(3))
+        assert model.theta.dtype == np.float32
+        np.testing.assert_array_equal(model.theta, draws.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype, kept", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float16, np.float64),
+        (np.int64, np.float64)])
+    def test_theta_dtype_is_float32_or_float64(self, tiny_model, dtype, kept):
+        theta = tiny_model.theta.astype(dtype)
+        for made in (EmbeddingModel(theta, 5, 7, 4), replace(tiny_model, theta=theta)):
+            assert made.theta.dtype == kept and not np.shares_memory(made.theta, theta)
+            assert all(getattr(made, k).dtype == kept for k in ("W1", "b1", "W2", "b2"))
+        assert EmbeddingModel(tiny_model.theta.tolist(), 5, 7, 4).theta.dtype == np.float64
+        with pytest.raises(DegenerateInputError):
+            EmbeddingModel(np.full_like(tiny_model.theta, np.inf), 5, 7, 4)
+
     @pytest.mark.parametrize("dims", [(0, 8, 8), (8, 0, 8), (8, 8, 0), (-1, 8, 8)])
     def test_dimension_below_one_rejected(self, dims):
         f, h, d = dims
@@ -103,13 +126,43 @@ class TestForward:
 
     def test_overflowed_prenorm_rejected(self, tiny_model, rng):
         # a finite 1e300 weight overflows the norm to inf, which passed the
-        # near-zero check and divided every output to zero
-        theta = tiny_model.theta.copy()
-        theta[-1] = 1e300
-        model = EmbeddingModel(theta, 5, 7, 4)
-        with pytest.raises(DegenerateInputError, match="overflowed"), \
-                np.errstate(all="ignore"):
-            embed_batch(model, rng.gen.normal(size=(3, 5)))
+        # near-zero check and divided every output to zero; in float32 a
+        # 1e30 weight does (1e300 is no float32)
+        for dtype, weight in ((np.float64, 1e300), (np.float32, 1e30)):
+            theta = tiny_model.theta.astype(dtype)
+            theta[-1] = weight
+            model = EmbeddingModel(theta, 5, 7, 4)
+            assert model.theta.dtype == dtype and np.isfinite(model.theta).all()
+            with pytest.raises(DegenerateInputError, match="overflowed"), \
+                    np.errstate(all="ignore"):
+                embed_batch(model, rng.gen.normal(size=(3, 5)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_work_arrays_follow_theta_and_output_is_float64(self, tiny_model, rng, dtype):
+        model = replace(tiny_model, theta=tiny_model.theta.astype(dtype))
+        for backward in (True, False):
+            buf = embed._buffers(model, 6, backward)
+            assert all(a.dtype == (bool if k == "live" else dtype) for k, a in buf.items())
+        a, p, n = (rng.gen.normal(size=(2, 5)) for _ in range(3))  # float64 either way
+        assert triplet_grad(model, a, p, n, 0.3)[1].dtype == dtype
+        assert embed_batch(model, a).dtype == np.float64
+        sgd = MomentumSGD(model.theta, 0.1, 0.9, "embed")
+        assert sgd.velocity.dtype == sgd._scaled.dtype == dtype
+
+    @pytest.mark.parametrize("count", [5, 300])
+    def test_float32_encoder_matches_the_float64_one(self, count):
+        model = init_embedding_model(64, 256, 128, RngState(21))  # reference shapes
+        g = np.random.default_rng(count)
+        a, p, n = (g.normal(size=(count, 64)) for _ in range(3))
+        np.testing.assert_allclose(embed_batch(model, a), embed_batch(float64(model), a),
+                                   atol=1e-6)
+        loss, grad = triplet_grad(model, a, p, n, 0.2)
+        ref_loss, ref = triplet_grad(float64(model), a, p, n, 0.2)
+        assert loss == pytest.approx(ref_loss, rel=1e-6)
+        ref_blocks = model.blocks(ref)
+        for name, block in model.blocks(grad).items():  # measured <= 1.8e-6
+            scale = np.max(np.abs(ref_blocks[name]))
+            assert np.max(np.abs(block - ref_blocks[name])) <= 1e-5 * scale, name
 
 
 class TestTripletLoss:
@@ -162,18 +215,20 @@ class TestTripletGrad:
         assert worst < 1e-4
 
     def test_loss_matches_triplet_loss_oracle(self, tiny_model, rng):
+        model = float64(tiny_model)  # the float64 oracle holds float64 to 1e-12
         g = rng.gen
         a, p, n = (g.normal(size=(6, 5)) for _ in range(3))
-        loss, _ = triplet_grad(tiny_model, a, p, n, 0.3)
-        ya, yp, yn = (embed_batch(tiny_model, x) for x in (a, p, n))
+        loss, _ = triplet_grad(model, a, p, n, 0.3)
+        ya, yp, yn = (embed_batch(model, x) for x in (a, p, n))
         oracle = np.mean([triplet_loss(ya[i], yp[i], yn[i], 0.3) for i in range(6)])
         assert loss == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
     def test_batch_mean_equals_mean_of_singles(self, tiny_model, rng):
+        model = float64(tiny_model)
         g = rng.gen
         a, p, n = (g.normal(size=(4, 5)) for _ in range(3))
-        loss_b, grads_b = triplet_grad(tiny_model, a, p, n, 0.3)
-        singles = [triplet_grad(tiny_model, a[i:i+1], p[i:i+1], n[i:i+1], 0.3)
+        loss_b, grads_b = triplet_grad(model, a, p, n, 0.3)
+        singles = [triplet_grad(model, a[i:i+1], p[i:i+1], n[i:i+1], 0.3)
                    for i in range(4)]
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
         np.testing.assert_allclose(grads_b, np.mean([s[1] for s in singles], axis=0),
@@ -242,6 +297,7 @@ class TestReusedBuffers:
 
     @pytest.mark.parametrize("count", [300, 137])
     def test_equals_the_allocating_expressions(self, model, count):
+        model = float64(model)  # the expressions below compute in float64
         batch = self.batch(count + 2, count)
         loss, grad = triplet_grad(model, *batch, self.DELTA, self.nan_buffers(model, 900))
         ref_loss, ref_grad = allocating_triplet_grad(model, *batch, self.DELTA)
@@ -588,6 +644,42 @@ class TestTrain:
         assert buf["x"].shape == (3 * 40, small_dataset.dimension)
         assert any(count < 40 for _, count in seen)
 
+    @staticmethod
+    def epoch_ends(monkeypatch):
+        """Record the starting vector and each epoch-end vector of ``train``'s optimizer."""
+        seen = []
+
+        class Recording(MomentumSGD):
+            def __init__(self, theta, *args):
+                super().__init__(theta, *args)
+                seen.append(theta.copy())
+
+            def end_epoch(self):
+                super().end_epoch()
+                seen.append(self.theta.copy())
+
+        monkeypatch.setattr(embed, "MomentumSGD", Recording)
+        return seen
+
+    @pytest.mark.parametrize("epochs, averaged", [(1, 1), (2, 1), (5, 3)])
+    def test_returns_the_mean_of_the_late_epoch_ends(self, small_dataset, monkeypatch,
+                                                     epochs, averaged):
+        seen = self.epoch_ends(monkeypatch)
+        cfg = TrainConfig(max_epochs=epochs, triplets_per_batch=40, hidden_dim=16,
+                          embed_dim=8, bootstrap_epochs=2)
+        model, log = train(small_dataset, cfg, chunk_len=20, rng=RngState(42))
+        start, ends = seen[0], seen[1:]
+        assert len(ends) == epochs and model.theta.dtype == np.float32
+        expect = np.sum(np.array(ends[-averaged:], np.float64), axis=0) / averaged
+        np.testing.assert_array_equal(model.theta, expect.astype(np.float32))
+        if averaged == 1:
+            np.testing.assert_array_equal(model.theta, ends[-1])  # the last iterate
+        else:
+            assert not np.array_equal(model.theta, ends[-1])
+        # the record keeps the optimizer's own moves, not the move to the mean
+        moves = [float(np.linalg.norm(b - a)) for a, b in zip([start] + ends, ends)]
+        assert log.epoch_param_delta == moves
+
     def test_percentile_schedule(self):
         cfg = TrainConfig()
         assert [cfg.percentile_at(e) for e in (0, 1, 2, 7, 9)] == [100, 90, 80, 30, 30]
@@ -622,16 +714,22 @@ class TestTrain:
         assert (err.stage, err.epoch) == ("embed", 0) and err.batch >= 1
         assert "embed training diverged at epoch 0" in str(err)
 
-    def test_collapsed_encoder_is_divergence(self, small_dataset):
+    def test_collapsed_encoder_is_divergence(self, small_dataset, monkeypatch):
         # one step at this rate saturates the encoder: every frame embeds to
-        # the same row, so each later batch costs the margin with a zero gradient
-        cfg = TrainConfig(max_epochs=3, triplets_per_batch=40, hidden_dim=16,
-                          embed_dim=8, bootstrap_epochs=1, learning_rate=1e150)
-        with pytest.raises(DivergenceError, match="collapsed") as info, \
-                np.errstate(all="ignore"):
-            train(small_dataset, cfg, rng=RngState(0))
-        assert (info.value.stage, info.value.epoch, info.value.batch) == ("embed", 0, 1)
-        assert info.value.loss == cfg.margin
+        # the same row, so each later batch costs the margin with a zero
+        # gradient. 1e150 overflows float32, so the float32 encoder (as
+        # built) takes 1e12 and the float64 one (a widened θ) keeps 1e150.
+        init = embed.init_embedding_model
+        for dtype, rate in ((np.float32, 1e12), (np.float64, 1e150)):
+            if dtype == np.float64:
+                monkeypatch.setattr(embed, "init_embedding_model", lambda *a: float64(init(*a)))
+            cfg = TrainConfig(max_epochs=3, triplets_per_batch=40, hidden_dim=16,
+                              embed_dim=8, bootstrap_epochs=1, learning_rate=rate)
+            with pytest.raises(DivergenceError, match="collapsed") as info, \
+                    np.errstate(all="ignore"):
+                train(small_dataset, cfg, rng=RngState(0))
+            assert (info.value.stage, info.value.epoch, info.value.batch) == ("embed", 0, 1)
+            assert info.value.loss == float(dtype(cfg.margin))
 
     def test_training_reduces_loss_on_reference(self, ref_training):
         _, log = ref_training

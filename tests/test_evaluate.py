@@ -196,6 +196,20 @@ def integer_retrieval_instances(draw):
     return dataset, features, pose_epsilon, num_queries, draw(st.integers(0, 2 ** 16))
 
 
+def test_latent_distances_keep_the_bits_of_the_difference_array(ref_dataset):
+    # the reference is the norm over the (q, N, 2) difference array; adding
+    # squared differences in coordinate order keeps each distance's bits at
+    # latent_dim 2, the width of every config's latents
+    lats = np.concatenate([s.latent for s in ref_dataset], axis=0)
+    assert lats.shape[1] == 2
+    qs = np.sort(RngState(5).gen.choice(len(lats), size=500, replace=False))
+    others = np.r_[0:len(lats)]
+    old = np.linalg.norm(lats[others] - lats[qs, None], axis=2)
+    new = evaluate._latent_distances(lats[qs], lats[others])
+    assert new.shape == old.shape == (500, len(lats))
+    assert new.tobytes() == old.tobytes()
+
+
 class TestRetrievalOracle:
     @settings(max_examples=150, deadline=None)
     @given(instance=integer_retrieval_instances())

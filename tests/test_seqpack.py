@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seqrep.core import ConfigError, Dataset, FormatError, RngState, Sequence
-from seqrep.embed import init_embedding_model
+from seqrep.embed import TrainConfig, embed_batch, init_embedding_model, train
 from seqrep.dynamics import init_predictor, rnn_forward_batch
 from seqrep.seqpack import (
     MANIFEST_NAME,
@@ -18,6 +18,8 @@ from seqrep.seqpack import (
     save_predictor,
     write_seqpack,
 )
+
+from conftest import float64
 
 
 @pytest.fixture()
@@ -264,9 +266,32 @@ class TestModelContainer:
         np.testing.assert_array_equal(rnn_forward_batch(back, contexts),
                                       rnn_forward_batch(pred, contexts))
 
-    def test_embedding_is_stored_as_binary64(self, tmp_path):
-        save_model(init_embedding_model(6, 9, 4, RngState(5)), tmp_path / "m.bin")
-        assert struct.unpack_from("<I", (tmp_path / "m.bin").read_bytes(), 32)[0] == 8
+    def test_embedding_is_stored_as_binary64(self, tmp_path, rng):
+        # a float64 θ is still written as binary64, the layout of every
+        # embedding saved before the float32 encoder, and reads back to float64
+        model = float64(init_embedding_model(6, 9, 4, RngState(5)))
+        save_model(model, tmp_path / "m.bin")
+        blob = (tmp_path / "m.bin").read_bytes()
+        assert struct.unpack_from("<I", blob, 32)[0] == 8
+        assert len(blob) == 36 + 8 * model.theta.size + 32
+        back = load_model(tmp_path / "m.bin")
+        assert back.theta.dtype == np.float64
+        np.testing.assert_array_equal(back.theta, model.theta)
+        frames = rng.gen.normal(size=(5, 6))
+        np.testing.assert_array_equal(embed_batch(back, frames), embed_batch(model, frames))
+
+    def test_trained_embedding_is_stored_as_binary32(self, tmp_path, small_dataset, rng):
+        cfg = TrainConfig(max_epochs=1, triplets_per_batch=20, hidden_dim=8, embed_dim=4)
+        model, _ = train(small_dataset, cfg, chunk_len=20, rng=RngState(1))
+        save_model(model, tmp_path / "m.bin")
+        blob = (tmp_path / "m.bin").read_bytes()
+        assert struct.unpack_from("<I", blob, 32)[0] == 4
+        assert len(blob) == 36 + 4 * model.theta.size + 32
+        back = load_model(tmp_path / "m.bin")
+        assert back.theta.dtype == np.float32
+        np.testing.assert_array_equal(back.theta, model.theta)
+        frames = rng.gen.normal(size=(5, small_dataset.dimension))
+        np.testing.assert_array_equal(embed_batch(back, frames), embed_batch(model, frames))
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = init_embedding_model(6, 9, 4, RngState(5))
@@ -302,6 +327,21 @@ class TestModelContainer:
     ], ids=["ndims", "ragged", "short", "non-finite", "version-1", "itemsize", "binary32",
             "no-itemsize"])
     def test_checksummed_damage_names_file(self, tmp_path, damage):
+        # damage to a binary64 container
+        save_model(float64(init_embedding_model(6, 9, 4, RngState(5))), tmp_path / "m.bin")
+        body = damage((tmp_path / "m.bin").read_bytes()[:-32])
+        (tmp_path / "m.bin").write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(FormatError, match="m.bin"):
+            load_model(tmp_path / "m.bin")
+
+    @pytest.mark.parametrize("damage", [
+        lambda body: body + b"\0\0",  # payload not a multiple of 4 bytes
+        lambda body: body[:-4],  # payload shorter than the dims imply
+        lambda body: body[:-4] + np.array([np.inf], "<f4").tobytes(),
+        # 103 binary32 values are not a whole number of binary64 ones
+        lambda body: body[:32] + struct.pack("<I", 8) + body[36:],
+    ], ids=["ragged", "short", "non-finite", "binary64"])
+    def test_checksummed_binary32_damage_names_file(self, tmp_path, damage):
         save_model(init_embedding_model(6, 9, 4, RngState(5)), tmp_path / "m.bin")
         body = damage((tmp_path / "m.bin").read_bytes()[:-32])
         (tmp_path / "m.bin").write_bytes(body + hashlib.sha256(body).digest())
