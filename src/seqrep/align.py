@@ -11,9 +11,11 @@ trellis dynamic program over per-frame assignment states; a brute-force
 enumerator serves as an optimality oracle on small instances.
 
 Each trellis step costs O(m) through prefix and suffix minima, so a solve
-takes O(n * (m+1)) time and memory; all chunks of one target are solved in
-one batched pass. Ties go to the smaller state index, and a cost is summed
-along its correspondence in the order the recurrence adds it.
+takes O(n * (m+1)) time and memory. Every chunk of every pair handed in
+together (one target's chunks, or all pairs of a training epoch) is solved
+in one padded batched pass, each under its own pair's penalties. Ties go to
+the smaller state index, and a cost is summed along its correspondence in
+the order the recurrence adds it.
 
 Pairs where either endpoint is an outlier contribute no pairwise penalty;
 each outlier frame pays a flat ``outlier_cost`` instead.
@@ -225,30 +227,29 @@ def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matchi
     return Matching(pi=best_pi, total_cost=best_cost)
 
 
-def _transition_matrix(m: int, penalties: MatchPenalties) -> np.ndarray:
-    """Pairwise penalty of consecutive assignments v -> v', stored as ``w[v', v]``.
+def _transition_matrices(m: int, lam1, lam2, lam3) -> np.ndarray:
+    """Pairwise penalty of consecutive assignments v -> v', stored as ``w[k, v', v]``.
 
-    0 when either state is the outlier. Between frames the penalty depends
-    only on the offset v' - v, so each row is a reversed window of one
-    table over the offsets.
+    One (m+1, m+1) table per instance k, whose weights are the (K, 1)
+    columns ``lam1 lam2 lam3``. 0 when either state is the outlier. Between
+    frames the penalty depends only on the offset v' - v, so each row is a
+    reversed window of one table over the offsets.
     """
     o = np.arange(1 - m, m)  # v' - v
-    by_offset = (
-        penalties.lambda1 * (o < 0)
-        + penalties.lambda2 * (o == 0)
-        + penalties.lambda3 * np.where(o > 1, o, 0)
-    )
-    w = np.zeros((m + 1, m + 1))
-    w[1:, 1:] = np.lib.stride_tricks.sliding_window_view(by_offset, m)[:, ::-1]
+    with np.errstate(over="ignore"):  # only offsets past an instance's own width overflow
+        by_offset = lam1 * (o < 0) + lam2 * (o == 0) + lam3 * np.where(o > 1, o, 0)
+    w = np.zeros((len(by_offset), m + 1, m + 1))
+    w[:, 1:, 1:] = np.lib.stride_tricks.sliding_window_view(by_offset, m, axis=1)[:, :, ::-1]
     return w
 
 
-def _solve_batch(unary: np.ndarray, penalties: MatchPenalties) -> tuple[np.ndarray, np.ndarray]:
-    """Exact minimizers of K instances that share n and the penalties.
+def _solve_batch(unary: np.ndarray, penalties) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimizers of K instances that share n, each under its own penalties.
 
     ``unary`` is (K, n, M+1): column 0 holds the outlier cost, column v the
-    data cost of target frame v - 1, and +inf pads an instance shorter than
-    M. Returns ``pi`` (K, n) and ``total`` (K,).
+    data cost of target frame v - 1, and +inf pads an instance narrower than
+    M. ``penalties`` holds one MatchPenalties per instance. Returns ``pi``
+    (K, n) and ``total`` (K,).
 
     The forward pass keeps only the state costs of each step. Into a target
     v' >= 1 the cheapest predecessor is the smallest of d[0] (the outlier),
@@ -260,10 +261,13 @@ def _solve_batch(unary: np.ndarray, penalties: MatchPenalties) -> tuple[np.ndarr
     the order the relaxation ``d[v] + w[v', v] + unary[v']`` adds it.
     """
     k_inst, n, width = unary.shape
-    lam1, lam2 = penalties.lambda1, penalties.lambda2
-    ramp = penalties.lambda3 * np.arange(width)  # lambda3 * v
-    if not np.isfinite(ramp[-1]):  # inf - inf in the gap prefix would hide gap sources
-        raise DegenerateInputError(f"lambda3 * {width - 1} overflows")
+    lam1, lam2, lam3 = (np.array([[getattr(p, f"lambda{i}")] for p in penalties])
+                        for i in (1, 2, 3))
+    live = np.isfinite(unary[:, 0])  # each instance's own columns
+    ramp = lam3 * (np.arange(width) * live)  # lambda3 * v; 0 on pad columns, which stay +inf
+    over = ~np.isfinite(ramp).all(axis=1)
+    if over.any():  # inf - inf in the gap prefix would hide gap sources
+        raise DegenerateInputError(f"lambda3 * {live[over][0].sum() - 1} overflows")
     gap = np.empty((k_inst, max(width - 3, 0)))
     suffix = np.empty((k_inst, width))  # suffix[:, i] = min of d[-1 - i:]
     crossing = suffix[:, -3::-1]  # min of d[v' + 1:] for v' = 1 .. M - 1
@@ -274,41 +278,56 @@ def _solve_batch(unary: np.ndarray, penalties: MatchPenalties) -> tuple[np.ndarr
         np.add(d[:, 1:], lam2, out=e1)
         np.minimum(e1, d[:, :-1], out=e1)
         np.minimum(e[:, 2:], d[:, :1], out=e[:, 2:])
-        np.subtract(d[:, 1:-2], ramp[1:-2], out=gap)
+        np.subtract(d[:, 1:-2], ramp[:, 1:-2], out=gap)
         np.minimum.accumulate(gap, axis=1, out=gap)
-        gap += ramp[3:]
+        gap += ramp[:, 3:]
         np.minimum(e3, gap, out=e3)
         np.minimum.accumulate(d[:, ::-1], axis=1, out=suffix)
         np.minimum(e_mid, crossing + lam1, out=e_mid)
         e[:, 0] = suffix[:, -1]
         e += u
 
-    w = _transition_matrix(width - 1, penalties)
+    w = _transition_matrices(width - 1, lam1, lam2, lam3)
+    rows = np.arange(k_inst)
     pi = np.empty((n, k_inst), dtype=np.int64)
     pi[-1] = hist[-1].argmin(axis=1)
     scores = np.empty((k_inst, width))
     for j in range(n - 1, 0, -1):
-        np.add(hist[j - 1], w[pi[j]], out=scores)
+        np.add(hist[j - 1], w[rows, pi[j]], out=scores)
         scores.argmin(axis=1, out=pi[j - 1])
 
     pi = pi.T
     terms = np.empty((k_inst, 2 * n - 1))  # u_0, w_1, u_1, w_2, u_2, ...
     terms[:, 0::2] = np.take_along_axis(unary, pi[:, :, None], axis=2)[:, :, 0]
-    terms[:, 1::2] = w[pi[:, 1:], pi[:, :-1]]
+    terms[:, 1::2] = w[rows[:, None], pi[:, 1:], pi[:, :-1]]
     return pi, np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def _solve_chunks(q: np.ndarray, t: np.ndarray, bounds, penalties: MatchPenalties) -> list[Matching]:
-    """Solve ``q`` against every target chunk ``[s, e)`` of ``bounds`` in one batch."""
-    d2 = pairwise_sqdist(q, t)
-    width = max(e - s for s, e in bounds) + 1
-    unary = np.full((len(bounds), q.shape[0], width), np.inf)
-    unary[:, :, 0] = penalties.outlier_cost
-    for k, (s, e) in enumerate(bounds):
-        unary[k, :, 1:e - s + 1] = d2[:, s:e]
-    pi, total = _solve_batch(unary, penalties)
-    return [Matching(pi=p, total_cost=float(c), target_offset=s)
-            for p, c, (s, _) in zip(pi, total, bounds)]
+def _match_pairs(pairs, chunk_len: int | None) -> list[list[Matching]]:
+    """Solve each ``(q, t, penalties)`` against every chunk of its target in one batch.
+
+    ``chunk_len`` None solves each whole target as one chunk. A shorter
+    query is padded with free outlier rows (unary 0 in column 0, +inf
+    elsewhere) and a narrower chunk with +inf columns; neither moves a bit
+    of any solution. Returns each pair's Matchings in offset order.
+    """
+    bounds = [[(0, len(t))] if chunk_len is None else _chunk_bounds(len(t), chunk_len)
+              for _, t, _ in pairs]
+    width = max(e - s for b in bounds for s, e in b) + 1
+    unary = np.full((sum(map(len, bounds)), max(len(q) for q, _, _ in pairs), width), np.inf)
+    unary[:, :, 0] = 0.0
+    inst = []  # (pair, chunk start, penalties) of each instance
+    for i, ((q, t, pen), b) in enumerate(zip(pairs, bounds)):
+        d2 = pairwise_sqdist(q, t)
+        for s, e in b:
+            unary[len(inst), :len(q), 0] = pen.outlier_cost
+            unary[len(inst), :len(q), 1:e - s + 1] = d2[:, s:e]
+            inst.append((i, s, pen))
+    pi, total = _solve_batch(unary, [pen for _, _, pen in inst])
+    out = [[] for _ in pairs]
+    for (i, s, _), p, c in zip(inst, pi, total):
+        out[i].append(Matching(pi=p[:len(pairs[i][0])], total_cost=float(c), target_offset=s))
+    return out
 
 
 def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties) -> Matching:
@@ -325,7 +344,7 @@ def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties) -> Matching
     the recurrence's order (unary, then each transition and unary in turn).
     """
     q, t = _check_instance(query_emb, target_emb)
-    return _solve_chunks(q, t, [(0, t.shape[0])], penalties)[0]
+    return _match_pairs([(q, t, penalties)], None)[0][0]
 
 
 def _chunk_bounds(n: int, chunk_len: int) -> list[tuple[int, int]]:
@@ -346,4 +365,4 @@ def match_features(query_feats, target_feats, penalties: MatchPenalties,
     Returns one Matching per chunk of :func:`_chunk_bounds`, in offset order.
     """
     q, t = _check_instance(query_feats, target_feats)
-    return _solve_chunks(q, t, _chunk_bounds(t.shape[0], chunk_len), penalties)
+    return _match_pairs([(q, t, penalties)], chunk_len)[0]

@@ -28,7 +28,8 @@ from .core import (
     block_views,
     pairwise_sqdist,
 )
-from .align import PenaltyConfig, match_features
+from . import align
+from .align import PenaltyConfig
 
 
 @dataclass(frozen=True)
@@ -331,11 +332,14 @@ def train(dataset: Dataset, config: TrainConfig,
           rng: RngState | None = None) -> tuple[EmbeddingModel, TrainLog]:
     """Fit the embedding by alternating exact chunk matching and triplet descent.
 
-    Each epoch samples sequence pairs from the neighborhood graph, solves the
-    matching of the query against every target chunk, converts each chunk
-    matching into a triplet batch (negatives mined at the epoch's percentile),
-    and applies one momentum step per batch. Penalties resolve once per
-    pair, on that pair's current features. The first ``bootstrap_epochs``
+    Each epoch draws its pairs up front from the neighborhood graph (all
+    query positions in one call, then each query's neighbor rank in
+    another), solves every query against every chunk of its target in one
+    batched pass, then, pair by pair and chunk by chunk, converts each
+    chunk matching into a triplet batch (negatives mined at the epoch's
+    percentile) and applies one momentum step per batch. Penalties resolve
+    once per pair, on that pair's current features. An initial encoder that
+    overflows on the training frames raises DegenerateInputError. The first ``bootstrap_epochs``
     epochs compute neighborhoods, matching costs, and mining distances on
     unit-normalized ZCA-whitened raw features; afterwards the current
     embedding takes over (it must first outgrow the bootstrap features, so
@@ -357,6 +361,7 @@ def train(dataset: Dataset, config: TrainConfig,
 
     model = init_embedding_model(dataset.dimension, config.hidden_dim,
                                  config.embed_dim, rng.split(0))
+    embed_batch(model, all_frames)  # an encoder that overflows on the data is bad input
     sgd = MomentumSGD(model.theta, config.learning_rate, config.momentum, "embed")
     k = min(config.neighborhood_size, len(dataset) - 1)
     pairs_per_epoch = len(dataset) if config.pairs_per_epoch is None else config.pairs_per_epoch
@@ -372,14 +377,12 @@ def train(dataset: Dataset, config: TrainConfig,
             feats = [embed_batch(model, s.frames) for s in sequences]
         neighbors = _descriptor_neighbors(feats, ids, k)
 
-        for _ in range(pairs_per_epoch):
-            qi = int(g.integers(len(sequences)))
-            ti = int(neighbors[qi, g.integers(k)])
-            query, target = sequences[qi], sequences[ti]
-            q_feats, t_feats = feats[qi], feats[ti]
-            matchings = match_features(q_feats, t_feats,
-                                       penalties.resolve(q_feats, t_feats),
-                                       chunk_len=chunk_len)
+        qis = g.integers(len(sequences), size=pairs_per_epoch)
+        tis = neighbors[qis, g.integers(k, size=pairs_per_epoch)]
+        pairs = [(feats[qi], feats[ti], penalties.resolve(feats[qi], feats[ti]))
+                 for qi, ti in zip(qis, tis)]
+        for qi, ti, matchings in zip(qis, tis, align._match_pairs(pairs, chunk_len)):
+            query, target, t_feats = sequences[qi], sequences[ti], feats[ti]
             # the chunks tile the target in offset order
             starts = [m.target_offset for m in matchings]
             for start, end, matching in zip(starts, starts[1:] + [len(t_feats)], matchings):

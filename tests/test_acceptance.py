@@ -147,14 +147,16 @@ def test_criterion_05_representation_quality(ref_config, ref_dataset, ref_model,
     """Trained retrieval AUC at least 0.05 above the whitened baseline's.
 
     The gap depends on the training seed. Retraining the reference config
-    with seeds 99 and 1-12 (same data and eval stream, 1 BLAS thread) gave
-    trained AUCs 0.850, 0.865, 0.796, 0.844, 0.897, 0.901, 0.870, 0.870,
-    0.858, 0.884, 0.902, 0.831 and 0.827 (mean 0.861) against whitened
-    0.734, so the gate held for all 13 seeds; the lowest gap is seed 2's
-    +0.062. The returned model is the mean of the late epoch-end
-    parameters; the last iterate held for 9 of the 13 (mean 0.817). The
-    test pins one training run, ``TRAIN_SEED = 99``, and checks that run
-    rather than the learner over seeds.
+    with seeds 99 and 1-24 (same data and eval stream, 1 BLAS thread) gave
+    trained AUCs 0.790, 0.827, 0.837, 0.816, 0.830, 0.908, 0.877, 0.735,
+    0.712, 0.921, 0.859, 0.904, 0.884, 0.866, 0.867, 0.922, 0.848, 0.853,
+    0.894, 0.795, 0.802, 0.785, 0.884, 0.828 and 0.869 (mean 0.845, sd
+    0.054) against whitened 0.734, so the gate held for 23 of the 25 seeds:
+    seeds 7 (0.735) and 8 (0.712) miss it, and the lowest passing gap is
+    seed 21's +0.051. The returned model is the mean of the late epoch-end
+    parameters, and each epoch's pairs are drawn up front. The test pins
+    one training run, ``TRAIN_SEED = 99``, and checks that run rather than
+    the learner over seeds.
     """
     eval_rng = RngState(EVAL_SEED)
     t0 = time.perf_counter()

@@ -11,6 +11,7 @@ from seqrep.align import (
     Matching,
     MatchPenalties,
     _chunk_bounds,
+    _match_pairs,
     alignment_cost,
     default_penalties,
     match_features,
@@ -373,6 +374,48 @@ class TestMatchPair:
         # a data problem, not a configuration one: no ConfigError about a NaN weight
         with pytest.raises(DegenerateInputError, match="overflow"):
             default_penalties(*OVERFLOW)
+
+
+class TestMatchPairs:
+    """Many pairs' chunks solved as one padded batch, as the trainer solves an epoch."""
+
+    def test_every_chunk_keeps_the_bits_of_its_one_pair_solve(self):
+        # unequal query lengths (1-frame queries too), target widths and
+        # penalties in one batch; small integer features and half-integer
+        # weights make exact ties, which must still break the same way
+        g = np.random.default_rng(11)
+        for batch in range(300):
+            pairs = []
+            for _ in range(int(g.integers(1, 6))):
+                n = 1 if g.random() < 0.15 else int(g.integers(2, 12))
+                q, t = random_instance(g, n, int(g.integers(1, 45)), 2)
+                pen = random_penalties(g, int(g.integers(0, 4)))
+                if batch % 2:
+                    q, t = np.round(2 * q), np.round(2 * t)
+                    pen = MatchPenalties(*(float(v) / 2 for v in g.integers(0, 5, size=4)))
+                pairs.append((q, t, pen))
+            chunk_len = int(g.integers(2, 25))
+            for (q, t, pen), got in zip(pairs, _match_pairs(pairs, chunk_len)):
+                bounds = _chunk_bounds(len(t), chunk_len)
+                assert [m.target_offset for m in got] == [s for s, _ in bounds]
+                for m, (s, e) in zip(got, bounds):
+                    direct = solve_exact_dp(q, t[s:e], pen)
+                    np.testing.assert_array_equal(m.pi, direct.pi)
+                    assert m.total_cost == direct.total_cost
+
+    def test_gap_weight_guard_is_per_instance(self, rng):
+        # lambda3 = 1e308 fits a 1-frame target's ramp but not the batch's
+        # width: only pad columns would overflow, and they are never read
+        g = rng.gen
+        narrow = (*random_instance(g, 4, 1, 2), MatchPenalties(1.0, 0.5, 1e308, 2.0))
+        wide = (*random_instance(g, 7, 30, 2), PEN)
+        for got, (q, t, pen) in zip(_match_pairs([narrow, wide], None), [narrow, wide]):
+            direct = solve_exact_dp(q, t, pen)
+            np.testing.assert_array_equal(got[0].pi, direct.pi)
+            assert got[0].total_cost == direct.total_cost
+        overflowing = (*random_instance(g, 3, 8, 2), MatchPenalties(1.0, 0.5, 1e308, 2.0))
+        with pytest.raises(DegenerateInputError, match="lambda3 \\* 8 overflows"):
+            _match_pairs([wide, overflowing], None)
 
 
 class TestMatchingType:

@@ -14,7 +14,8 @@ from seqrep.align import MatchPenalties, _chunk_bounds, alignment_cost
 from seqrep.cli import build_parser, main
 from seqrep.embed import EmbeddingModel, embed_batch
 from seqrep.evaluate import EvalReport, pca_project_2d
-from seqrep.seqpack import load_model, read_seqpack, save_model
+from seqrep.core import Dataset
+from seqrep.seqpack import load_model, read_seqpack, save_model, write_seqpack
 
 from conftest import float64
 
@@ -405,6 +406,24 @@ class TestExitCodes:
             assert code == 1
             assert "DegenerateInputError" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_frames_that_overflow_the_encoder_are_validation_error(self, pipeline, tmp_path,
+                                                                   capsys):
+        # frames x1e20 are valid binary32 values, yet the encoder as built
+        # overflows on them: bad input (exit 1), not a diverging run (exit 2)
+        root, cfg, data, _, _ = pipeline
+        ds = read_seqpack(data)
+        big = tmp_path / "big"
+        write_seqpack(Dataset(ds.dimension, [dataclasses.replace(s, frames=s.frames * 1e20)
+                                             for s in ds]), big)
+        out = tmp_path / "big.bin"
+        with np.errstate(all="ignore"):
+            code = main(["train-embed", "--config", cfg, "--data", str(big),
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "DegenerateInputError" in err and "overflowed" in err
+        assert not out.exists()
 
     def test_zero_dimension_model_is_validation_error(self, pipeline, capsys):
         root, cfg, data, model, _ = pipeline

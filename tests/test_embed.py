@@ -19,7 +19,7 @@ from seqrep.core import (
     TrainLog,
     pairwise_sqdist,
 )
-from seqrep import embed
+from seqrep import align, embed
 from seqrep.align import PenaltyConfig, _chunk_bounds, alignment_cost
 from seqrep.embed import (
     EmbeddingModel,
@@ -587,16 +587,17 @@ class TestTrain:
         # the solver does not audit itself: re-score each chunk's π that the
         # trainer's matcher hands it against that chunk of the target
         chunks = []
-        match = embed.match_features
+        match = align._match_pairs
 
-        def audited(q, t, penalties, chunk_len):
-            out = match(q, t, penalties, chunk_len=chunk_len)
-            bounds = _chunk_bounds(t.shape[0], chunk_len)
-            assert [m.target_offset for m in out] == [s for s, _ in bounds]
-            chunks.extend((q, t[s:e], penalties, m) for (s, e), m in zip(bounds, out))
+        def audited(pairs, chunk_len):
+            out = match(pairs, chunk_len)
+            for (q, t, penalties), matchings in zip(pairs, out):
+                bounds = _chunk_bounds(t.shape[0], chunk_len)
+                assert [m.target_offset for m in matchings] == [s for s, _ in bounds]
+                chunks.extend((q, t[s:e], penalties, m) for (s, e), m in zip(bounds, matchings))
             return out
 
-        monkeypatch.setattr(embed, "match_features", audited)
+        monkeypatch.setattr(align, "_match_pairs", audited)
         cfg = TrainConfig(max_epochs=2, triplets_per_batch=40, hidden_dim=16,
                           embed_dim=8, bootstrap_epochs=1)
         train(small_dataset, cfg, chunk_len=20, rng=RngState(42))
@@ -609,21 +610,37 @@ class TestTrain:
         # chunk_len 7 leaves a 1-frame remainder on the 50-frame sequences,
         # which merges into the last chunk
         expected, seen = [], []
-        match, sample = embed.match_features, embed._sample_triplet_indices
+        match, sample = align._match_pairs, embed._sample_triplet_indices
 
-        def matched(q, t, penalties, chunk_len):
-            expected.extend(_chunk_bounds(t.shape[0], chunk_len))
-            return match(q, t, penalties, chunk_len=chunk_len)
+        def matched(pairs, chunk_len):
+            for _, t, _ in pairs:
+                expected.extend(_chunk_bounds(t.shape[0], chunk_len))
+            return match(pairs, chunk_len)
 
         def sampled(pi, chunk_feats, offset, *args):
             seen.append((offset, offset + chunk_feats.shape[0]))
             return sample(pi, chunk_feats, offset, *args)
 
-        monkeypatch.setattr(embed, "match_features", matched)
+        monkeypatch.setattr(align, "_match_pairs", matched)
         monkeypatch.setattr(embed, "_sample_triplet_indices", sampled)
         cfg = TrainConfig(max_epochs=1, triplets_per_batch=20, hidden_dim=16, embed_dim=8)
         train(small_dataset, cfg, chunk_len=7, rng=RngState(3))
         assert seen == expected and any(e - s == 8 for s, e in seen)
+
+    def test_each_epoch_solves_its_pairs_in_one_batch(self, small_dataset, monkeypatch):
+        batches = []
+        solve = align._solve_batch
+
+        def recorded(unary, penalties):
+            batches.append(unary.shape[0])
+            return solve(unary, penalties)
+
+        monkeypatch.setattr(align, "_solve_batch", recorded)
+        cfg = TrainConfig(max_epochs=3, triplets_per_batch=20, hidden_dim=16, embed_dim=8,
+                          bootstrap_epochs=1, pairs_per_epoch=4)
+        train(small_dataset, cfg, chunk_len=20, rng=RngState(7))
+        # one batch an epoch, of every chunk of its 4 pairs: 50-60 frames make 3 chunks of <= 20
+        assert batches == [4 * 3] * 3
 
     def test_every_batch_runs_in_one_buffer_set(self, small_dataset, monkeypatch):
         seen = []
