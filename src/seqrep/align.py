@@ -23,7 +23,7 @@ each outlier frame pays a flat ``outlier_cost`` instead.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -147,14 +147,10 @@ def alignment_cost(query_emb, target_emb, pi, penalties: MatchPenalties) -> Cost
 
 def default_penalties(query_emb, target_emb) -> MatchPenalties:
     """Instance-relative penalty defaults, scaled by the mean pairwise data cost."""
-    q, t = _check_instance(query_emb, target_emb)
-    e_unary = float(np.mean(pairwise_sqdist(q, t)))
-    return MatchPenalties(
-        lambda1=10.0 * e_unary,
-        lambda2=0.5 * e_unary,
-        lambda3=0.1 * e_unary,
-        outlier_cost=2.0 * e_unary,
-    )
+    return PenaltyConfig().resolve(query_emb, target_emb)
+
+
+_DEFAULT_SCALES = {"lambda1": 10.0, "lambda2": 0.5, "lambda3": 0.1, "outlier_cost": 2.0}
 
 
 @dataclass(frozen=True)
@@ -180,8 +176,14 @@ class PenaltyConfig:
                 _weight(f"penalties.{name}", v)
 
     def resolve(self, query_feats, target_feats) -> MatchPenalties:
-        return replace(default_penalties(query_feats, target_feats),
-                       **{k: v for k, v in asdict(self).items() if v is not None})
+        q, t = _check_instance(query_feats, target_feats)
+        return self._of(pairwise_sqdist(q, t))
+
+    def _of(self, d2: np.ndarray) -> MatchPenalties:
+        """Resolved for the instance whose (n, m) squared distances are ``d2``."""
+        e_unary = float(np.mean(d2))
+        return MatchPenalties(**{k: _DEFAULT_SCALES[k] * e_unary if v is None else v
+                                 for k, v in asdict(self).items()})
 
 
 def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matching:
@@ -306,6 +308,7 @@ def _solve_batch(unary: np.ndarray, penalties) -> tuple[np.ndarray, np.ndarray]:
 def _match_pairs(pairs, chunk_len: int | None) -> list[list[Matching]]:
     """Solve each ``(q, t, penalties)`` against every chunk of its target in one batch.
 
+    A :class:`PenaltyConfig` resolves on the pair's own distance matrix.
     ``chunk_len`` None solves each whole target as one chunk. A shorter
     query is padded with free outlier rows (unary 0 in column 0, +inf
     elsewhere) and a narrower chunk with +inf columns; neither moves a bit
@@ -319,6 +322,8 @@ def _match_pairs(pairs, chunk_len: int | None) -> list[list[Matching]]:
     inst = []  # (pair, chunk start, penalties) of each instance
     for i, ((q, t, pen), b) in enumerate(zip(pairs, bounds)):
         d2 = pairwise_sqdist(q, t)
+        if isinstance(pen, PenaltyConfig):
+            pen = pen._of(d2)
         for s, e in b:
             unary[len(inst), :len(q), 0] = pen.outlier_cost
             unary[len(inst), :len(q), 1:e - s + 1] = d2[:, s:e]

@@ -205,7 +205,7 @@ class MomentumSGD:
             raise DivergenceError(self.stage, self.epoch, self.batch, loss,
                                   f"blew up: loss above {self.BLOWUP_FACTOR:g}x the first "
                                   f"positive batch loss {self.first_loss!r}")
-        if loss > 0 and not grad.any():
+        if loss > 0 and not (grad[:_BLOCK].any() or grad.any()):  # the first block usually decides
             raise DivergenceError(self.stage, self.epoch, self.batch, loss,
                                   "collapsed: positive loss with an exactly zero gradient")
         if loss > 0 and math.isnan(self.first_loss):

@@ -116,53 +116,58 @@ def _cell_forward(pred: RecurrentPredictor, x: np.ndarray):
     """Run the cell over (B, l, d) inputs, cast to ``theta``'s dtype, from a zero
     state; returns ``(y, cache)``, both in that dtype.
 
-    ``y`` is the head output, (B, d). The BPTT cache is time-major,
-    ``(X, Z, C, TC, H)``: X the inputs as (l, B, d); Z the gate activations
-    i, f, g, o side by side as (l, B, 4m), written over their
-    pre-activations; C, tanh(C) and H as (l, B, m). Step t's pre-activation
-    is (x_t·Wx + h_{t-1}·Wh) + b, with x·Wx of every step one GEMM and no
-    h·Wh at t = 0 (h0 = 0, and (a + 0) + b == a + b bit for bit).
+    ``y`` is the head output, (B, d). The cell is gate-major: step t's
+    pre-activation (Wxᵀ·x_tᵀ + Whᵀ·h_{t-1}) + b is a (4m, B) block, so each
+    gate i, f, g, o is a contiguous (m, B) block. The BPTT cache is
+    ``(X, Z, CT, H)``: X the inputs as (l, B, d); Z the gate activations as
+    (l, 4m, B), written over their pre-activations; C and tanh(C) as one
+    (2, l, m, B) block CT; H as (m, l, B), so the hidden states of any run of
+    steps are one GEMM operand. There is no Whᵀ·h at t = 0 (h0 = 0, and
+    (a + 0) + b == a + b bit for bit).
     """
     m = pred.hidden_dim
     X = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=pred.theta.dtype)
     steps, batch, _ = X.shape
-    Z = (X.reshape(steps * batch, pred.embed_dim) @ pred.Wx).reshape(steps, batch, 4 * m)
-    C, TC, H = (np.empty((steps, batch, m), Z.dtype) for _ in range(3))
+    Z = np.matmul(pred.Wx.T, X.transpose(0, 2, 1))  # every step's Wxᵀ·x_tᵀ
+    C, TC = CT = np.empty((2, steps, m, batch), Z.dtype)  # one block: the backward's scratch
+    H = np.empty((m, steps, batch), Z.dtype)
     for t in range(steps):
         z = Z[t]
         if t:
-            z += H[t - 1] @ pred.Wh
-        z += pred.b
-        _sigmoid_(z[:, :2 * m])
-        np.tanh(z[:, 2 * m:3 * m], out=z[:, 2 * m:3 * m])
-        _sigmoid_(z[:, 3 * m:])
-        i, f, g, o = np.split(z, 4, axis=1)
+            z += pred.Wh.T @ H[:, t - 1]
+        z += pred.b[:, None]
+        _sigmoid_(z[:2 * m])
+        np.tanh(z[2 * m:3 * m], out=z[2 * m:3 * m])
+        _sigmoid_(z[3 * m:])
+        i, f, g, o = np.split(z, 4)
         np.add(f * (C[t - 1] if t else 0.0), i * g, out=C[t])
         np.tanh(C[t], out=TC[t])
-        np.multiply(o, TC[t], out=H[t])
-    return H[-1] @ pred.Wy + pred.by, (X, Z, C, TC, H)
+        np.multiply(o, TC[t], out=H[:, t])
+    return H[:, -1].T @ pred.Wy + pred.by, (X, Z, CT, H)
 
 
 def _cell_backward(pred: RecurrentPredictor, cache, d_y: np.ndarray,
                    grad: np.ndarray) -> np.ndarray:
     """Backpropagate ``d_y`` = dL/dy through the cached cell into ``grad``.
 
-    ``cache`` is :func:`_cell_forward`'s time-major ``(X, Z, C, TC, H)`` and
-    is consumed: the (l, B, 4m) gate gradients dZ go over Z step by step,
-    each gate's after the last read of its activation, the forget gate's
-    with 0 at t = 0 (c0 = 0) and no dz·Whᵀ past it. Then dWx = Xᵀ·dZ over
-    l·B rows, dWh = H[:-1]ᵀ·dZ[1:] over (l-1)·B rows (h0 = 0) and db = ΣdZ
-    overwrite every entry of ``grad``, which has the layout of ``theta``.
+    ``cache`` is :func:`_cell_forward`'s gate-major ``(X, Z, CT, H)`` and is
+    consumed: the (l, 4m, B) gate gradients dZ go over Z step by step, each
+    gate's after the last read of its activation, the forget gate's with 0
+    at t = 0 (c0 = 0) and no Wh·dz past it. Then, two gates at a time, dZ is
+    copied into the dead CT as (2m, l·B), and dWx = Xᵀ·dZᵀ over l·B rows,
+    dWh = H[:, :-1]·dZ[1:]ᵀ over (l-1)·B rows (h0 = 0) and db = ΣdZ overwrite
+    those gates' columns of ``grad``, which has the layout of ``theta``.
     """
-    X, dZ, C, TC, H = cache
+    X, dZ, (C, TC), H = cache
     m = pred.hidden_dim
+    steps, _, batch = dZ.shape
     grads = pred.blocks(grad)
-    np.matmul(H[-1].T, d_y, out=grads["Wy"])
+    np.matmul(H[:, -1], d_y, out=grads["Wy"])
     d_y.sum(axis=0, out=grads["by"])
-    dh = d_y @ pred.Wy.T
+    dh = pred.Wy @ d_y.T
     dc = np.zeros_like(dh)
-    for t in reversed(range(len(dZ))):
-        i, f, g, o = np.split(dZ[t], 4, axis=1)  # the activations, until overwritten
+    for t in reversed(range(steps)):
+        i, f, g, o = np.split(dZ[t], 4)  # the activations, until overwritten
         dc += dh * o * (1.0 - TC[t] * TC[t])
         np.multiply(dh * TC[t] * o, 1.0 - o, out=o)
         di = dc * g * i
@@ -172,11 +177,13 @@ def _cell_backward(pred: RecurrentPredictor, cache, d_y: np.ndarray,
         np.multiply(dc * (C[t - 1] if t else 0.0) * f, 1.0 - f, out=f)
         dc = dc_next
         if t:
-            dh = dZ[t] @ pred.Wh.T
-    rows = dZ.reshape(-1, 4 * m)
-    np.matmul(X.reshape(len(rows), X.shape[2]).T, rows, out=grads["Wx"])
-    np.matmul(H[:-1].reshape(-1, m).T, dZ[1:].reshape(-1, 4 * m), out=grads["Wh"])
-    rows.sum(axis=0, out=grads["b"])
+            np.matmul(pred.Wh, dZ[t], out=dh)
+    gates = cache[2].reshape(2 * m, -1)  # (2m, l·B), time-major columns; CT is spent
+    for k in (0, 2 * m):
+        np.copyto(gates.reshape(2 * m, steps, batch), dZ[:, k:k + 2 * m].transpose(1, 0, 2))
+        np.matmul(X.reshape(steps * batch, -1).T, gates.T, out=grads["Wx"][:, k:k + 2 * m])
+        np.matmul(H[:, :-1].reshape(m, -1), gates[:, batch:].T, out=grads["Wh"][:, k:k + 2 * m])
+        gates.sum(axis=1, out=grads["b"][k:k + 2 * m])
     return grad
 
 
@@ -351,10 +358,11 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
 
     ctx = _embed_context(pred, model, seed_frames, "seed_frames")
     trail = []
+    diff = np.empty_like(cb_emb)  # every step's squared differences, in place
     for _ in range(steps):
         guess = rnn_forward_batch(pred, ctx[None])[0]
-        diff = cb_emb - guess
-        j = int(np.argmin(np.sum(diff * diff, axis=1)))
+        np.subtract(cb_emb, guess, out=diff)
+        j = int(np.argmin(np.sum(np.multiply(diff, diff, out=diff), axis=1)))
         trail.append(refs[j])
         ctx = np.concatenate([ctx[1:], cb_emb[j][None, :]], axis=0)
     return trail

@@ -244,15 +244,18 @@ def sequence_neighbors(dataset: Dataset, model: EmbeddingModel, k: int) -> dict[
     return {sid: [ids[j] for j in row] for sid, row in zip(ids, table)}
 
 
-def augment(x, sigma: float, feature_std, rng: RngState) -> np.ndarray:
-    """Add zero-mean gaussian jitter scaled per coordinate by the dataset spread."""
+def augment(x, sigma: float, feature_std, rng: RngState, out=None) -> np.ndarray:
+    """Add zero-mean gaussian jitter scaled per coordinate by the dataset spread;
+    the float64 result goes into ``out`` (C-contiguous, x's shape, not x) when given."""
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x) if out is None else out
     if sigma == 0:
-        return x.copy()
-    std = np.asarray(feature_std, dtype=np.float64)
-    return x + rng.gen.normal(0.0, 1.0, size=x.shape) * (sigma * std)
+        return np.positive(x, out=out)  # a copy
+    rng.gen.standard_normal(out=out)  # the draws of normal(0, 1), in place
+    out *= sigma * np.asarray(feature_std, dtype=np.float64)
+    return np.add(out, x, out=out)
 
 
 @dataclass(frozen=True)
@@ -367,6 +370,7 @@ def train(dataset: Dataset, config: TrainConfig,
     pairs_per_epoch = len(dataset) if config.pairs_per_epoch is None else config.pairs_per_epoch
     g = rng.gen
     buffers = _buffers(model, 3 * config.triplets_per_batch)  # every batch reuses them
+    rows, jittered = np.empty((2, 3 * config.triplets_per_batch, dataset.dimension))
     averaged, theta_sum = math.ceil(config.max_epochs / 2), np.zeros(model.theta.size)
 
     for epoch in range(config.max_epochs):
@@ -379,8 +383,7 @@ def train(dataset: Dataset, config: TrainConfig,
 
         qis = g.integers(len(sequences), size=pairs_per_epoch)
         tis = neighbors[qis, g.integers(k, size=pairs_per_epoch)]
-        pairs = [(feats[qi], feats[ti], penalties.resolve(feats[qi], feats[ti]))
-                 for qi, ti in zip(qis, tis)]
+        pairs = [(feats[qi], feats[ti], penalties) for qi, ti in zip(qis, tis)]
         for qi, ti, matchings in zip(qis, tis, align._match_pairs(pairs, chunk_len)):
             query, target, t_feats = sequences[qi], sequences[ti], feats[ti]
             # the chunks tile the target in offset order
@@ -391,9 +394,11 @@ def train(dataset: Dataset, config: TrainConfig,
                     config.triplets_per_batch, config.exclusion_window, rng)
                 if not aj.size:
                     continue
-                rows = np.concatenate([query.frames[aj], target.frames[pj], target.frames[nj]])
-                a, pos, neg = np.split(augment(rows, config.noise_sigma, feature_std, rng), 3)
-                loss, grads = triplet_grad(model, a, pos, neg, config.margin, buffers)
+                x = rows[:3 * aj.size]  # the indices are in range: "clip" gathers unbuffered
+                np.take(query.frames, aj, axis=0, out=x[:aj.size], mode="clip")
+                np.take(target.frames, np.r_[pj, nj], axis=0, out=x[aj.size:], mode="clip")
+                x = augment(x, config.noise_sigma, feature_std, rng, jittered[:len(x)])
+                loss, grads = triplet_grad(model, *np.split(x, 3), config.margin, buffers)
                 sgd.step(loss, grads)
         sgd.end_epoch()
         if epoch >= config.max_epochs - averaged:

@@ -10,6 +10,7 @@ from seqrep.core import ConfigError, DegenerateInputError, ResourceLimitError, p
 from seqrep.align import (
     Matching,
     MatchPenalties,
+    PenaltyConfig,
     _chunk_bounds,
     _match_pairs,
     alignment_cost,
@@ -402,6 +403,17 @@ class TestMatchPairs:
                     direct = solve_exact_dp(q, t[s:e], pen)
                     np.testing.assert_array_equal(m.pi, direct.pi)
                     assert m.total_cost == direct.total_cost
+
+    def test_a_penalty_config_resolves_from_the_pair_distances(self, rng):
+        g = rng.gen
+        for config in (PenaltyConfig(), PenaltyConfig(lambda1=7.0, outlier_cost=0.25)):
+            pairs = [random_instance(g, n, m, 3) for n, m in ((5, 30), (1, 9), (12, 17))]
+            got = _match_pairs([(q, t, config) for q, t in pairs], 8)
+            resolved = _match_pairs([(q, t, config.resolve(q, t)) for q, t in pairs], 8)
+            for chunks, ref in zip(got, resolved):
+                for m, r in zip(chunks, ref, strict=True):
+                    np.testing.assert_array_equal(m.pi, r.pi)
+                    assert (m.total_cost, m.target_offset) == (r.total_cost, r.target_offset)
 
     def test_gap_weight_guard_is_per_instance(self, rng):
         # lambda3 = 1e308 fits a 1-frame target's ramp but not the batch's

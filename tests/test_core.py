@@ -348,6 +348,17 @@ def test_momentum_sgd_reports_collapse():
     assert (info.value.stage, info.value.loss) == ("embed", 0.2)
 
 
+def test_momentum_sgd_collapse_check_reads_past_the_first_block():
+    theta = np.zeros(3 * core._BLOCK)
+    sgd = MomentumSGD(theta, learning_rate=1.0, momentum=0.0, stage="predictor")
+    grad = np.zeros_like(theta)
+    grad[-1] = 1.0  # zero in the first block, not later
+    sgd.step(0.2, grad)
+    assert theta[-1] == -1.0 and not theta[:-1].any()
+    with pytest.raises(DivergenceError, match="epoch 0, batch 1: collapsed"):
+        sgd.step(0.2, np.zeros_like(theta))
+
+
 def test_momentum_sgd_reports_blow_up_relative_to_the_first_positive_loss():
     sgd = MomentumSGD(np.zeros(3), learning_rate=1e-3, momentum=0.0, stage="predictor")
     sgd.step(0.0, np.zeros(3))  # a zero loss sets no reference

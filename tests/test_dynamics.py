@@ -92,30 +92,70 @@ def per_step_backward(pred, cache, h_last, d_y):
 
 
 def allocating_cell_backward(pred, cache, d_y):
-    """The fused backward with its own (l, B, 4m) dZ array; the cache stays as it was."""
-    X, Z, C, TC, H = cache
+    """The gate-major backward with its own (l, 4m, B) dZ array; the cache stays as it was."""
+    X, Z, (C, TC), H = cache
     m = pred.hidden_dim
     grad = np.empty_like(pred.theta)
     grads = pred.blocks(grad)
-    grads["Wy"][...] = H[-1].T @ d_y
+    grads["Wy"][...] = H[:, -1] @ d_y
     grads["by"][...] = d_y.sum(axis=0)
     dZ = np.empty_like(Z)
-    dh = d_y @ pred.Wy.T
+    dh = pred.Wy @ d_y.T
     dc = np.zeros_like(dh)
     for t in reversed(range(len(Z))):
-        i, f, g, o = np.split(Z[t], 4, axis=1)
+        i, f, g, o = np.split(Z[t], 4)
         dc = dc + dh * o * (1.0 - TC[t] * TC[t])
         dZ[t] = np.concatenate([(dc * g * i) * (1.0 - i),
                                 (dc * (C[t - 1] if t else 0.0) * f) * (1.0 - f),
                                 (dc * i) * (1.0 - g * g),
-                                (dh * TC[t] * o) * (1.0 - o)], axis=1)
-        dh = dZ[t] @ pred.Wh.T
+                                (dh * TC[t] * o) * (1.0 - o)])
+        dh = pred.Wh @ dZ[t]
         dc = dc * f
-    rows = dZ.reshape(-1, 4 * m)
-    grads["Wx"][...] = X.reshape(len(rows), -1).T @ rows
-    grads["Wh"][...] = H[:-1].reshape(-1, m).T @ dZ[1:].reshape(-1, 4 * m)
-    grads["b"][...] = rows.sum(axis=0)
+    gates = dZ.transpose(1, 0, 2).reshape(4 * m, -1)  # a copy: (4m, l·B), columns time-major
+    grads["Wx"][...] = X.reshape(gates.shape[1], -1).T @ gates.T
+    grads["Wh"][...] = H[:, :-1].reshape(m, -1) @ gates[:, X.shape[1]:].T
+    grads["b"][...] = gates.sum(axis=1)
     return grad
+
+
+def row_major_cell(pred, contexts, d_y):
+    """The cell and its BPTT with the gates side by side in (B, 4m) rows, every
+    array its own: returns the head output and the gradient."""
+    m = pred.hidden_dim
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))  # the ops of dynamics._sigmoid_
+    X = np.ascontiguousarray(contexts.transpose(1, 0, 2))
+    Z, C, TC, H = [], [], [], []
+    for t, x_t in enumerate(X):
+        z = x_t @ pred.Wx + H[-1] @ pred.Wh if t else x_t @ pred.Wx
+        z = z + pred.b
+        i, f, o = sig(z[:, :m]), sig(z[:, m:2 * m]), sig(z[:, 3 * m:])
+        g = np.tanh(z[:, 2 * m:3 * m])
+        Z.append((i, f, g, o))
+        C.append(f * (C[-1] if t else 0.0) + i * g)
+        TC.append(np.tanh(C[-1]))
+        H.append(o * TC[-1])
+    H = np.stack(H)
+    grad = np.empty_like(pred.theta)
+    grads = pred.blocks(grad)
+    grads["Wy"][...] = H[-1].T @ d_y
+    grads["by"][...] = d_y.sum(axis=0)
+    dZ = []
+    dh = d_y @ pred.Wy.T
+    dc = np.zeros_like(dh)
+    for t in reversed(range(len(X))):
+        i, f, g, o = Z[t]
+        dc = dc + dh * o * (1.0 - TC[t] * TC[t])
+        dZ.insert(0, np.concatenate([(dc * g * i) * (1.0 - i),
+                                     (dc * (C[t - 1] if t else 0.0) * f) * (1.0 - f),
+                                     (dc * i) * (1.0 - g * g),
+                                     (dh * TC[t] * o) * (1.0 - o)], axis=1))
+        dh = dZ[0] @ pred.Wh.T
+        dc = dc * f
+    rows = np.concatenate(dZ)  # (l·B, 4m), time-major
+    grads["Wx"][...] = X.reshape(len(rows), -1).T @ rows
+    grads["Wh"][...] = H[:-1].reshape(-1, m).T @ rows[len(X[0]):]
+    grads["b"][...] = np.ascontiguousarray(rows.T).sum(axis=1)  # pairwise along each gate row
+    return H[-1] @ pred.Wy + pred.by, grad
 
 
 def per_step_loss_and_grad(pred, contexts, targets):
@@ -338,6 +378,22 @@ class TestGradient:
         d_y = (g.normal(size=(batch, 128)) / batch).astype(np.float32)
         _, cache = _cell_forward(pred, contexts.astype(np.float32))
         ref = allocating_cell_backward(pred, tuple(a.copy() for a in cache), d_y)
+        grad = _cell_backward(pred, cache, d_y, np.full_like(pred.theta, np.nan))
+        np.testing.assert_array_equal(grad, ref)
+
+    @pytest.mark.parametrize("batch", [128, 37, 2])
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_gate_major_cell_keeps_the_bits_of_the_row_major_one(self, batch, length):
+        # the head output and every gradient block, at the reference d and m;
+        # one context (B = 1) runs the GEMMs as GEMVs, whose bits differ
+        pred = init_predictor(128, 512, length, RngState(5))
+        g = RngState(16).gen
+        contexts = random_unit_rows(g, batch * length, 128).reshape(batch, length, 128)
+        contexts = contexts.astype(np.float32)
+        d_y = (g.normal(size=(batch, 128)) / batch).astype(np.float32)
+        ref_y, ref = row_major_cell(pred, contexts, d_y)
+        y, cache = _cell_forward(pred, contexts)
+        np.testing.assert_array_equal(y, ref_y)
         grad = _cell_backward(pred, cache, d_y, np.full_like(pred.theta, np.nan))
         np.testing.assert_array_equal(grad, ref)
 
@@ -622,6 +678,40 @@ class TestSynthesize:
             phases.append(np.arctan2(z[1], z[0]))
         advances = np.diff(np.unwrap(phases)) > 0
         assert advances.mean() >= 0.8
+
+
+    def test_decoding_in_one_buffer_keeps_the_allocating_trail(self, ref_dataset, ref_model,
+                                                                ref_predictor):
+        refs = [(s.id, i) for s in ref_dataset for i in range(len(s))]
+        cb = np.concatenate([embed_batch(ref_model, s.frames) for s in ref_dataset])
+        seed_frames = ref_dataset.sequences[2].frames[:4]
+        ctx = embed_batch(ref_model, seed_frames)
+        trail = []
+        for _ in range(40):
+            diff = cb - rnn_forward_batch(ref_predictor, ctx[None])[0]
+            j = int(np.argmin(np.sum(diff * diff, axis=1)))
+            trail.append(refs[j])
+            ctx = np.concatenate([ctx[1:], cb[j][None, :]])
+        assert synthesize(ref_predictor, ref_model, seed_frames, 40, ref_dataset) == trail
+
+    def test_decoding_holds_no_per_step_codebook_temporary(self):
+        # 4,000 codebook frames embedded in 64 dimensions are 2 MB; the
+        # embedded codebook and one difference buffer are 4 MB, and a step that
+        # allocated its difference and its square peaked 2 MB higher
+        g = RngState(12).gen
+        codebook = Dataset(dimension=8, sequences=tuple(
+            Sequence(id=f"c{k}", frames=g.normal(size=(200, 8))) for k in range(20)))
+        model = init_embedding_model(8, 16, 64, RngState(3))
+        pred = init_predictor(64, 96, 4, RngState(4))
+        seed_frames = codebook.sequences[0].frames[:4]
+        synthesize(pred, model, seed_frames, 1, codebook)  # first-call set-up is not the decode's
+        tracemalloc.start()
+        try:
+            synthesize(pred, model, seed_frames, 5, codebook)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4000 * 64 * 8 + 1_000_000
 
 
 class TestInterpolate:

@@ -547,6 +547,17 @@ class TestAugment:
         np.testing.assert_array_equal(
             np.split(stacked, 3), [augment(b, 0.1, std, per_block) for b in x])
 
+    def test_drawing_into_a_buffer_keeps_the_stream_and_the_bits(self):
+        x = RngState(1).gen.normal(size=(12, 5))
+        std = np.arange(1.0, 6.0)
+        buf = np.full_like(x, np.nan)
+        assert augment(x, 0.1, std, RngState(8), buf) is buf
+        g = RngState(8).gen
+        np.testing.assert_array_equal(buf, x + g.normal(0.0, 1.0, size=x.shape) * (0.1 * std))
+        np.testing.assert_array_equal(augment(x, 0.1, std, RngState(8)), buf)
+        assert augment(x, 0.0, std, RngState(8), buf) is buf
+        np.testing.assert_array_equal(buf, x)
+
     def test_noise_scale_tracks_feature_std(self):
         rng = RngState(321)
         x = np.zeros(4)
@@ -591,7 +602,8 @@ class TestTrain:
 
         def audited(pairs, chunk_len):
             out = match(pairs, chunk_len)
-            for (q, t, penalties), matchings in zip(pairs, out):
+            for (q, t, config), matchings in zip(pairs, out):
+                penalties = config.resolve(q, t)  # the trainer hands the matcher its config
                 bounds = _chunk_bounds(t.shape[0], chunk_len)
                 assert [m.target_offset for m in matchings] == [s for s, _ in bounds]
                 chunks.extend((q, t[s:e], penalties, m) for (s, e), m in zip(bounds, matchings))
@@ -641,6 +653,21 @@ class TestTrain:
         train(small_dataset, cfg, chunk_len=20, rng=RngState(7))
         # one batch an epoch, of every chunk of its 4 pairs: 50-60 frames make 3 chunks of <= 20
         assert batches == [4 * 3] * 3
+
+    def test_each_pair_computes_its_distances_once(self, small_dataset, monkeypatch):
+        shapes = []
+        sqdist = align.pairwise_sqdist
+
+        def recorded(a, b):
+            shapes.append((len(a), len(b)))
+            return sqdist(a, b)
+
+        monkeypatch.setattr(align, "pairwise_sqdist", recorded)
+        cfg = TrainConfig(max_epochs=3, triplets_per_batch=20, hidden_dim=16, embed_dim=8,
+                          bootstrap_epochs=1, pairs_per_epoch=4)
+        train(small_dataset, cfg, chunk_len=20, rng=RngState(7))
+        # resolving the default penalties took a second (n, m) matrix per pair
+        assert len(shapes) == 3 * 4
 
     def test_every_batch_runs_in_one_buffer_set(self, small_dataset, monkeypatch):
         seen = []
