@@ -36,7 +36,6 @@ from .embed import (
     EmbeddingModel,
     TrainConfig,
     Whitener,
-    augment,
     embed_batch,
     fit_whitener,
     init_embedding_model,

@@ -88,7 +88,7 @@ def init_embedding_model(input_dim: int, hidden_dim: int, embed_dim: int,
 def _buffers(model: EmbeddingModel, rows: int, backward: bool = True) -> dict[str, np.ndarray]:
     """Work arrays of encoder passes over up to ``rows`` rows; a pass writes the leading ones.
 
-    The backward adds the stacked input ``x``, its scratch, the ReLU mask
+    The backward adds the input rows ``x``, its scratch, the ReLU mask
     ``live`` and the gradient ``grad``, which has the layout of ``model.theta``.
     """
     f, h, d = model.input_dim, model.hidden_dim, model.embed_dim
@@ -154,6 +154,38 @@ def _backprop(model: EmbeddingModel, x: np.ndarray, buf: dict[str, np.ndarray]) 
     return buf["grad"]
 
 
+def _triplet_grad(model: EmbeddingModel, x: np.ndarray, roles: np.ndarray, delta: float,
+                  buf: dict[str, np.ndarray]) -> tuple[float, np.ndarray]:
+    """Mean hinge loss and gradient of B triplets: ``roles`` (3·B,) holds the rows of
+    ``x`` of every anchor, then every positive, then every negative, and names each
+    row at least once. The encoder runs forward and backward once over ``x``, so each
+    row's ``d_y`` sums its roles' gradients. ``buf``: :func:`_buffers` of >= 3·B rows."""
+    count = len(roles) // 3
+    y = _forward(model, x, buf)[0]
+    g = buf["z2"][:3 * count]  # spent once y is normalized; scratch like d_z2 until the backward
+    np.take(y, roles, axis=0, out=g, mode="clip")  # roles are in range: "clip" is unbuffered
+    ya, yp, yn = np.split(g, 3)
+    d_g = buf["d_z2"][:3 * count]
+    d_ya, d_yp, d_yn = np.split(d_g, 3)
+
+    dpos = np.subtract(ya, yp, out=d_yp)
+    dneg = np.subtract(ya, yn, out=d_yn)
+    pre = np.sum(np.multiply(dpos, dpos, out=d_ya), axis=1)
+    pre -= np.sum(np.multiply(dneg, dneg, out=d_ya), axis=1)
+    pre += delta
+    loss = float(np.sum(np.maximum(pre, 0.0)) / count)
+
+    scale = ((pre > 0) * pre.dtype.type(2.0 / count))[:, None]  # 0 for an inactive hinge
+    np.multiply(scale, np.subtract(yn, yp, out=d_ya), out=d_ya)
+    np.multiply(-scale, dpos, out=d_yp)
+    np.multiply(scale, dneg, out=d_yn)
+    # sorted by row, each row's roles are one segment of a segmented sum
+    np.take(d_g, np.argsort(roles, kind="stable"), axis=0, out=g, mode="clip")
+    uses = np.bincount(roles, minlength=len(x))
+    np.add.reduceat(g, np.cumsum(uses) - uses, axis=0, out=buf["d_y"][:len(x)])
+    return loss, _backprop(model, x, buf)
+
+
 def triplet_grad(model: EmbeddingModel, anchors, positives, negatives,
                  delta: float, buffers: dict[str, np.ndarray] | None = None
                  ) -> tuple[float, np.ndarray]:
@@ -171,23 +203,8 @@ def triplet_grad(model: EmbeddingModel, anchors, positives, negatives,
         raise DimensionError("anchor/positive/negative batches must share one shape")
     count = a.shape[0]
     buf = _buffers(model, 3 * count) if buffers is None else buffers
-
     x = np.concatenate([a, p, n], axis=0, out=buf["x"][:3 * count])
-    ya, yp, yn = np.split(_forward(model, x, buf)[0], 3)
-    d_ya, d_yp, d_yn = np.split(buf["d_y"][:3 * count], 3)
-
-    dpos = np.subtract(ya, yp, out=d_yp)
-    dneg = np.subtract(ya, yn, out=d_yn)
-    pre = np.sum(np.multiply(dpos, dpos, out=d_ya), axis=1)
-    pre -= np.sum(np.multiply(dneg, dneg, out=d_ya), axis=1)
-    pre += delta
-    loss = float(np.sum(np.maximum(pre, 0.0)) / count)
-
-    scale = ((pre > 0) * pre.dtype.type(2.0 / count))[:, None]  # 0 for an inactive hinge
-    np.multiply(scale, np.subtract(yn, yp, out=d_ya), out=d_ya)
-    np.multiply(-scale, dpos, out=d_yp)
-    np.multiply(scale, dneg, out=d_yn)
-    return loss, _backprop(model, x, buf)
+    return _triplet_grad(model, x, np.arange(3 * count), delta, buf)
 
 
 def _sample_triplet_indices(pi: np.ndarray, chunk_feats: np.ndarray, offset: int,
@@ -244,20 +261,6 @@ def sequence_neighbors(dataset: Dataset, model: EmbeddingModel, k: int) -> dict[
     return {sid: [ids[j] for j in row] for sid, row in zip(ids, table)}
 
 
-def augment(x, sigma: float, feature_std, rng: RngState, out=None) -> np.ndarray:
-    """Add zero-mean gaussian jitter scaled per coordinate by the dataset spread;
-    the float64 result goes into ``out`` (C-contiguous, x's shape, not x) when given."""
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x) if out is None else out
-    if sigma == 0:
-        return np.positive(x, out=out)  # a copy
-    rng.gen.standard_normal(out=out)  # the draws of normal(0, 1), in place
-    out *= sigma * np.asarray(feature_std, dtype=np.float64)
-    return np.add(out, x, out=out)
-
-
 @dataclass(frozen=True)
 class Whitener:
     """ZCA whitening map fit on a frame collection."""
@@ -297,7 +300,6 @@ class TrainConfig:
     max_epochs: int = 30
     neighborhood_size: int = 10
     exclusion_window: int = 2
-    noise_sigma: float = 0.05
     hidden_dim: int = 256
     embed_dim: int = 128
     pairs_per_epoch: int | None = None
@@ -318,8 +320,6 @@ class TrainConfig:
             raise ConfigError("exclusion_window must be >= 0")
         if self.margin <= 0:
             raise ConfigError("margin must be > 0")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:
@@ -340,7 +340,8 @@ def train(dataset: Dataset, config: TrainConfig,
     another), solves every query against every chunk of its target in one
     batched pass, then, pair by pair and chunk by chunk, converts each
     chunk matching into a triplet batch (negatives mined at the epoch's
-    percentile) and applies one momentum step per batch. Penalties resolve
+    percentile) and applies one momentum step per batch. A batch encodes
+    each of its distinct query and target frames once. Penalties resolve
     once per pair, on that pair's current features. An initial encoder that
     overflows on the training frames raises DegenerateInputError. The first ``bootstrap_epochs``
     epochs compute neighborhoods, matching costs, and mining distances on
@@ -355,7 +356,6 @@ def train(dataset: Dataset, config: TrainConfig,
     if rng is None:
         rng = RngState(0)
     all_frames = dataset.all_frames()
-    feature_std = all_frames.std(axis=0)
     sequences = dataset.sequences
     ids = [s.id for s in sequences]
     whitener = fit_whitener(all_frames)
@@ -370,7 +370,6 @@ def train(dataset: Dataset, config: TrainConfig,
     pairs_per_epoch = len(dataset) if config.pairs_per_epoch is None else config.pairs_per_epoch
     g = rng.gen
     buffers = _buffers(model, 3 * config.triplets_per_batch)  # every batch reuses them
-    rows, jittered = np.empty((2, 3 * config.triplets_per_batch, dataset.dimension))
     averaged, theta_sum = math.ceil(config.max_epochs / 2), np.zeros(model.theta.size)
 
     for epoch in range(config.max_epochs):
@@ -385,7 +384,10 @@ def train(dataset: Dataset, config: TrainConfig,
         tis = neighbors[qis, g.integers(k, size=pairs_per_epoch)]
         pairs = [(feats[qi], feats[ti], penalties) for qi, ti in zip(qis, tis)]
         for qi, ti, matchings in zip(qis, tis, align._match_pairs(pairs, chunk_len)):
-            query, target, t_feats = sequences[qi], sequences[ti], feats[ti]
+            t_feats, offset = feats[ti], len(feats[qi])
+            # the query's frames, then the target's, in the encoder's dtype
+            frames = np.concatenate([sequences[qi].frames, sequences[ti].frames],
+                                    dtype=model.theta.dtype)
             # the chunks tile the target in offset order
             starts = [m.target_offset for m in matchings]
             for start, end, matching in zip(starts, starts[1:] + [len(t_feats)], matchings):
@@ -394,12 +396,10 @@ def train(dataset: Dataset, config: TrainConfig,
                     config.triplets_per_batch, config.exclusion_window, rng)
                 if not aj.size:
                     continue
-                x = rows[:3 * aj.size]  # the indices are in range: "clip" gathers unbuffered
-                np.take(query.frames, aj, axis=0, out=x[:aj.size], mode="clip")
-                np.take(target.frames, np.r_[pj, nj], axis=0, out=x[aj.size:], mode="clip")
-                x = augment(x, config.noise_sigma, feature_std, rng, jittered[:len(x)])
-                loss, grads = triplet_grad(model, *np.split(x, 3), config.margin, buffers)
-                sgd.step(loss, grads)
+                # each distinct frame of the batch is one row of x ("clip" gathers unbuffered)
+                rows, roles = np.unique(np.r_[aj, pj + offset, nj + offset], return_inverse=True)
+                x = np.take(frames, rows, axis=0, out=buffers["x"][:rows.size], mode="clip")
+                sgd.step(*_triplet_grad(model, x, roles, config.margin, buffers))
         sgd.end_epoch()
         if epoch >= config.max_epochs - averaged:
             theta_sum += model.theta

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (ConfigError, Dataset, DegenerateInputError, DimensionError, FormatError,
                    RngState, as_frames, pairwise_sqdist, write_file)
-from .align import Matching, PenaltyConfig, solve_exact_dp
+from . import align
 from .embed import EmbeddingModel, embed_batch
 from .dynamics import RecurrentPredictor, rnn_forward_batch, transition_pairs
 from .synthdata import GeneratorConfig, alignment_pair_config, resample_pair
@@ -280,14 +280,14 @@ def nearest_neighbor_assignment(query_feats: np.ndarray,
     return np.argmin(pairwise_sqdist(q, t), axis=1).astype(np.int64) + 1
 
 
-def alignment_accuracy(predicted: Matching | np.ndarray, truth: np.ndarray) -> float:
+def alignment_accuracy(predicted: align.Matching | np.ndarray, truth: np.ndarray) -> float:
     """Fraction of truth-matched query frames predicted within one target index.
 
     ``predicted`` is a whole-target :class:`Matching` or a 1-based assignment
     array; the matching of one chunk (``target_offset != 0``) is rejected.
     """
     truth = np.asarray(truth, dtype=np.int64)
-    if isinstance(predicted, Matching):
+    if isinstance(predicted, align.Matching):
         if predicted.target_offset:
             raise DimensionError(f"matching of the chunk at offset {predicted.target_offset} "
                                  "does not cover the whole target")
@@ -306,7 +306,7 @@ def alignment_accuracy(predicted: Matching | np.ndarray, truth: np.ndarray) -> f
 
 def alignment_benchmark(model: EmbeddingModel, generator: GeneratorConfig,
                         pairs: int, seed: int,
-                        penalties: PenaltyConfig = PenaltyConfig(),
+                        penalties: align.PenaltyConfig = align.PenaltyConfig(),
                         ) -> tuple[list[float], list[float]]:
     """Correspondence accuracy of exact matching versus per-frame nearest neighbors.
 
@@ -315,15 +315,15 @@ def alignment_benchmark(model: EmbeddingModel, generator: GeneratorConfig,
     chunking) under ``penalties`` resolved for that pair, and scored by
     :func:`alignment_accuracy`. Returns the per-pair (dp, nn) accuracies.
     """
-    pair_cfg = alignment_pair_config(generator)
+    pair_cfg, seeds = alignment_pair_config(generator), range(seed, seed + pairs)
     dp_scores, nn_scores = [], []
-    for i in range(pairs):
-        query, target, truth = resample_pair(pair_cfg, seed=seed + i)
-        q = embed_batch(model, query.frames)
-        t = embed_batch(model, target.frames)
-        sol = solve_exact_dp(q, t, penalties.resolve(q, t))
-        dp_scores.append(alignment_accuracy(sol, truth))
-        nn_scores.append(alignment_accuracy(nearest_neighbor_assignment(q, t), truth))
+    for i in range(0, pairs, 20):  # one batched solve of 20 reference pairs holds about 21 MB
+        block = [resample_pair(pair_cfg, seed=s) for s in seeds[i:i + 20]]
+        feats = [(embed_batch(model, q.frames), embed_batch(model, t.frames)) for q, t, _ in block]
+        solved = align._match_pairs([(q, t, penalties) for q, t in feats], None)
+        dp_scores += [alignment_accuracy(m, truth) for (m,), (_, _, truth) in zip(solved, block)]
+        nn_scores += [alignment_accuracy(nearest_neighbor_assignment(q, t), truth)
+                      for (q, t), (_, _, truth) in zip(feats, block)]
     return dp_scores, nn_scores
 
 

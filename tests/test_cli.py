@@ -254,14 +254,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ConfigError" in err and key in err
 
-    def test_negative_noise_sigma_fails_before_reading_data(self, workspace, capsys):
+    def test_removed_noise_sigma_fails_before_reading_data(self, workspace, capsys):
         root, _ = workspace
         cfg = root / "noise_cfg.json"
-        cfg.write_text(json.dumps({**TINY, "train": {**TINY["train"], "noise_sigma": -1.0}}))
+        cfg.write_text(json.dumps({**TINY, "train": {**TINY["train"], "noise_sigma": 0.05}}))
         code = main(["train-embed", "--config", str(cfg), "--data", str(root / "nothing"),
                      "--out", str(root / "noise.bin")])
         assert code == 1
-        assert "ConfigError: noise_sigma must be >= 0" in capsys.readouterr().err
+        assert "ConfigError: unknown config key train.noise_sigma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, section, key, value", [
         ("train-embed", "train", "learning_rate", float("nan")),

@@ -33,7 +33,6 @@ class TestDefaults:
         assert t.momentum == 0.9
         assert t.neighborhood_size == 10
         assert t.exclusion_window == 2
-        assert t.noise_sigma == 0.05
         assert t.hidden_dim == 256
         assert t.embed_dim == 128
 
@@ -99,6 +98,8 @@ class TestLoading:
             config_from_dict({"train": {"epsilon": 1e-4}})
         with pytest.raises(ConfigError, match="unknown config key predictor.epsilon"):
             config_from_dict({"predictor": {"epsilon": 1e-4}})
+        with pytest.raises(ConfigError, match="unknown config key train.noise_sigma"):
+            config_from_dict({"train": {"noise_sigma": 0.05}})
 
     @pytest.mark.parametrize("data", [
         {"chunk_len": 20.5},
@@ -179,13 +180,6 @@ def test_negative_windows_and_percentile_step_rejected(section, key, value):
     # a negative step drives the mining percentile above 100
     with pytest.raises(ConfigError, match=key):
         config_from_dict({section: {key: value}})
-
-
-def test_negative_noise_sigma_rejected_at_load():
-    # it used to load and fail only inside augment, after the first matching
-    with pytest.raises(ConfigError, match="noise_sigma must be >= 0"):
-        config_from_dict({"train": {"noise_sigma": -1.0}})
-    assert config_from_dict({"train": {"noise_sigma": 0}}).train.noise_sigma == 0
 
 
 @pytest.mark.parametrize("section, key, value", [

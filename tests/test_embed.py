@@ -25,7 +25,6 @@ from seqrep.embed import (
     EmbeddingModel,
     TrainConfig,
     _sample_triplet_indices,
-    augment,
     embed_batch,
     fit_whitener,
     init_embedding_model,
@@ -328,6 +327,41 @@ class TestReusedBuffers:
         assert peak < 500_000
 
 
+class TestDistinctRows:
+    """The trainer's kernel, which encodes each distinct row once, against the
+    stacked 3·B rows of :func:`triplet_grad`."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return init_embedding_model(64, 256, 128, RngState(21))  # reference shapes
+
+    @pytest.mark.parametrize("pool", [None, 40], ids=["no-repeats", "repeats"])
+    def test_equals_the_stacked_rows(self, model, pool):
+        model = float64(model)
+        g = np.random.default_rng(3)
+        frames = g.normal(size=(900, 64))
+        idx = g.permutation(900) if pool is None else g.integers(pool, size=900)
+        rows, roles = np.unique(idx, return_inverse=True)
+        assert len(rows) == (900 if pool is None else pool)
+        buf = TestReusedBuffers.nan_buffers(model, 900)
+        loss, grad = embed._triplet_grad(model, frames[rows], roles, 0.05, buf)
+        ref_loss, ref = triplet_grad(model, *(frames[i] for i in np.split(idx, 3)), 0.05)
+        assert loss == pytest.approx(ref_loss, rel=1e-12) and loss > 0
+        np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_an_all_inactive_batch_has_an_exactly_zero_gradient(self, model):
+        x = np.random.default_rng(4).normal(size=(20, 64))
+        # each anchor is its own positive, so every hinge reads delta - |ya - yn|^2
+        same = np.arange(10)
+        roles = np.r_[same, same, same + 10]
+        y = embed_batch(model, x)
+        assert np.min(np.sum((y[:10] - y[10:]) ** 2, axis=1)) > 1e-6
+        buf = TestReusedBuffers.nan_buffers(model, 30)
+        loss, grad = embed._triplet_grad(model, x.astype(np.float32), roles, 1e-6, buf)
+        assert loss == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
+
+
 def drawn_negatives(pi, feats, p, window, seed=0):
     """Negatives the sampler drew for each matched positive column.
 
@@ -529,45 +563,6 @@ class TestSequenceNeighbors:
             sequence_neighbors(small_dataset, model, len(small_dataset))
 
 
-class TestAugment:
-    def test_sigma_zero_is_identity(self, rng):
-        x = rng.gen.normal(size=6)
-        np.testing.assert_array_equal(augment(x, 0.0, np.ones(6), rng), x)
-
-    def test_preserves_shape(self, rng):
-        x = rng.gen.normal(size=(7, 3))
-        assert augment(x, 0.1, np.ones(3), rng).shape == (7, 3)
-
-    def test_one_stacked_call_equals_one_call_per_block(self):
-        # train jitters a batch's anchor, positive and negative rows in one call
-        x = RngState(1).gen.normal(size=(3, 4, 5))
-        std = np.arange(1.0, 6.0)
-        stacked = augment(x.reshape(12, 5), 0.1, std, RngState(8))
-        per_block = RngState(8)
-        np.testing.assert_array_equal(
-            np.split(stacked, 3), [augment(b, 0.1, std, per_block) for b in x])
-
-    def test_drawing_into_a_buffer_keeps_the_stream_and_the_bits(self):
-        x = RngState(1).gen.normal(size=(12, 5))
-        std = np.arange(1.0, 6.0)
-        buf = np.full_like(x, np.nan)
-        assert augment(x, 0.1, std, RngState(8), buf) is buf
-        g = RngState(8).gen
-        np.testing.assert_array_equal(buf, x + g.normal(0.0, 1.0, size=x.shape) * (0.1 * std))
-        np.testing.assert_array_equal(augment(x, 0.1, std, RngState(8)), buf)
-        assert augment(x, 0.0, std, RngState(8), buf) is buf
-        np.testing.assert_array_equal(buf, x)
-
-    def test_noise_scale_tracks_feature_std(self):
-        rng = RngState(321)
-        x = np.zeros(4)
-        std = np.array([1.0, 2.0, 0.5, 4.0])
-        sigma = 0.3
-        draws = np.stack([augment(x, sigma, std, rng) for _ in range(10_000)])
-        emp = draws.std(axis=0)
-        np.testing.assert_allclose(emp, sigma * std, rtol=0.05)
-
-
 class TestWhitener:
     def test_whitened_covariance_is_identityish(self, rng):
         g = rng.gen
@@ -671,13 +666,13 @@ class TestTrain:
 
     def test_every_batch_runs_in_one_buffer_set(self, small_dataset, monkeypatch):
         seen = []
-        grad_fn = embed.triplet_grad
+        grad_fn = embed._triplet_grad
 
-        def recorded(model, a, p, n, delta, buffers):
-            seen.append((buffers, len(a)))
-            return grad_fn(model, a, p, n, delta, buffers)
+        def recorded(model, x, roles, delta, buffers):
+            seen.append((buffers, len(roles) // 3))
+            return grad_fn(model, x, roles, delta, buffers)
 
-        monkeypatch.setattr(embed, "triplet_grad", recorded)
+        monkeypatch.setattr(embed, "_triplet_grad", recorded)
         # a wide exclusion window empties some pools, so short batches run too
         cfg = TrainConfig(max_epochs=2, triplets_per_batch=40, hidden_dim=16,
                           embed_dim=8, bootstrap_epochs=1, exclusion_window=8)
@@ -687,6 +682,38 @@ class TestTrain:
         assert all(b is buf for b, _ in seen)
         assert buf["x"].shape == (3 * 40, small_dataset.dimension)
         assert any(count < 40 for _, count in seen)
+
+    def test_the_encoder_runs_over_each_distinct_frame_once(self, small_dataset, monkeypatch):
+        drawn, passes = [], []
+        sample, forward, backprop = embed._sample_triplet_indices, embed._forward, embed._backprop
+
+        def sampled(*args):
+            out = sample(*args)
+            if out[0].size:
+                drawn.append(out)
+            return out
+
+        def forwarded(model, x, buf):
+            if "x" in buf:  # a training batch, not embed_batch
+                passes.append(("forward", len(x)))
+            return forward(model, x, buf)
+
+        def backpropagated(model, x, buf):
+            passes.append(("backward", len(x)))
+            return backprop(model, x, buf)
+
+        monkeypatch.setattr(embed, "_sample_triplet_indices", sampled)
+        monkeypatch.setattr(embed, "_forward", forwarded)
+        monkeypatch.setattr(embed, "_backprop", backpropagated)
+        cfg = TrainConfig(max_epochs=2, triplets_per_batch=40, hidden_dim=16,
+                          embed_dim=8, bootstrap_epochs=1)
+        train(small_dataset, cfg, chunk_len=20, rng=RngState(42))
+        # each batch's forward and backward run over its distinct query frames
+        # and its distinct target frames, not over its 3·B stacked rows
+        distinct = [np.unique(a).size + np.unique(np.r_[p, n]).size for a, p, n in drawn]
+        assert passes == [(kind, r) for r in distinct for kind in ("forward", "backward")]
+        assert len(distinct) > 1
+        assert sum(distinct) < 0.8 * sum(3 * len(a) for a, _, _ in drawn)
 
     @staticmethod
     def epoch_ends(monkeypatch):

@@ -9,12 +9,13 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.spatial.distance import pdist
 from scipy.stats import rankdata
 
-from seqrep import evaluate
+from seqrep import align, evaluate
 from seqrep.core import (ConfigError, Dataset, DegenerateInputError, DimensionError,
                          FormatError, RngState, Sequence, pairwise_sqdist)
-from seqrep.align import Matching
+from seqrep.align import Matching, PenaltyConfig, solve_exact_dp
 from seqrep.dynamics import init_predictor
 from seqrep.embed import embed_batch, fit_whitener, init_embedding_model
+from seqrep.synthdata import GeneratorConfig, alignment_pair_config, resample_pair
 from seqrep.evaluate import (
     EvalReport,
     alignment_accuracy,
@@ -410,6 +411,45 @@ class TestAlignmentAccuracy:
     def test_nn_assignment_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             nearest_neighbor_assignment(np.ones((2, 2)), np.ones((2, 3)))
+
+
+class TestAlignmentBenchmark:
+    GENERATOR = GeneratorConfig(feature_dim=16, frames_range=(30, 45), seed=3)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return init_embedding_model(16, 12, 6, RngState(9))
+
+    @pytest.mark.parametrize("penalties, pairs", [(PenaltyConfig(), 4),
+                                                  (PenaltyConfig(lambda1=0.5), 23)],
+                             ids=["resolved", "partly-set-two-batches"])
+    def test_keeps_the_scores_of_one_solve_per_pair(self, model, penalties, pairs):
+        pair_cfg = alignment_pair_config(self.GENERATOR)
+        dp, nn = [], []
+        for i in range(pairs):
+            query, target, truth = resample_pair(pair_cfg, seed=7 + i)
+            q, t = embed_batch(model, query.frames), embed_batch(model, target.frames)
+            dp.append(alignment_accuracy(solve_exact_dp(q, t, penalties.resolve(q, t)), truth))
+            nn.append(alignment_accuracy(nearest_neighbor_assignment(q, t), truth))
+        assert evaluate.alignment_benchmark(model, self.GENERATOR, pairs, 7, penalties) == (dp, nn)
+
+    def test_each_pair_computes_its_distances_twice(self, model, monkeypatch):
+        shapes = []
+        sqdist = evaluate.pairwise_sqdist
+
+        def recorded(a, b):
+            shapes.append((len(a), len(b)))
+            return sqdist(a, b)
+
+        monkeypatch.setattr(align, "pairwise_sqdist", recorded)
+        monkeypatch.setattr(evaluate, "pairwise_sqdist", recorded)
+        evaluate.alignment_benchmark(model, self.GENERATOR, 4, 7)
+        pair_cfg = alignment_pair_config(self.GENERATOR)
+        sizes = [tuple(len(s) for s in resample_pair(pair_cfg, seed=7 + i)[:2])
+                 for i in range(4)]
+        # once for the penalties and the matching, once for the nearest neighbours;
+        # resolving the penalties on their own took a third
+        assert sorted(shapes) == sorted(sizes * 2)
 
 
 class TestProjection:
