@@ -98,8 +98,6 @@ class TestLoading:
             config_from_dict({"train": {"epsilon": 1e-4}})
         with pytest.raises(ConfigError, match="unknown config key predictor.epsilon"):
             config_from_dict({"predictor": {"epsilon": 1e-4}})
-        with pytest.raises(ConfigError, match="unknown config key train.noise_sigma"):
-            config_from_dict({"train": {"noise_sigma": 0.05}})
 
     @pytest.mark.parametrize("data", [
         {"chunk_len": 20.5},
@@ -180,6 +178,14 @@ def test_negative_windows_and_percentile_step_rejected(section, key, value):
     # a negative step drives the mining percentile above 100
     with pytest.raises(ConfigError, match=key):
         config_from_dict({section: {key: value}})
+
+
+def test_negative_noise_sigma_rejected_at_load():
+    # the input jitter is gone: any train.noise_sigma, negative or not, is an
+    # unknown key at load instead of a value checked later
+    for value in (-1.0, 0, 0.05):
+        with pytest.raises(ConfigError, match="unknown config key train.noise_sigma"):
+            config_from_dict({"train": {"noise_sigma": value}})
 
 
 @pytest.mark.parametrize("section, key, value", [
