@@ -27,7 +27,8 @@ print(f"embedding + predictor trained in {time.time() - t0:.0f}s "
 
 # 1. Next-frame prediction vs the k-nearest-neighbor bar: predicting beats
 #    looking up the true next frame's 2nd nearest neighbor.
-curve = sr.knn_prediction_curve(ds, model, pred, k_max=10)
+curve = sr.knn_prediction_curve(ds, model, pred, k_max=10,
+                               exclusion_window=run.eval.exclusion_window)
 print(f"\nprediction error {curve.prediction_error_mean:.4f}")
 for k in (1, 2, 5, 10):
     print(f"  {k}-NN bar: {curve.knn_mean[k - 1]:.4f}")

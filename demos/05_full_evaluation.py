@@ -13,12 +13,14 @@ import numpy as np
 import seqrep as sr
 from seqrep.cli import main as seqrep_cli
 
-# A scaled-down benchmark keeps this demo quick.
+# A scaled-down benchmark keeps this demo quick; the context length and the
+# exclusion window are the run defaults, as the CLI run below takes them.
+run = sr.RunConfig()
 cfg = sr.GeneratorConfig(num_sequences=8, frames_range=(80, 90), seed=5)
 train_cfg = sr.TrainConfig(max_epochs=12, learning_rate=0.02, bootstrap_epochs=4)
 ds = sr.generate_dataset(cfg)
 model, _ = sr.train(ds, train_cfg, chunk_len=45, rng=sr.RngState(2))
-pred, _ = sr.train_predictor(ds, model,
+pred, _ = sr.train_predictor(ds, model, context_len=run.context_len,
                              config=sr.PredictorConfig(max_epochs=15,
                                                        learning_rate=0.03),
                              rng=sr.RngState(3))
@@ -33,7 +35,8 @@ rest = sr.Dataset(dimension=ds.dimension, sequences=ds.sequences[4:])
 zs = sr.zero_shot_pose_error(half, rest, model)
 print(f"zero-shot latent error {zs.mean_error:.3f} (oracle {zs.oracle_mean_error:.3f})")
 
-curve = sr.knn_prediction_curve(ds, model, pred, k_max=5)
+curve = sr.knn_prediction_curve(ds, model, pred, k_max=5,
+                                exclusion_window=run.eval.exclusion_window)
 print(f"prediction error       {curve.prediction_error_mean:.3f} "
       f"(2nd-NN bar {curve.knn_mean[1]:.3f})")
 

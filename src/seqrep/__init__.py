@@ -18,7 +18,6 @@ from .core import (
     RngState,
     Sequence,
     TrainLog,
-    l2_normalize,
     pairwise_sqdist,
 )
 from .align import (

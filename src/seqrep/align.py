@@ -335,7 +335,7 @@ def _match_pairs(pairs, chunk_len: int | None) -> list[list[Matching]]:
     return out
 
 
-def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties) -> Matching:
+def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties | PenaltyConfig) -> Matching:
     """Exact global minimizer via a trellis over assignment states.
 
     The objective decomposes over consecutive query positions, so a layered
@@ -346,7 +346,8 @@ def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties) -> Matching
     memory besides the (m+1)^2 transition table the backtrack reads one row
     of per step. Ties break toward the smaller state index, both at the final
     state and during backtracking. ``total_cost`` is summed along ``pi`` in
-    the recurrence's order (unary, then each transition and unary in turn).
+    the recurrence's order (unary, then each transition and unary in turn). A
+    :class:`PenaltyConfig` resolves on the instance, bit for bit as its ``resolve``.
     """
     q, t = _check_instance(query_emb, target_emb)
     return _match_pairs([(q, t, penalties)], None)[0][0]
@@ -363,11 +364,12 @@ def _chunk_bounds(n: int, chunk_len: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def match_features(query_feats, target_feats, penalties: MatchPenalties,
-                   chunk_len: int = 40) -> list[Matching]:
+def match_features(query_feats, target_feats, penalties: MatchPenalties | PenaltyConfig,
+                   chunk_len: int) -> list[Matching]:
     """Solve the full query against every chunk of an already-featured target.
 
     Returns one Matching per chunk of :func:`_chunk_bounds`, in offset order.
+    A :class:`PenaltyConfig` resolves on the whole target, as in :func:`solve_exact_dp`.
     """
     q, t = _check_instance(query_feats, target_feats)
     return _match_pairs([(q, t, penalties)], chunk_len)[0]

@@ -52,16 +52,6 @@ class DivergenceError(RuntimeError):
         self.stage, self.epoch, self.batch, self.loss = stage, epoch, batch, loss
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DegenerateInputError(f"{name} contains non-finite entries")
-    return a
-
-
 def as_frames(x, name: str = "frames") -> np.ndarray:
     """Coerce to a finite (n, f) float64 array with n >= 1."""
     a = np.asarray(x, dtype=np.float64)
@@ -233,15 +223,6 @@ class MomentumSGD:
         self.log.epoch_param_delta.append(delta)
         self.epoch += 1
         self.batch = 0
-
-
-def l2_normalize(a, eps: float = 1e-12) -> np.ndarray:
-    """Scale a nonzero vector to unit euclidean norm."""
-    a = as_vector(a, "a")
-    norm = float(np.linalg.norm(a))
-    if norm < eps:
-        raise DegenerateInputError("cannot normalize a (near-)zero vector")
-    return a / norm
 
 
 @dataclass(frozen=True)

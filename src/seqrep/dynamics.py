@@ -29,7 +29,6 @@ from .core import (
     TrainLog,
     as_frames,
     block_views,
-    l2_normalize,
 )
 from .embed import EmbeddingModel, embed_batch
 
@@ -57,7 +56,7 @@ class RecurrentPredictor:
     theta: np.ndarray
     embed_dim: int   # d
     hidden_dim: int  # m
-    context_len: int = 4
+    context_len: int  # l
     Wx: np.ndarray = field(init=False, repr=False)  # (d, 4m)
     Wh: np.ndarray = field(init=False, repr=False)  # (m, 4m)
     b: np.ndarray = field(init=False, repr=False)   # (4m,)
@@ -86,8 +85,8 @@ class RecurrentPredictor:
         return block_views(vec, Wx=(d, 4 * m), Wh=(m, 4 * m), b=(4 * m,), Wy=(m, d), by=(d,))
 
 
-def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
-                   rng: RngState | None = None) -> RecurrentPredictor:
+def init_predictor(embed_dim: int, hidden_dim: int, context_len: int,
+                   rng: RngState) -> RecurrentPredictor:
     """Scaled-uniform float32 weights, zero biases except a unit forget-gate bias.
 
     Gains assume unit-NORM input vectors (per-coordinate scale 1/sqrt(d), as
@@ -96,8 +95,6 @@ def init_predictor(embed_dim: int, hidden_dim: int = 512, context_len: int = 4,
     targets. With plain 1/sqrt(fan-in) scales the cell starts so quiet that
     gradient descent cannot even reach the copy-last-frame baseline.
     """
-    if rng is None:
-        rng = RngState(0)
     g = rng.gen
     d, m = embed_dim, hidden_dim
     sx = 6.0 / math.sqrt(d)
@@ -278,9 +275,9 @@ def transition_pairs(embedded, context_len: int) -> tuple[np.ndarray, np.ndarray
                                                      axis=0).transpose(0, 2, 1), first)
 
 
-def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 4,
-                    config: PredictorConfig | None = None,
-                    rng: RngState | None = None) -> tuple[RecurrentPredictor, TrainLog]:
+def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int,
+                    config: PredictorConfig,
+                    rng: RngState) -> tuple[RecurrentPredictor, TrainLog]:
     """Fit the recurrent predictor on all (context, next frame) pairs.
 
     Every sequence longer than ``context_len`` contributes one training pair
@@ -291,13 +288,6 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     the dataset is unusable. Runs ``max_epochs`` epochs; divergence raises
     :class:`DivergenceError`.
     """
-    if config is None:
-        config = PredictorConfig()
-    if rng is None:
-        rng = RngState(0)
-    if context_len < 1:
-        raise ConfigError("context_len must be >= 1")
-
     pred = init_predictor(model.embed_dim, config.hidden_dim, context_len, rng.split(0))
     embedded = {}
     for s in dataset:
@@ -333,16 +323,6 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int = 
     return pred, sgd.log
 
 
-def _embed_context(pred: RecurrentPredictor, model: EmbeddingModel, frames,
-                   name: str) -> np.ndarray:
-    """Embed exactly ``pred.context_len`` raw frames; ``name`` labels them in errors."""
-    x = as_frames(frames, name)
-    if x.shape[0] != pred.context_len:
-        raise ConfigError(f"expected exactly {pred.context_len} "
-                          f"{name.replace('_', ' ')}, got {x.shape[0]}")
-    return embed_batch(model, x)
-
-
 def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
                steps: int, codebook: Dataset) -> list[tuple[str, int]]:
     """Recursively predict embeddings and decode each by nearest codebook frame.
@@ -356,7 +336,10 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
     refs = [(s.id, i) for s in codebook for i in range(len(s))]
     cb_emb = np.concatenate([embed_batch(model, s.frames) for s in codebook], axis=0)
 
-    ctx = _embed_context(pred, model, seed_frames, "seed_frames")
+    seed = as_frames(seed_frames, "seed_frames")
+    if seed.shape[0] != pred.context_len:
+        raise ConfigError(f"expected exactly {pred.context_len} seed frames, got {seed.shape[0]}")
+    ctx = embed_batch(model, seed)
     trail = []
     diff = np.empty_like(cb_emb)  # every step's squared differences, in place
     for _ in range(steps):
@@ -372,16 +355,20 @@ def interpolate_features(a, b, num_steps: int) -> list[np.ndarray]:
     """Evenly spaced chord interpolants between two embeddings, re-normalized.
 
     Returns unit-norm vectors at fractions i / (num_steps + 1) for
-    i = 1..num_steps. Antipodal endpoints make the interpolant vanish.
+    i = 1..num_steps, each divided by its norm as ``np.linalg.norm`` takes it.
+    A vanishing (antipodal endpoints) or non-finite one is degenerate input.
     """
     if num_steps < 1:
         raise ConfigError("num_steps must be >= 1")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError("endpoints must share one dimension")
+    if a.shape != b.shape or a.ndim != 1:
+        raise DimensionError(f"endpoints must be 1-D of one dimension, got {a.shape}, {b.shape}")
     out = []
-    for i in range(1, num_steps + 1):
-        alpha = i / (num_steps + 1)
-        out.append(l2_normalize((1.0 - alpha) * a + alpha * b))
+    for alpha in np.arange(1, num_steps + 1) / (num_steps + 1):
+        v = (1.0 - alpha) * a + alpha * b
+        norm = math.sqrt(v @ v)
+        if not 1e-12 <= norm < math.inf:
+            raise DegenerateInputError(f"an interpolant has norm {norm}")
+        out.append(v / norm)
     return out

@@ -187,14 +187,11 @@ def _triplet_grad(model: EmbeddingModel, x: np.ndarray, roles: np.ndarray, delta
 
 
 def triplet_grad(model: EmbeddingModel, anchors, positives, negatives,
-                 delta: float, buffers: dict[str, np.ndarray] | None = None
-                 ) -> tuple[float, np.ndarray]:
+                 delta: float) -> tuple[float, np.ndarray]:
     """Mean batch hinge loss and its exact parameter gradient.
 
     Inactive hinges contribute zero loss and zero gradient. Returns
-    ``(loss, grads)``; ``grads`` has the layout of ``model.theta``. The passes
-    run in ``buffers`` (:func:`_buffers` of >= 3·B rows; ``grads`` is their
-    ``grad``), else in new ones sized to the batch.
+    ``(loss, grads)``; ``grads`` has the layout of ``model.theta``.
     """
     if delta <= 0:
         raise ConfigError(f"margin must be positive, got {delta}")
@@ -202,7 +199,7 @@ def triplet_grad(model: EmbeddingModel, anchors, positives, negatives,
     if not (a.shape == p.shape == n.shape):
         raise DimensionError("anchor/positive/negative batches must share one shape")
     count = a.shape[0]
-    buf = _buffers(model, 3 * count) if buffers is None else buffers
+    buf = _buffers(model, 3 * count)
     x = np.concatenate([a, p, n], axis=0, out=buf["x"][:3 * count])
     return _triplet_grad(model, x, np.arange(3 * count), delta, buf)
 
@@ -254,8 +251,8 @@ def sequence_neighbors(dataset: Dataset, model: EmbeddingModel, k: int) -> dict[
     Distances are squared euclidean between temporal-mean embeddings; the
     sequence itself is excluded and ties break by id order.
     """
-    if k >= len(dataset):
-        raise ConfigError(f"neighborhood size {k} must be < number of sequences {len(dataset)}")
+    if not 1 <= k < len(dataset):
+        raise ConfigError(f"neighborhood size {k} must be >= 1 and < {len(dataset)} sequences")
     ids = [s.id for s in dataset]
     table = _descriptor_neighbors([embed_batch(model, s.frames) for s in dataset], ids, k)
     return {sid: [ids[j] for j in row] for sid, row in zip(ids, table)}
@@ -273,15 +270,15 @@ class Whitener:
         return (x - self.mean) @ self.transform
 
 
-def fit_whitener(frames, eps_scale: float = 0.02) -> Whitener:
-    """Regularized ZCA: eigenvalues are floored at ``eps_scale`` times their
-    mean so near-null noise directions are not blown up to unit variance."""
+def fit_whitener(frames) -> Whitener:
+    """Regularized ZCA: eigenvalues are floored at 0.02 times their mean so
+    near-null noise directions are not blown up to unit variance."""
     x = as_frames(frames)
     mean = x.mean(axis=0)
     cov = np.cov(x - mean, rowvar=False, bias=True)
     cov = np.atleast_2d(cov)
     evals, evecs = np.linalg.eigh(cov)
-    eps = eps_scale * float(evals.mean()) + 1e-12
+    eps = 0.02 * float(evals.mean()) + 1e-12
     transform = evecs @ np.diag(1.0 / np.sqrt(evals + eps)) @ evecs.T
     return Whitener(mean=mean, transform=transform)
 
@@ -330,9 +327,8 @@ class TrainConfig:
                    self.percentile_start - self.percentile_step * epoch)
 
 
-def train(dataset: Dataset, config: TrainConfig,
-          penalties: PenaltyConfig = PenaltyConfig(), chunk_len: int = 40,
-          rng: RngState | None = None) -> tuple[EmbeddingModel, TrainLog]:
+def train(dataset: Dataset, config: TrainConfig, penalties: PenaltyConfig = PenaltyConfig(),
+          *, chunk_len: int, rng: RngState) -> tuple[EmbeddingModel, TrainLog]:
     """Fit the embedding by alternating exact chunk matching and triplet descent.
 
     Each epoch draws its pairs up front from the neighborhood graph (all
@@ -353,8 +349,6 @@ def train(dataset: Dataset, config: TrainConfig,
     last ⌈max_epochs / 2⌉ epochs (Polyak-Ruppert averaging): epochs 15-29 of
     30, a 1- or 2-epoch run's last iterate. The log keeps the optimizer's moves.
     """
-    if rng is None:
-        rng = RngState(0)
     all_frames = dataset.all_frames()
     sequences = dataset.sequences
     ids = [s.id for s in sequences]

@@ -122,22 +122,22 @@ def _latent_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
-                                pose_epsilon: float | None = None,
-                                num_queries: int = 500,
-                                rng: RngState | None = None) -> tuple[float, list[float]]:
+                                pose_epsilon: float | None = None, *,
+                                num_queries: int, rng: RngState) -> tuple[float, list[float]]:
     """Mean per-query ROC AUC of other-sequence retrieval by feature distance.
 
+    ``rng`` draws ``num_queries >= 1`` query frames (all, if there are no more).
     A candidate counts as a true match when its latent pose lies within
     ``pose_epsilon`` of the query's. A sequence's queries share one candidate
     set, the other sequences' frames, and are scored together. Queries whose
     candidate set is all-positive or all-negative are skipped.
     """
+    if num_queries < 1:
+        raise ConfigError(f"num_queries must be >= 1, got {num_queries}")
     _require_latents(dataset)
     features = _checked_features(dataset, features)
     if pose_epsilon is None:
         pose_epsilon = default_pose_epsilon(dataset)
-    if rng is None:
-        rng = RngState(0)
 
     feats = np.concatenate(features, axis=0)
     lats = np.concatenate([s.latent for s in dataset], axis=0)
@@ -164,8 +164,8 @@ def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
     return float(np.mean(aucs)), aucs
 
 
-def retrieval_auc(dataset: Dataset, embedder, pose_epsilon: float | None = None,
-                  num_queries: int = 500, rng: RngState | None = None) -> float:
+def retrieval_auc(dataset: Dataset, embedder, pose_epsilon: float | None = None, *,
+                  num_queries: int, rng: RngState) -> float:
     mean, _ = retrieval_auc_from_features(
         dataset, _sequence_features(dataset, embedder),
         pose_epsilon=pose_epsilon, num_queries=num_queries, rng=rng)
@@ -226,7 +226,7 @@ class PredictionCurve:
 
 def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
                          predictor: RecurrentPredictor, k_max: int,
-                         exclusion_window: int = 2) -> PredictionCurve:
+                         exclusion_window: int) -> PredictionCurve:
     """Next-frame prediction error versus the k-th nearest-neighbor bar.
 
     For every transition the predictor regresses the next frame's embedding

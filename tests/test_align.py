@@ -415,6 +415,25 @@ class TestMatchPairs:
                     np.testing.assert_array_equal(m.pi, r.pi)
                     assert (m.total_cost, m.target_offset) == (r.total_cost, r.target_offset)
 
+    @pytest.mark.parametrize("config", [PenaltyConfig(),
+                                        PenaltyConfig(lambda1=7.0, outlier_cost=0.25)],
+                             ids=["default", "partly-set"])
+    def test_public_solvers_take_a_penalty_config(self, rng, config):
+        # solve_exact_dp and match_features under a config keep the bits of
+        # solving under that config resolved for the instance
+        g = rng.gen
+        for n, m in ((5, 30), (1, 9), (12, 17)):
+            q, t = random_instance(g, n, m, 3)
+            resolved = config.resolve(q, t)
+            got, ref = solve_exact_dp(q, t, config), solve_exact_dp(q, t, resolved)
+            np.testing.assert_array_equal(got.pi, ref.pi)
+            assert got.total_cost == ref.total_cost
+            got = match_features(q, t, config, chunk_len=8)
+            ref = match_features(q, t, resolved, chunk_len=8)
+            for a, b in zip(got, ref, strict=True):
+                np.testing.assert_array_equal(a.pi, b.pi)
+                assert (a.total_cost, a.target_offset) == (b.total_cost, b.target_offset)
+
     def test_gap_weight_guard_is_per_instance(self, rng):
         # lambda3 = 1e308 fits a 1-frame target's ramp but not the batch's
         # width: only pad columns would overflow, and they are never read

@@ -18,7 +18,6 @@ from seqrep.core import (
     RngState,
     Sequence,
     block_views,
-    l2_normalize,
     pairwise_sqdist,
     write_file,
 )
@@ -133,27 +132,6 @@ def test_sequence_id_must_be_safe(bad):
 def test_sequence_id_rule_admits_plain_names():
     for ok in ("a", "seq000", "resample-a", "x.y_z-1", "-", "a.."):
         assert Sequence(id=ok, frames=[[1.0]]).id == ok
-
-
-def test_l2_normalize_345_triangle():
-    np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8])
-
-
-def test_l2_normalize_idempotent(rng):
-    v = rng.gen.normal(size=7)
-    once = l2_normalize(v)
-    np.testing.assert_allclose(l2_normalize(once), once, atol=1e-12)
-
-
-def test_l2_normalize_norm_one(rng):
-    for _ in range(20):
-        v = rng.gen.normal(size=4) * 10
-        assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) < 1e-12
-
-
-def test_l2_normalize_rejects_zero():
-    with pytest.raises(DegenerateInputError):
-        l2_normalize([0.0, 0.0, 0.0])
 
 
 def test_sequence_invariants():

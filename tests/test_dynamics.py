@@ -37,8 +37,8 @@ from conftest import float64, random_unit_rows
 
 
 def predict_next(pred, model, frames):
-    """Embed exactly ``context_len`` raw frames and predict the next embedding."""
-    return rnn_forward_batch(pred, dynamics._embed_context(pred, model, frames, "frames")[None])[0]
+    """Embed a context of raw frames and predict the next embedding."""
+    return rnn_forward_batch(pred, embed_batch(model, frames)[None])[0]
 
 
 def zero_predictor(d=3, m=5, bias=None, context_len=4):
@@ -178,20 +178,20 @@ class TestModel:
     def test_construction_validates(self):
         theta = zero_predictor().theta
         with pytest.raises(DimensionError):
-            RecurrentPredictor(theta[1:], 3, 5)
+            RecurrentPredictor(theta[1:], 3, 5, 4)
         with pytest.raises(ConfigError):
             RecurrentPredictor(theta, 3, 5, context_len=0)
         with pytest.raises(ConfigError, match="embed dim must be >= 1"):
-            RecurrentPredictor(np.zeros(5 * 20 + 20), 0, 5)
+            RecurrentPredictor(np.zeros(5 * 20 + 20), 0, 5, 4)
         theta[0] = np.inf
         with pytest.raises(DegenerateInputError):
-            RecurrentPredictor(theta, 3, 5)
+            RecurrentPredictor(theta, 3, 5, 4)
         with pytest.raises(DegenerateInputError):
-            RecurrentPredictor(theta.astype(np.float32), 3, 5)
+            RecurrentPredictor(theta.astype(np.float32), 3, 5, 4)
 
     def test_init_keeps_the_stream_in_float32_and_bounded_memory(self):
         d, m = 128, 512
-        init_predictor(3, 6)  # first-call set-up is not the builder's
+        init_predictor(3, 6, 4, RngState(0))  # first-call set-up is not the builder's
         tracemalloc.start()
         try:
             pred = init_predictor(d, m, 4, RngState(3))
@@ -216,10 +216,10 @@ class TestModel:
     def test_theta_dtype_is_float32_or_float64(self, dtype, kept):
         pred = init_predictor(3, 6, 4, RngState(1))
         theta = pred.theta.astype(dtype)
-        for made in (RecurrentPredictor(theta, 3, 6), replace(pred, theta=theta)):
+        for made in (RecurrentPredictor(theta, 3, 6, 4), replace(pred, theta=theta)):
             assert made.theta.dtype == kept and not np.shares_memory(made.theta, theta)
             assert all(v.dtype == kept for v in made.blocks(made.theta).values())
-        assert RecurrentPredictor(pred.theta.tolist(), 3, 6).theta.dtype == np.float64
+        assert RecurrentPredictor(pred.theta.tolist(), 3, 6, 4).theta.dtype == np.float64
         assert replace(pred, context_len=2).theta.dtype == np.float32
 
 
@@ -231,12 +231,9 @@ class TestForward:
             contexts = rng.gen.normal(size=(2, length, 3))
             np.testing.assert_allclose(rnn_forward_batch(pred, contexts), [bias, bias])
 
-    def test_default_context_len_is_four(self):
-        assert init_predictor(8, 16).context_len == 4
-
     def test_hidden_must_exceed_embed(self):
         with pytest.raises(ConfigError):
-            init_predictor(8, 8)
+            init_predictor(8, 8, 4, RngState(0))
 
     def test_order_sensitivity(self, rng):
         hits = 0
@@ -623,7 +620,7 @@ class TestTrainPredictor:
         cfg = PredictorConfig(hidden_dim=12, max_epochs=2, batch_size=32,
                               learning_rate=100.0)
         with pytest.raises(DivergenceError, match="blew up") as info:
-            train_predictor(small_dataset, model, config=cfg, rng=RngState(0))
+            train_predictor(small_dataset, model, context_len=4, config=cfg, rng=RngState(0))
         assert (info.value.stage, info.value.epoch) == ("predictor", 0)
         assert math.isfinite(info.value.loss)
 
@@ -639,8 +636,9 @@ class TestPredictNext:
 
     def test_wrong_count_rejected(self, tiny_setup):
         ds, model, pred, _ = tiny_setup
-        with pytest.raises(ConfigError, match="exactly 4 frames, got 3"):
-            predict_next(pred, model, ds.sequences[0].frames[:3])
+        for count in (3, 5):
+            with pytest.raises(ConfigError, match=f"exactly 4 seed frames, got {count}"):
+                synthesize(pred, model, ds.sequences[0].frames[:count], 1, ds)
 
 
 class TestSynthesize:
@@ -729,6 +727,23 @@ class TestInterpolate:
         for v in interpolate_features(a, b, 5):
             assert abs(np.linalg.norm(v) - 1.0) < 1e-6
 
+    def test_interpolants_equal_the_norm_division(self):
+        # each interpolant is divided by np.linalg.norm of itself, bit for bit
+        g = np.random.default_rng(13)
+        for _ in range(200):
+            d, steps = int(g.integers(1, 130)), int(g.integers(1, 5))
+            a, b = g.normal(size=d) * g.uniform(0.1, 10), g.normal(size=d)
+            for i, v in enumerate(interpolate_features(a, b, steps), 1):
+                alpha = i / (steps + 1)
+                u = (1.0 - alpha) * a + alpha * b
+                np.testing.assert_array_equal(v, u / np.linalg.norm(u))
+
+    def test_non_finite_interpolant_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            interpolate_features([np.nan, 0.0], [0.0, 1.0], 1)
+        with np.errstate(over="ignore"), pytest.raises(DegenerateInputError):
+            interpolate_features([1e200, 0.0], [1e200, 0.0], 1)  # the norm overflows
+
     def test_antipodal_rejected(self):
         a = np.array([1.0, 0.0])
         with pytest.raises(DegenerateInputError):
@@ -739,3 +754,5 @@ class TestInterpolate:
             interpolate_features([1.0, 0.0], [0.0, 1.0], 0)
         with pytest.raises(DimensionError):
             interpolate_features([1.0, 0.0], [0.0, 1.0, 0.0], 1)
+        with pytest.raises(DimensionError):
+            interpolate_features([[1.0, 0.0]], [[0.0, 1.0]], 1)

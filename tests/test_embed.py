@@ -256,7 +256,8 @@ def allocating_triplet_grad(model, a, p, n, delta):
 
 
 class TestReusedBuffers:
-    """The trainer's one buffer set against fresh per-call arrays, bit for bit."""
+    """The trainer's kernel in its one buffer set, on stacked rows with identity
+    roles, against :func:`triplet_grad`'s fresh per-call arrays, bit for bit."""
 
     DELTA = 0.05  # about half the hinges of a random batch are active
 
@@ -270,6 +271,12 @@ class TestReusedBuffers:
         return tuple(g.normal(size=(count, 64)) for _ in range(3))
 
     @staticmethod
+    def buffered(model, anchors, positives, negatives, delta, buf):
+        """``embed._triplet_grad`` of the stacked rows, each its own role, in ``buf``."""
+        x = np.concatenate([anchors, positives, negatives], out=buf["x"][:3 * len(anchors)])
+        return embed._triplet_grad(model, x, np.arange(len(x)), delta, buf)
+
+    @staticmethod
     def nan_buffers(model, rows):
         buf = embed._buffers(model, rows)
         for arr in buf.values():
@@ -279,7 +286,7 @@ class TestReusedBuffers:
     @pytest.mark.parametrize("count", [300, 137], ids=["full", "short"])
     def test_stale_buffers_equal_a_fresh_call(self, model, count):
         batch = self.batch(count, count)
-        loss, grad = triplet_grad(model, *batch, self.DELTA, self.nan_buffers(model, 900))
+        loss, grad = self.buffered(model, *batch, self.DELTA, self.nan_buffers(model, 900))
         fresh_loss, fresh_grad = triplet_grad(model, *batch, self.DELTA)
         assert loss == fresh_loss
         np.testing.assert_array_equal(grad, fresh_grad)
@@ -288,7 +295,7 @@ class TestReusedBuffers:
         buf = self.nan_buffers(model, 900)
         for count in (300, 137, 300, 5):
             batch = self.batch(count + 1, count)
-            loss, grad = triplet_grad(model, *batch, self.DELTA, buf)
+            loss, grad = self.buffered(model, *batch, self.DELTA, buf)
             assert grad is buf["grad"]
             fresh = triplet_grad(model, *batch, self.DELTA)
             assert loss == fresh[0]
@@ -298,7 +305,7 @@ class TestReusedBuffers:
     def test_equals_the_allocating_expressions(self, model, count):
         model = float64(model)  # the expressions below compute in float64
         batch = self.batch(count + 2, count)
-        loss, grad = triplet_grad(model, *batch, self.DELTA, self.nan_buffers(model, 900))
+        loss, grad = self.buffered(model, *batch, self.DELTA, self.nan_buffers(model, 900))
         ref_loss, ref_grad = allocating_triplet_grad(model, *batch, self.DELTA)
         assert 0.0 < loss == ref_loss
         assert grad.any()
@@ -308,7 +315,7 @@ class TestReusedBuffers:
         model = EmbeddingModel(np.zeros(2 * 3 + 3 + 3 * 2 + 2), 2, 3, 2)
         x = np.ones((4, 2))
         with pytest.raises(DegenerateInputError, match="collapsed"):
-            triplet_grad(model, x, x, x, self.DELTA, self.nan_buffers(model, 12))
+            self.buffered(model, x, x, x, self.DELTA, self.nan_buffers(model, 12))
 
     def test_warm_training_step_allocates_under_half_a_megabyte(self, model):
         # the allocating passes peaked at 14.3 MB a step, fresh pages every
@@ -317,10 +324,10 @@ class TestReusedBuffers:
         sgd = MomentumSGD(trained.theta, 0.01, 0.9, "embed")
         buf = embed._buffers(trained, 900)
         batch = self.batch(9, 300)
-        sgd.step(*triplet_grad(trained, *batch, self.DELTA, buf))
+        sgd.step(*self.buffered(trained, *batch, self.DELTA, buf))
         tracemalloc.start()
         try:
-            sgd.step(*triplet_grad(trained, *batch, self.DELTA, buf))
+            sgd.step(*self.buffered(trained, *batch, self.DELTA, buf))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,16 +569,28 @@ class TestSequenceNeighbors:
         with pytest.raises(ConfigError):
             sequence_neighbors(small_dataset, model, len(small_dataset))
 
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_k_below_one_rejected(self, small_dataset, k):
+        # k = -1 sliced off only the self column and listed every other sequence;
+        # k = 0 gave empty lists
+        model = init_embedding_model(small_dataset.dimension, 8, 4, RngState(0))
+        with pytest.raises(ConfigError, match=f"neighborhood size {k} must be >= 1"):
+            sequence_neighbors(small_dataset, model, k)
+
 
 class TestWhitener:
     def test_whitened_covariance_is_identityish(self, rng):
         g = rng.gen
         x = g.normal(size=(4000, 5)) @ g.normal(size=(5, 5)) + g.normal(size=5)
-        w = fit_whitener(x, eps_scale=1e-9)
+        w = fit_whitener(x)
         y = w(x)
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-9)
-        np.testing.assert_allclose(np.cov(y, rowvar=False, bias=True), np.eye(5),
-                                   atol=1e-2)
+        # each eigenvalue lam of the covariance whitens to lam / (lam + eps), where
+        # the floor eps is 0.02 times their mean
+        lam, vecs = np.linalg.eigh(np.cov(x, rowvar=False, bias=True))
+        shrunk = lam / (lam + 0.02 * lam.mean() + 1e-12)
+        np.testing.assert_allclose(np.cov(y, rowvar=False, bias=True),
+                                   vecs @ np.diag(shrunk) @ vecs.T, atol=1e-9)
 
 
 class TestTrain:
@@ -798,7 +817,7 @@ class TestTrain:
                               embed_dim=8, bootstrap_epochs=1, learning_rate=rate)
             with pytest.raises(DivergenceError, match="collapsed") as info, \
                     np.errstate(all="ignore"):
-                train(small_dataset, cfg, rng=RngState(0))
+                train(small_dataset, cfg, chunk_len=40, rng=RngState(0))
             assert (info.value.stage, info.value.epoch, info.value.batch) == ("embed", 0, 1)
             assert info.value.loss == float(dtype(cfg.margin))
 

@@ -122,7 +122,7 @@ class TestRetrieval:
             Sequence(id="b", frames=rng.gen.normal(size=(5, 2))),
         ))
         with pytest.raises(ConfigError):
-            retrieval_auc(ds, lambda x: np.asarray(x))
+            retrieval_auc(ds, lambda x: np.asarray(x), num_queries=500, rng=RngState(0))
 
     def test_pose_epsilon_default_is_low_percentile(self, small_dataset):
         eps = default_pose_epsilon(small_dataset)
@@ -148,7 +148,19 @@ class TestRetrieval:
         big = [np.array([[1e200], [-1e200]])] * 2
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DegenerateInputError, match="NaN"):
-            retrieval_auc_from_features(ds, big, pose_epsilon=0.5)
+            retrieval_auc_from_features(ds, big, pose_epsilon=0.5, num_queries=500,
+                                        rng=RngState(0))
+
+    @pytest.mark.parametrize("num_queries", [0, -3])
+    def test_fewer_than_one_query_rejected(self, small_dataset, num_queries):
+        # -3 reached numpy's untyped "negative dimensions are not allowed"
+        feats = [s.frames for s in small_dataset]
+        with pytest.raises(ConfigError, match=f"num_queries must be >= 1, got {num_queries}"):
+            retrieval_auc_from_features(small_dataset, feats, num_queries=num_queries,
+                                        rng=RngState(0))
+        with pytest.raises(ConfigError, match="num_queries must be >= 1"):
+            retrieval_auc(small_dataset, lambda x: np.asarray(x), num_queries=num_queries,
+                          rng=RngState(0))
 
     def test_deterministic_given_rng(self, small_dataset):
         model = init_embedding_model(small_dataset.dimension, 16, 8, RngState(3))
@@ -236,7 +248,8 @@ class TestRetrievalOracle:
         ds = Dataset(dimension=1, sequences=(Sequence(id="a", frames=z0, latent=z0),
                                              Sequence(id="b", frames=z1, latent=z1)))
         feats = [np.array([[0.0], [2.0], [5.0]]), np.array([[4.0], [0.0], [1.0]])]
-        _, aucs = retrieval_auc_from_features(ds, feats, pose_epsilon=1.0, num_queries=6)
+        _, aucs = retrieval_auc_from_features(ds, feats, pose_epsilon=1.0, num_queries=6,
+                                              rng=RngState(0))
         expect = per_query_reference(ds, feats, 1.0, 6, RngState(0))
         assert aucs == expect and len(aucs) == 4
         assert aucs[0] == roc_auc([-16.0, -0.0], [-1.0])  # a0: b0, b1 match, b2 does not
@@ -273,14 +286,16 @@ class TestZeroShot:
 
 class TestKnnCurve:
     def test_monotone_and_positive(self, ref_dataset, ref_model, ref_predictor):
-        curve = knn_prediction_curve(ref_dataset, ref_model, ref_predictor, k_max=6)
+        curve = knn_prediction_curve(ref_dataset, ref_model, ref_predictor, k_max=6,
+                                     exclusion_window=2)
         assert all(a <= b for a, b in zip(curve.knn_mean, curve.knn_mean[1:]))
         assert curve.knn_mean[0] > 0
         assert curve.prediction_error_mean > 0
 
     def test_k_max_limit(self, ref_dataset, ref_model, ref_predictor):
         with pytest.raises(ConfigError):
-            knn_prediction_curve(ref_dataset, ref_model, ref_predictor, k_max=10 ** 6)
+            knn_prediction_curve(ref_dataset, ref_model, ref_predictor, k_max=10 ** 6,
+                                 exclusion_window=2)
 
     @pytest.mark.parametrize("k_max, window", [(0, 2), (-2, 2), (3, -1)])
     def test_bad_arguments_rejected(self, k_max, window):
@@ -297,7 +312,7 @@ class TestKnnCurve:
         matrix = 8 * frames * (frames - 4 * len(ref_dataset))
         tracemalloc.start()
         try:
-            knn_prediction_curve(ref_dataset, model, pred, k_max=10)
+            knn_prediction_curve(ref_dataset, model, pred, k_max=10, exclusion_window=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -364,7 +379,7 @@ class TestOverflowingDistances:
         monkeypatch.setattr(evaluate, "embed_batch", lambda m, x: real(m, x) * 1e200)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DegenerateInputError, match="overflow"):
-            knn_prediction_curve(ds, model, pred, k_max=2)
+            knn_prediction_curve(ds, model, pred, k_max=2, exclusion_window=2)
 
 
 class TestAlignmentAccuracy:
@@ -583,7 +598,7 @@ def test_retrieval_from_features_checks_every_array(small_dataset):
     feats = [s.frames for s in small_dataset]
     narrow = [feats[0][:, :2]] + feats[1:]
     with pytest.raises(DimensionError, match=r"expected \(\d+, 2\)"):
-        retrieval_auc_from_features(small_dataset, narrow, num_queries=20)
+        retrieval_auc_from_features(small_dataset, narrow, num_queries=20, rng=RngState(0))
     holed = feats[:-1] + [np.where(feats[-1] > 0, np.inf, feats[-1])]
     with pytest.raises(DegenerateInputError):
-        retrieval_auc_from_features(small_dataset, holed, num_queries=20)
+        retrieval_auc_from_features(small_dataset, holed, num_queries=20, rng=RngState(0))

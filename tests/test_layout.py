@@ -77,3 +77,17 @@ def test_every_public_name_has_a_library_demo_or_benchmark_caller():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used]
     assert unused == []
+
+
+def test_no_rng_parameter_has_a_default():
+    """Every stochastic entry takes its stream from its caller: no hidden seed."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found += [f"{path.name}:{node.lineno}" for arg in defaulted if arg.arg == "rng"]
+    assert found == []

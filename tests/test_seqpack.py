@@ -349,7 +349,7 @@ class TestModelContainer:
             load_model(tmp_path / "m.bin")
 
     def test_non_finite_predictor_parameter_names_file(self, tmp_path):
-        save_predictor(init_predictor(4, 7, rng=RngState(6)), tmp_path / "p.bin")
+        save_predictor(init_predictor(4, 7, 4, RngState(6)), tmp_path / "p.bin")
         body = bytearray((tmp_path / "p.bin").read_bytes()[:-32])
         body[-4:] = np.array([np.inf], "<f4").tobytes()
         (tmp_path / "p.bin").write_bytes(bytes(body) + hashlib.sha256(body).digest())
@@ -365,7 +365,7 @@ class TestModelContainer:
             dims, extra, size, itemsize = (8, 0, 8), 0, 8, 8  # only b2 is left
             load = load_model
         else:
-            save_predictor(init_predictor(4, 7, rng=RngState(6)), path)
+            save_predictor(init_predictor(4, 7, 4, RngState(6)), path)
             dims, extra, size, itemsize = (0, 5), 4, 5 * 20 + 20, 4  # only Wh and b are left
             load = load_predictor
         head = path.read_bytes()[:16]  # magic, version, kind, ndims
