@@ -11,11 +11,14 @@ trellis dynamic program over per-frame assignment states; a brute-force
 enumerator serves as an optimality oracle on small instances.
 
 Each trellis step costs O(m) through prefix and suffix minima, so a solve
-takes O(n * (m+1)) time and memory. Every chunk of every pair handed in
-together (one target's chunks, or all pairs of a training epoch) is solved
-in one padded batched pass, each under its own pair's penalties. Ties go to
-the smaller state index, and a cost is summed along its correspondence in
-the order the recurrence adds it.
+takes O(n * (m+1)) time and memory. A crossing is never cheaper than making
+the frame before it an outlier when ``lambda1 >= outlier_cost``, as the
+default penalties have it, so a batch relaxes crossings (the suffix minima)
+only when one of its instances has ``lambda1 < outlier_cost``. Every chunk
+of every pair handed in together (one target's chunks, or all pairs of a
+training epoch) is solved in one padded batched pass, each under its own
+pair's penalties. Ties go to the smaller state index, and a cost is summed
+along its correspondence in the order the recurrence adds it.
 
 Pairs where either endpoint is an outlier contribute no pairwise penalty;
 each outlier frame pays a flat ``outlier_cost`` instead.
@@ -258,35 +261,46 @@ def _solve_batch(unary: np.ndarray, penalties) -> tuple[np.ndarray, np.ndarray]:
     d[v'] + lambda2 (repeat), d[v' - 1] (next frame), the prefix minimum of
     d[v] - lambda3 * v over v <= v' - 2 plus lambda3 * v' (gap), and the
     suffix minimum of d[v] over v > v' plus lambda1 (crossing); into 0 it is
-    the minimum of all of d. The backtrack then takes each predecessor as
-    the first argmin of d + w[pi[j]], and the total is summed along pi in
-    the order the relaxation ``d[v] + w[v', v] + unary[v']`` adds it.
+    the minimum of all of d. The crossing term is relaxed only when some
+    instance has lambda1 < outlier_cost; otherwise it never falls below d[0]
+    and moves no bit (see ``cross``). The backtrack then takes each
+    predecessor as the first argmin of d + w[pi[j]], and the total is summed
+    along pi in the order the relaxation ``d[v] + w[v', v] + unary[v']`` adds it.
     """
     k_inst, n, width = unary.shape
     lam1, lam2, lam3 = (np.array([[getattr(p, f"lambda{i}")] for p in penalties])
                         for i in (1, 2, 3))
     live = np.isfinite(unary[:, 0])  # each instance's own columns
-    ramp = lam3 * (np.arange(width) * live)  # lambda3 * v; 0 on pad columns, which stay +inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+        ramp = lam3 * (np.arange(width) * live)  # lambda3 * v; 0 on pad columns, which stay +inf
     over = ~np.isfinite(ramp).all(axis=1)
     if over.any():  # inf - inf in the gap prefix would hide gap sources
         raise DegenerateInputError(f"lambda3 * {live[over][0].sum() - 1} overflows")
+    # each d[v] >= b, the last step's best, and d[0] = b + outlier_cost, so with lambda1 >=
+    # outlier_cost no crossing beats d[0], which wins ties (wherever the gap term rounds alike)
+    cross = any(p.lambda1 < p.outlier_cost for p in penalties)
     gap = np.empty((k_inst, max(width - 3, 0)))
+    ramp_src, ramp_dst = ramp[:, 1:-2], ramp[:, 3:]  # lambda3 * v for v <= v' - 2, and v'
     suffix = np.empty((k_inst, width))  # suffix[:, i] = min of d[-1 - i:]
     crossing = suffix[:, -3::-1]  # min of d[v' + 1:] for v' = 1 .. M - 1
     hist = np.empty((n, k_inst, width))
     hist[0] = unary[:, 0]
-    for d, e, u in zip(hist[:-1], hist[1:], unary.transpose(1, 0, 2)[1:]):
-        e1, e3, e_mid = e[:, 1:], e[:, 3:], e[:, 1:-1]
-        np.add(d[:, 1:], lam2, out=e1)
-        np.minimum(e1, d[:, :-1], out=e1)
-        np.minimum(e[:, 2:], d[:, :1], out=e[:, 2:])
-        np.subtract(d[:, 1:-2], ramp[:, 1:-2], out=gap)
+    src, dst = hist[:-1], hist[1:]
+    for d, d1, d_prev, d0, d_gap, e, e1, e2, e3, e_mid, e0, u in zip(
+            src, src[:, :, 1:], src[:, :, :-1], src[:, :, :1], src[:, :, 1:-2],
+            dst, dst[:, :, 1:], dst[:, :, 2:], dst[:, :, 3:], dst[:, :, 1:-1], dst[:, :, 0],
+            unary.transpose(1, 0, 2)[1:]):
+        np.add(d1, lam2, out=e1)
+        np.minimum(e1, d_prev, out=e1)
+        np.minimum(e2, d0, out=e2)
+        np.subtract(d_gap, ramp_src, out=gap)
         np.minimum.accumulate(gap, axis=1, out=gap)
-        gap += ramp[:, 3:]
+        gap += ramp_dst
         np.minimum(e3, gap, out=e3)
-        np.minimum.accumulate(d[:, ::-1], axis=1, out=suffix)
-        np.minimum(e_mid, crossing + lam1, out=e_mid)
-        e[:, 0] = suffix[:, -1]
+        if cross:
+            np.minimum.accumulate(d[:, ::-1], axis=1, out=suffix)
+            np.minimum(e_mid, crossing + lam1, out=e_mid)
+        np.minimum.reduce(d, axis=1, out=e0)
         e += u
 
     w = _transition_matrices(width - 1, lam1, lam2, lam3)
@@ -306,27 +320,27 @@ def _solve_batch(unary: np.ndarray, penalties) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _match_pairs(pairs, chunk_len: int | None) -> list[list[Matching]]:
-    """Solve each ``(q, t, penalties)`` against every chunk of its target in one batch.
+    """Solve each ``(d2, penalties)`` against every chunk of its target in one batch.
 
-    A :class:`PenaltyConfig` resolves on the pair's own distance matrix.
-    ``chunk_len`` None solves each whole target as one chunk. A shorter
-    query is padded with free outlier rows (unary 0 in column 0, +inf
-    elsewhere) and a narrower chunk with +inf columns; neither moves a bit
-    of any solution. Returns each pair's Matchings in offset order.
+    ``d2`` is the pair's (n, m) :func:`~seqrep.core.pairwise_sqdist` matrix,
+    on which a :class:`PenaltyConfig` resolves. ``chunk_len`` None solves
+    each whole target as one chunk. A shorter query is padded with free
+    outlier rows (unary 0 in column 0, +inf elsewhere) and a narrower chunk
+    with +inf columns; neither moves a bit of any solution. Returns each
+    pair's Matchings in offset order.
     """
-    bounds = [[(0, len(t))] if chunk_len is None else _chunk_bounds(len(t), chunk_len)
-              for _, t, _ in pairs]
+    bounds = [[(0, d2.shape[1])] if chunk_len is None else _chunk_bounds(d2.shape[1], chunk_len)
+              for d2, _ in pairs]
     width = max(e - s for b in bounds for s, e in b) + 1
-    unary = np.full((sum(map(len, bounds)), max(len(q) for q, _, _ in pairs), width), np.inf)
+    unary = np.full((sum(map(len, bounds)), max(len(d2) for d2, _ in pairs), width), np.inf)
     unary[:, :, 0] = 0.0
     inst = []  # (pair, chunk start, penalties) of each instance
-    for i, ((q, t, pen), b) in enumerate(zip(pairs, bounds)):
-        d2 = pairwise_sqdist(q, t)
+    for i, ((d2, pen), b) in enumerate(zip(pairs, bounds)):
         if isinstance(pen, PenaltyConfig):
             pen = pen._of(d2)
         for s, e in b:
-            unary[len(inst), :len(q), 0] = pen.outlier_cost
-            unary[len(inst), :len(q), 1:e - s + 1] = d2[:, s:e]
+            unary[len(inst), :len(d2), 0] = pen.outlier_cost
+            unary[len(inst), :len(d2), 1:e - s + 1] = d2[:, s:e]
             inst.append((i, s, pen))
     pi, total = _solve_batch(unary, [pen for _, _, pen in inst])
     out = [[] for _ in pairs]
@@ -350,7 +364,7 @@ def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties | PenaltyCon
     :class:`PenaltyConfig` resolves on the instance, bit for bit as its ``resolve``.
     """
     q, t = _check_instance(query_emb, target_emb)
-    return _match_pairs([(q, t, penalties)], None)[0][0]
+    return _match_pairs([(pairwise_sqdist(q, t), penalties)], None)[0][0]
 
 
 def _chunk_bounds(n: int, chunk_len: int) -> list[tuple[int, int]]:
@@ -372,4 +386,4 @@ def match_features(query_feats, target_feats, penalties: MatchPenalties | Penalt
     A :class:`PenaltyConfig` resolves on the whole target, as in :func:`solve_exact_dp`.
     """
     q, t = _check_instance(query_feats, target_feats)
-    return _match_pairs([(q, t, penalties)], chunk_len)[0]
+    return _match_pairs([(pairwise_sqdist(q, t), penalties)], chunk_len)[0]

@@ -74,18 +74,20 @@ def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     built; the rounding residue below zero is clipped. One GEMM fills the
     output, which the rest then overwrites row block by row block, so no
     second (n, m) array exists. A distance that is not finite (the squared
-    norms overflow) raises :class:`DegenerateInputError`.
+    norms overflow) raises :class:`DegenerateInputError`, whatever numpy's
+    error state, and without a warning first.
     """
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d = a @ b.T
-    rows = max(1, _BLOCK // max(1, d.shape[1]))
-    for lo in range(0, len(d), rows):
-        blk = d[lo:lo + rows]
-        np.subtract(aa[lo:lo + rows] + bb, 2.0 * blk, out=blk)
-        np.maximum(blk, 0.0, out=blk)
-        if not np.isfinite(blk).all():
-            raise DegenerateInputError("squared distances overflow to inf or NaN")
+    with np.errstate(over="ignore", invalid="ignore"):
+        aa = np.sum(a * a, axis=1)[:, None]
+        bb = np.sum(b * b, axis=1)[None, :]
+        d = a @ b.T
+        rows = max(1, _BLOCK // max(1, d.shape[1]))
+        for lo in range(0, len(d), rows):
+            blk = d[lo:lo + rows]
+            np.subtract(aa[lo:lo + rows] + bb, 2.0 * blk, out=blk)
+            np.maximum(blk, 0.0, out=blk)
+            if not np.isfinite(blk).all():
+                raise DegenerateInputError("squared distances overflow to inf or NaN")
     return d
 
 

@@ -121,8 +121,9 @@ def _forward(model: EmbeddingModel, x: np.ndarray, buf: dict[str, np.ndarray]):
 def embed_batch(model: EmbeddingModel, frames) -> np.ndarray:
     """Embed an (n, f) array of frames to (n, d) unit-norm float64 vectors.
 
-    A pre-normalization norm that overflows raises DegenerateInputError. The
-    check sits here, not in :func:`_forward`: inside a training batch the same
+    A pre-normalization norm that overflows raises DegenerateInputError,
+    whatever numpy's error state, and without a warning first. The check
+    sits here, not in :func:`_forward`: inside a training batch the same
     overflow is divergence, which :class:`MomentumSGD` reports.
     """
     x = as_frames(frames).astype(model.theta.dtype, copy=False)
@@ -130,7 +131,8 @@ def embed_batch(model: EmbeddingModel, frames) -> np.ndarray:
         raise DimensionError(
             f"frames have dimension {x.shape[1]}, model expects {model.input_dim}"
         )
-    y, norms = _forward(model, x, _buffers(model, len(x), backward=False))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, norms = _forward(model, x, _buffers(model, len(x), backward=False))
     if not np.all(np.isfinite(norms)):
         raise DegenerateInputError("pre-normalization output overflowed")
     return np.asarray(y, dtype=np.float64)
@@ -376,7 +378,7 @@ def train(dataset: Dataset, config: TrainConfig, penalties: PenaltyConfig = Pena
 
         qis = g.integers(len(sequences), size=pairs_per_epoch)
         tis = neighbors[qis, g.integers(k, size=pairs_per_epoch)]
-        pairs = [(feats[qi], feats[ti], penalties) for qi, ti in zip(qis, tis)]
+        pairs = [(pairwise_sqdist(feats[qi], feats[ti]), penalties) for qi, ti in zip(qis, tis)]
         for qi, ti, matchings in zip(qis, tis, align._match_pairs(pairs, chunk_len)):
             t_feats, offset = feats[ti], len(feats[qi])
             # the query's frames, then the target's, in the encoder's dtype

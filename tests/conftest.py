@@ -7,6 +7,7 @@ their verdicts here so the terminal summary prints one line per criterion.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +106,19 @@ def small_dataset():
 @pytest.fixture()
 def rng():
     return RngState(2024)
+
+
+@pytest.fixture(params=["warnings-error", "errstate-raise"])
+def strict_numpy(request):
+    """A stricter numpy error state than the default: every warning raises,
+    or every floating-point error does."""
+    with warnings.catch_warnings():
+        if request.param == "warnings-error":
+            warnings.simplefilter("error")
+            yield
+        else:
+            with np.errstate(all="raise"):
+                yield
 
 
 def float64(model):

@@ -204,6 +204,22 @@ class TestExactDP:
         pen = MatchPenalties(*(h / 2 for h in halves))
         assert_exact(query, target, pen)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 7), m=st.integers(1, 4), d=st.integers(1, 2),
+           halves=st.lists(st.integers(0, 8), min_size=3, max_size=3),
+           over=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @example(n=6, m=3, d=1, halves=[2, 1, 1], over=0, seed=0)  # lambda1 == outlier_cost
+    def test_no_crossing_when_an_outlier_costs_no_more(self, n, m, d, halves, over, seed):
+        # with lambda1 >= outlier_cost the solver relaxes no crossing: making
+        # the earlier frame an outlier is never dearer, and wins the tie
+        g = np.random.default_rng(seed)
+        query = g.integers(-1, 2, size=(n, d)).astype(float)
+        target = g.integers(-1, 2, size=(m, d)).astype(float)
+        lam2, lam3, outlier = (h / 2 for h in halves)
+        sol = assert_exact(query, target, MatchPenalties(outlier + over / 2, lam2, lam3, outlier))
+        a, b = sol.pi[:-1], sol.pi[1:]
+        assert not np.any((a > b) & (b > 0))
+
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 5), (4, 1), (4, 2), (6, 2)])
     def test_empty_gap_and_crossing_slices(self, rng, n, m):
         # m <= 2 leaves no gap source, m == 1 no crossing, n == 1 no step at all
@@ -255,6 +271,26 @@ class TestExactDP:
 
 
 OVERFLOW = (np.array([[1e200], [2e200]]), np.array([[1e200], [-1e200], [3.0]]))
+
+GAP_OVERFLOW = MatchPenalties(1.0, 0.5, 1e308, 2.0)
+
+
+@pytest.mark.parametrize("solve, match", [
+    (lambda: solve_bruteforce(*OVERFLOW, MatchPenalties(1, 0.5, 0.1, 2)), "overflow"),
+    (lambda: solve_exact_dp(*OVERFLOW, MatchPenalties(1, 0.5, 0.1, 2)), "overflow"),
+    (lambda: default_penalties(*OVERFLOW), "overflow"),
+    (lambda: solve_exact_dp(np.zeros((6, 2)), np.ones((8, 2)), GAP_OVERFLOW), "lambda3"),
+    (lambda: match_features(np.zeros((6, 2)), np.ones((8, 2)), GAP_OVERFLOW, chunk_len=4),
+     "lambda3"),
+    (lambda: _match_pairs([(np.ones((4, 1)), GAP_OVERFLOW), (np.ones((3, 8)), GAP_OVERFLOW)],
+                          None), "lambda3 \\* 8 overflows"),
+], ids=["bruteforce", "exact-dp", "default-penalties", "gap-weight", "gap-weight-chunked",
+        "gap-weight-per-instance"])
+def test_overflow_rejections_keep_their_type_whatever_the_error_state(solve, match,
+                                                                      strict_numpy):
+    # the overflow tests above, under a warning filter or errstate that raises
+    with pytest.raises(DegenerateInputError, match=match):
+        solve()
 
 
 def assert_exact(query, target, pen):
@@ -396,7 +432,8 @@ class TestMatchPairs:
                     pen = MatchPenalties(*(float(v) / 2 for v in g.integers(0, 5, size=4)))
                 pairs.append((q, t, pen))
             chunk_len = int(g.integers(2, 25))
-            for (q, t, pen), got in zip(pairs, _match_pairs(pairs, chunk_len)):
+            solved = _match_pairs([(pairwise_sqdist(q, t), pen) for q, t, pen in pairs], chunk_len)
+            for (q, t, pen), got in zip(pairs, solved):
                 bounds = _chunk_bounds(len(t), chunk_len)
                 assert [m.target_offset for m in got] == [s for s, _ in bounds]
                 for m, (s, e) in zip(got, bounds):
@@ -408,8 +445,9 @@ class TestMatchPairs:
         g = rng.gen
         for config in (PenaltyConfig(), PenaltyConfig(lambda1=7.0, outlier_cost=0.25)):
             pairs = [random_instance(g, n, m, 3) for n, m in ((5, 30), (1, 9), (12, 17))]
-            got = _match_pairs([(q, t, config) for q, t in pairs], 8)
-            resolved = _match_pairs([(q, t, config.resolve(q, t)) for q, t in pairs], 8)
+            got = _match_pairs([(pairwise_sqdist(q, t), config) for q, t in pairs], 8)
+            resolved = _match_pairs([(pairwise_sqdist(q, t), config.resolve(q, t))
+                                     for q, t in pairs], 8)
             for chunks, ref in zip(got, resolved):
                 for m, r in zip(chunks, ref, strict=True):
                     np.testing.assert_array_equal(m.pi, r.pi)
@@ -434,19 +472,41 @@ class TestMatchPairs:
                 np.testing.assert_array_equal(a.pi, b.pi)
                 assert (a.total_cost, a.target_offset) == (b.total_cost, b.target_offset)
 
+    def test_crossings_are_relaxed_for_a_batch_with_one_cheap_crossing(self, rng):
+        # one instance whose crossing (lambda1 1 < outlier 2) beats making a
+        # frame an outlier, among default-scaled ones (lambda1 10 E, outlier 2 E)
+        g = rng.gen
+        reversed_pair = (np.array([[10.0], [0.0]]), np.array([[0.0], [10.0]]),
+                         MatchPenalties(1.0, 0.5, 0.1, 2.0))
+        pairs = [(*random_instance(g, n, m, 2), PenaltyConfig())
+                 for n, m in ((5, 30), (1, 9), (12, 17))]
+        pairs.insert(1, reversed_pair)
+        for chunk_len in (None, 8):
+            solved = _match_pairs([(pairwise_sqdist(q, t), pen) for q, t, pen in pairs],
+                                  chunk_len)
+            for (q, t, pen), got in zip(pairs, solved):
+                ref = [solve_exact_dp(q, t, pen)] if chunk_len is None else \
+                    match_features(q, t, pen, chunk_len)
+                for m, r in zip(got, ref, strict=True):
+                    np.testing.assert_array_equal(m.pi, r.pi)
+                    assert (m.total_cost, m.target_offset) == (r.total_cost, r.target_offset)
+        assert list(solve_exact_dp(*reversed_pair).pi) == [2, 1]
+
     def test_gap_weight_guard_is_per_instance(self, rng):
         # lambda3 = 1e308 fits a 1-frame target's ramp but not the batch's
         # width: only pad columns would overflow, and they are never read
         g = rng.gen
         narrow = (*random_instance(g, 4, 1, 2), MatchPenalties(1.0, 0.5, 1e308, 2.0))
         wide = (*random_instance(g, 7, 30, 2), PEN)
-        for got, (q, t, pen) in zip(_match_pairs([narrow, wide], None), [narrow, wide]):
+        solved = _match_pairs([(pairwise_sqdist(q, t), pen) for q, t, pen in (narrow, wide)], None)
+        for got, (q, t, pen) in zip(solved, [narrow, wide]):
             direct = solve_exact_dp(q, t, pen)
             np.testing.assert_array_equal(got[0].pi, direct.pi)
             assert got[0].total_cost == direct.total_cost
         overflowing = (*random_instance(g, 3, 8, 2), MatchPenalties(1.0, 0.5, 1e308, 2.0))
         with pytest.raises(DegenerateInputError, match="lambda3 \\* 8 overflows"):
-            _match_pairs([wide, overflowing], None)
+            _match_pairs([(pairwise_sqdist(q, t), pen) for q, t, pen in (wide, overflowing)],
+                         None)
 
 
 class TestMatchingType:

@@ -53,13 +53,23 @@ def test_squared_l2_row_blocks_equal_the_one_expression_form(rng, n):
     np.testing.assert_array_equal(pairwise_sqdist(a, b), expect)
 
 
-@pytest.mark.parametrize("a, b", [([[2e200]], [[1e200], [2.1e200]]),  # inf - inf
-                                  ([[1e160]], [[-1e160]]),  # inf
-                                  ([[0.0]] * 40 + [[1e200]], [[1.0]] * 900)],  # last block
-                         ids=["nan", "inf", "last-block"])
+overflowing_rows = pytest.mark.parametrize(
+    "a, b", [([[2e200]], [[1e200], [2.1e200]]),  # inf - inf
+             ([[1e160]], [[-1e160]]),  # inf
+             ([[0.0]] * 40 + [[1e200]], [[1.0]] * 900)],  # last block
+    ids=["nan", "inf", "last-block"])
+
+
+@overflowing_rows
 def test_squared_l2_overflow_raises(a, b):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(DegenerateInputError, match="overflow"):
+        pairwise_sqdist(np.array(a), np.array(b))
+
+
+@overflowing_rows
+def test_squared_l2_overflow_raises_whatever_the_error_state(a, b, strict_numpy):
+    with pytest.raises(DegenerateInputError, match="overflow"):
         pairwise_sqdist(np.array(a), np.array(b))
 
 

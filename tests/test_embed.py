@@ -136,6 +136,14 @@ class TestForward:
                     np.errstate(all="ignore"):
                 embed_batch(model, rng.gen.normal(size=(3, 5)))
 
+    def test_overflowed_prenorm_rejected_whatever_the_error_state(self, tiny_model, rng,
+                                                                  strict_numpy):
+        for dtype, weight in ((np.float64, 1e300), (np.float32, 1e30)):
+            theta = tiny_model.theta.astype(dtype)
+            theta[-1] = weight
+            with pytest.raises(DegenerateInputError, match="overflowed"):
+                embed_batch(EmbeddingModel(theta, 5, 7, 4), rng.gen.normal(size=(3, 5)))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_work_arrays_follow_theta_and_output_is_float64(self, tiny_model, rng, dtype):
         model = replace(tiny_model, theta=tiny_model.theta.astype(dtype))
@@ -611,18 +619,24 @@ class TestTrain:
     def test_every_solve_rescores_to_its_cost(self, small_dataset, monkeypatch):
         # the solver does not audit itself: re-score each chunk's π that the
         # trainer's matcher hands it against that chunk of the target
-        chunks = []
-        match = align._match_pairs
+        chunks, computed = [], []
+        match, sqdist = align._match_pairs, embed.pairwise_sqdist
+
+        def recorded(a, b):
+            computed.append((a, b, sqdist(a, b)))
+            return computed[-1][2]
 
         def audited(pairs, chunk_len):
             out = match(pairs, chunk_len)
-            for (q, t, config), matchings in zip(pairs, out):
+            for (d2, config), matchings in zip(pairs, out):
+                q, t = next((a, b) for a, b, c in computed if c is d2)
                 penalties = config.resolve(q, t)  # the trainer hands the matcher its config
                 bounds = _chunk_bounds(t.shape[0], chunk_len)
                 assert [m.target_offset for m in matchings] == [s for s, _ in bounds]
                 chunks.extend((q, t[s:e], penalties, m) for (s, e), m in zip(bounds, matchings))
             return out
 
+        monkeypatch.setattr(embed, "pairwise_sqdist", recorded)
         monkeypatch.setattr(align, "_match_pairs", audited)
         cfg = TrainConfig(max_epochs=2, triplets_per_batch=40, hidden_dim=16,
                           embed_dim=8, bootstrap_epochs=1)
@@ -639,8 +653,8 @@ class TestTrain:
         match, sample = align._match_pairs, embed._sample_triplet_indices
 
         def matched(pairs, chunk_len):
-            for _, t, _ in pairs:
-                expected.extend(_chunk_bounds(t.shape[0], chunk_len))
+            for d2, _ in pairs:
+                expected.extend(_chunk_bounds(d2.shape[1], chunk_len))
             return match(pairs, chunk_len)
 
         def sampled(pi, chunk_feats, offset, *args):
@@ -669,19 +683,25 @@ class TestTrain:
         assert batches == [4 * 3] * 3
 
     def test_each_pair_computes_its_distances_once(self, small_dataset, monkeypatch):
-        shapes = []
-        sqdist = align.pairwise_sqdist
+        shapes, solved = [], []
+        sqdist, match = align.pairwise_sqdist, align._match_pairs
 
         def recorded(a, b):
             shapes.append((len(a), len(b)))
             return sqdist(a, b)
 
+        def matched(pairs, chunk_len):
+            solved.extend(d2.shape for d2, _ in pairs)
+            return match(pairs, chunk_len)
+
         monkeypatch.setattr(align, "pairwise_sqdist", recorded)
+        monkeypatch.setattr(align, "_match_pairs", matched)
         cfg = TrainConfig(max_epochs=3, triplets_per_batch=20, hidden_dim=16, embed_dim=8,
                           bootstrap_epochs=1, pairs_per_epoch=4)
         train(small_dataset, cfg, chunk_len=20, rng=RngState(7))
-        # resolving the default penalties took a second (n, m) matrix per pair
-        assert len(shapes) == 3 * 4
+        # the trainer hands the matcher each pair's (n, m) matrix, and the matcher
+        # computes none, also not to resolve the default penalties
+        assert len(solved) == 3 * 4 and shapes == []
 
     def test_every_batch_runs_in_one_buffer_set(self, small_dataset, monkeypatch):
         seen = []

@@ -448,7 +448,7 @@ class TestAlignmentBenchmark:
             nn.append(alignment_accuracy(nearest_neighbor_assignment(q, t), truth))
         assert evaluate.alignment_benchmark(model, self.GENERATOR, pairs, 7, penalties) == (dp, nn)
 
-    def test_each_pair_computes_its_distances_twice(self, model, monkeypatch):
+    def test_each_pair_computes_its_distances_once(self, model, monkeypatch):
         shapes = []
         sqdist = evaluate.pairwise_sqdist
 
@@ -462,9 +462,8 @@ class TestAlignmentBenchmark:
         pair_cfg = alignment_pair_config(self.GENERATOR)
         sizes = [tuple(len(s) for s in resample_pair(pair_cfg, seed=7 + i)[:2])
                  for i in range(4)]
-        # once for the penalties and the matching, once for the nearest neighbours;
-        # resolving the penalties on their own took a third
-        assert sorted(shapes) == sorted(sizes * 2)
+        # one matrix per pair serves the penalties, the matching and the nearest neighbours
+        assert sorted(shapes) == sorted(sizes)
 
 
 class TestProjection:
