@@ -188,6 +188,7 @@ class MomentumSGD:
         self._epoch_start = theta.copy()
         self.log = TrainLog()
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, loss: float, grad: np.ndarray) -> None:
         """One update from a batch's loss and its gradient (same layout as ``theta``)."""
         if not math.isfinite(loss):

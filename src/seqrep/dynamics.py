@@ -214,6 +214,7 @@ def rnn_forward_batch(pred: RecurrentPredictor, contexts: np.ndarray) -> np.ndar
     return y
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def batch_loss_and_grad(pred: RecurrentPredictor, contexts: np.ndarray,
                         targets: np.ndarray,
                         out: np.ndarray | None = None) -> tuple[float, np.ndarray]:

@@ -156,6 +156,7 @@ def _backprop(model: EmbeddingModel, x: np.ndarray, buf: dict[str, np.ndarray]) 
     return buf["grad"]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _triplet_grad(model: EmbeddingModel, x: np.ndarray, roles: np.ndarray, delta: float,
                   buf: dict[str, np.ndarray]) -> tuple[float, np.ndarray]:
     """Mean hinge loss and gradient of B triplets: ``roles`` (3·B,) holds the rows of

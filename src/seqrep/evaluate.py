@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ConfigError, Dataset, DegenerateInputError, DimensionError, FormatError,
-                   RngState, as_frames, pairwise_sqdist, write_file)
+from .core import (ConfigError, Dataset, DegenerateInputError, DimensionError, RngState,
+                   as_frames, pairwise_sqdist, write_file)
 from . import align
 from .embed import EmbeddingModel, embed_batch
 from .dynamics import RecurrentPredictor, rnn_forward_batch, transition_pairs
@@ -97,28 +97,23 @@ def default_pose_epsilon(dataset: Dataset, percentile: float = 5.0) -> float:
     if n % 2 == 0:
         spans.append((n // 2, n // 2 + 1, n // 2))
     dist = np.empty(n * (n - 1) // 2)
-    scratch = np.empty(_OFFSET_BLOCK * n)
     pos = 0
     for lo, hi, cols in spans:
         out = dist[pos:pos + (hi - lo) * cols].reshape(hi - lo, cols)
-        tmp = scratch[:out.size].reshape(out.shape)
         pos += out.size
-        np.subtract(win[0, lo:hi, :cols], zz[0, :cols], out=out)
-        np.multiply(out, out, out=out)
-        for k in range(1, z.shape[1]):
-            np.subtract(win[k, lo:hi, :cols], zz[k, :cols], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            out += tmp
-        np.sqrt(out, out=out)
+        _latent_distances(win[:, lo:hi, :cols], zz[:, :cols], out)
     return float(np.percentile(dist, percentile, overwrite_input=True))
 
 
-def _latent_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) row distances, squared coordinate differences added in coordinate order."""
-    sq, diff = np.zeros((2, len(a), len(b)))
-    for za, zb in zip(a.T, b.T):
-        sq += np.square(np.subtract(zb, za[:, None], out=diff), out=diff)
-    return np.sqrt(sq, out=sq)
+def _latent_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Distances into ``out`` between coordinate-major ``a`` and ``b``, whose ``a[k]`` and
+    ``b[k]`` (coordinate k) broadcast to ``out``'s shape. Squared coordinate differences
+    are added in coordinate order, as ``scipy.spatial.distance.cdist`` adds them."""
+    np.square(np.subtract(a[0], b[0], out=out), out=out)
+    tmp = np.empty_like(out)
+    for ak, bk in zip(a[1:], b[1:]):
+        out += np.square(np.subtract(ak, bk, out=tmp), out=tmp)
+    return np.sqrt(out, out=out)
 
 
 def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
@@ -152,7 +147,8 @@ def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
     aucs = []
     for lo, hi in zip(starts, starts[1:]):
         qs, others = queries[(lo <= queries) & (queries < hi)], np.r_[0:lo, hi:total]
-        labels = _latent_distances(lats[qs], lats[others]) <= pose_epsilon
+        labels = _latent_distances(lats[qs].T[:, :, None], lats[others].T[:, None, :],
+                                   np.empty((len(qs), len(others)))) <= pose_epsilon
         ranks = _average_ranks(-pairwise_sqdist(feats[qs], feats[others]))
         # Mann-Whitney U per row; average ranks are half-integers, so the sums are exact
         n_pos, n_neg = labels.sum(axis=1), (~labels).sum(axis=1)
@@ -274,9 +270,7 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
 def nearest_neighbor_assignment(query_feats: np.ndarray,
                                 target_feats: np.ndarray) -> np.ndarray:
     """Per-frame nearest-neighbor baseline: no temporal terms, no outliers (1-based)."""
-    q, t = as_frames(query_feats, "query_feats"), as_frames(target_feats, "target_feats")
-    if q.shape[1] != t.shape[1]:
-        raise DimensionError(f"query dimension {q.shape[1]} != target dimension {t.shape[1]}")
+    q, t = align._check_instance(query_feats, target_feats)
     return np.argmin(pairwise_sqdist(q, t), axis=1).astype(np.int64) + 1
 
 
@@ -395,33 +389,6 @@ class EvalReport:
             lines.append(f"config.{k} {self.config[k]}")
         txt_path = write_file(str(base_path) + ".txt", "\n".join(lines) + "\n")
         return json_path, txt_path
-
-    @classmethod
-    def load(cls, base_path) -> "EvalReport":
-        """Read ``<base>.json``; a malformed report raises :class:`FormatError` naming it.
-
-        Besides its keys, every value must have its field's type: ``metric``
-        a string, ``values`` numbers, ``series`` lists of numbers, ``config``
-        an object and ``seed`` an integer (JSON object keys are strings).
-        """
-        path = Path(str(base_path) + ".json")
-        try:
-            rep = cls(**json.loads(path.read_text(encoding="utf-8")))
-        except (ValueError, TypeError, RecursionError) as exc:  # bad UTF-8, JSON, keys, nesting
-            raise FormatError(f"{path}: not an evaluation report ({exc})") from exc
-        if not (isinstance(rep.metric, str) and _is_number(rep.seed, int)
-                and isinstance(rep.config, dict)
-                and isinstance(rep.values, dict) and all(map(_is_number, rep.values.values()))
-                and isinstance(rep.series, dict)
-                and all(isinstance(v, list) and all(map(_is_number, v))
-                        for v in rep.series.values())):
-            raise FormatError(f"{path}: not an evaluation report (a value has the wrong type)")
-        return rep
-
-
-def _is_number(v, kinds=(int, float)) -> bool:
-    """A JSON number of one of ``kinds``; booleans are not numbers."""
-    return isinstance(v, kinds) and not isinstance(v, bool)
 
 
 def write_curve(path, xs, ys, header: str) -> Path:

@@ -135,9 +135,6 @@ def read_seqpack(path) -> Dataset:
 
     sequences = []
     for seq_id, data, rows, latent_name in records:
-        if not is_safe_name(seq_id):
-            raise FormatError(f"{mpath}: {seq_id!r} is not a safe sequence id "
-                              f"(1-{MAX_ID_LEN} of [A-Za-z0-9._-], no leading dot)")
         for name in (data, latent_name) if latent_name else (data,):
             if not is_safe_name(name, _MAX_PAYLOAD_NAME):
                 raise FormatError(f"{mpath}: {name!r} is not a plain payload file name "
@@ -148,7 +145,7 @@ def read_seqpack(path) -> Dataset:
             if q <= 0:
                 raise FormatError(f"{mpath}: latent file given but latent_dim is 0")
             latent = _read_payload(root / latent_name, rows, q)
-        sequences.append(Sequence(id=seq_id, frames=frames, latent=latent))
+        sequences.append(_build(mpath, Sequence, seq_id, frames, latent))
     return _build(mpath, Dataset, f, tuple(sequences))
 
 

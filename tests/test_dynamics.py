@@ -608,11 +608,22 @@ class TestTrainPredictor:
         model = init_embedding_model(ds.dimension, 12, 6, RngState(3))
         cfg = PredictorConfig(hidden_dim=10, max_epochs=1, batch_size=32,
                               learning_rate=1e200)
-        with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as info:
             train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(7))
         err = info.value
         assert (err.stage, err.epoch) == ("predictor", 0) and err.batch >= 1
         assert "predictor training diverged at epoch 0" in str(err)
+
+    def test_divergence_names_stage_epoch_and_batch_whatever_the_error_state(self,
+                                                                             strict_numpy):
+        # the overflowing update and the forward after it run under their own errstate
+        ds = cyclic_dataset()
+        model = init_embedding_model(ds.dimension, 12, 6, RngState(3))
+        cfg = PredictorConfig(hidden_dim=10, max_epochs=1, batch_size=32,
+                              learning_rate=1e300)
+        with pytest.raises(DivergenceError, match="non-finite batch loss") as info:
+            train_predictor(ds, model, context_len=4, config=cfg, rng=RngState(7))
+        assert (info.value.stage, info.value.epoch, info.value.batch) == ("predictor", 0, 1)
 
     def test_blow_up_is_divergence(self, small_dataset):
         # lr 100 stays finite for a while, so only the loss ratio catches it

@@ -818,11 +818,20 @@ class TestTrain:
     def test_divergence_names_stage_epoch_and_batch(self, small_dataset):
         cfg = TrainConfig(max_epochs=1, triplets_per_batch=40, hidden_dim=16,
                           embed_dim=8, learning_rate=1e300)
-        with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as info:
             train(small_dataset, cfg, chunk_len=20, rng=RngState(1))
         err = info.value
         assert (err.stage, err.epoch) == ("embed", 0) and err.batch >= 1
         assert "embed training diverged at epoch 0" in str(err)
+
+    def test_divergence_names_stage_epoch_and_batch_whatever_the_error_state(
+            self, small_dataset, strict_numpy):
+        # the overflowing update and the forward after it run under their own errstate
+        cfg = TrainConfig(max_epochs=1, triplets_per_batch=40, hidden_dim=16,
+                          embed_dim=8, learning_rate=1e300)
+        with pytest.raises(DivergenceError, match="non-finite batch loss") as info:
+            train(small_dataset, cfg, chunk_len=20, rng=RngState(1))
+        assert (info.value.stage, info.value.epoch, info.value.batch) == ("embed", 0, 1)
 
     def test_collapsed_encoder_is_divergence(self, small_dataset, monkeypatch):
         # one step at this rate saturates the encoder: every frame embeds to
@@ -835,8 +844,7 @@ class TestTrain:
                 monkeypatch.setattr(embed, "init_embedding_model", lambda *a: float64(init(*a)))
             cfg = TrainConfig(max_epochs=3, triplets_per_batch=40, hidden_dim=16,
                               embed_dim=8, bootstrap_epochs=1, learning_rate=rate)
-            with pytest.raises(DivergenceError, match="collapsed") as info, \
-                    np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match="collapsed") as info:
                 train(small_dataset, cfg, chunk_len=40, rng=RngState(0))
             assert (info.value.stage, info.value.epoch, info.value.batch) == ("embed", 0, 1)
             assert info.value.loss == float(dtype(cfg.margin))

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.stats import rankdata
 
 from seqrep import align, evaluate
 from seqrep.core import (ConfigError, Dataset, DegenerateInputError, DimensionError,
-                         FormatError, RngState, Sequence, pairwise_sqdist)
+                         RngState, Sequence, pairwise_sqdist)
 from seqrep.align import Matching, PenaltyConfig, solve_exact_dp
 from seqrep.dynamics import init_predictor
 from seqrep.embed import embed_batch, fit_whitener, init_embedding_model
@@ -218,9 +218,21 @@ def test_latent_distances_keep_the_bits_of_the_difference_array(ref_dataset):
     qs = np.sort(RngState(5).gen.choice(len(lats), size=500, replace=False))
     others = np.r_[0:len(lats)]
     old = np.linalg.norm(lats[others] - lats[qs, None], axis=2)
-    new = evaluate._latent_distances(lats[qs], lats[others])
+    new = evaluate._latent_distances(lats[qs].T[:, :, None], lats[others].T[:, None, :],
+                                     np.empty((500, len(lats))))
     assert new.shape == old.shape == (500, len(lats))
     assert new.tobytes() == old.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(1, 8), data=st.data())
+def test_latent_distances_equal_cdist_bit_for_bit(width, data):
+    a, b = (data.draw(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(width)),
+                             elements=st.floats(-1e6, 1e6)))
+            for _ in range(2))
+    out = np.empty((len(a), len(b)))
+    assert evaluate._latent_distances(a.T[:, :, None], b.T[:, None, :], out) is out
+    assert out.tobytes() == cdist(a, b).tobytes()
 
 
 class TestRetrievalOracle:
@@ -509,42 +521,17 @@ class TestReports:
                          values={"a": 0.1234567890123456, "b": -1e-17},
                          series={"xs": [1.0, 2.5, 3.25]},
                          config={"k": 5}, seed=42)
-        rep.save(tmp_path / "r")
-        back = EvalReport.load(tmp_path / "r")
+        json_path, _ = rep.save(tmp_path / "r")
+        back = EvalReport(**json.loads(json_path.read_text()))
         assert back == rep
-
-    @pytest.mark.parametrize("body, cause", [
-        ('{"metric": "demo", ', "JSONDecodeError"),
-        ('["demo"]', "TypeError"),
-        ('{"metric": "demo", "extra": 1}', "TypeError"),
-        ('{"metric": "demo", "config": ' + "[" * 100_000, "RecursionError"),
-    ], ids=["invalid-json", "not-an-object", "unknown-key", "nested-too-deep"])
-    def test_malformed_report_is_format_error(self, tmp_path, body, cause):
-        (tmp_path / "r.json").write_text(body)
-        with pytest.raises(FormatError, match="r.json: not an evaluation report") as info:
-            EvalReport.load(tmp_path / "r")
-        assert type(info.value.__cause__).__name__ == cause
-
-    @pytest.mark.parametrize("body", [
-        {"metric": 7, "values": "x", "seed": "s"},
-        {"metric": "demo", "values": "x"},
-        {"metric": "demo", "values": {"a": "0.5"}},
-        {"metric": "demo", "values": {"a": True}},
-        {"metric": "demo", "series": {"xs": 1.0}},
-        {"metric": "demo", "series": {"xs": [1.0, None]}},
-        {"metric": "demo", "config": []},
-        {"metric": "demo", "seed": 1.5},
-        {"metric": "demo", "seed": False},
-    ])
-    def test_wrong_value_type_is_format_error(self, tmp_path, body):
-        (tmp_path / "r.json").write_text(json.dumps(body))
-        with pytest.raises(FormatError, match="r.json: not an evaluation report"):
-            EvalReport.load(tmp_path / "r")
 
     def test_integers_are_numbers(self, tmp_path):
         rep = EvalReport(metric="demo", values={"n": 3}, series={"k": [1, 2.5]}, seed=2)
-        rep.save(tmp_path / "r")
-        assert EvalReport.load(tmp_path / "r") == rep
+        json_path, _ = rep.save(tmp_path / "r")
+        back = json.loads(json_path.read_text())
+        assert EvalReport(**back) == rep
+        assert [type(v) for v in (back["values"]["n"], *back["series"]["k"], back["seed"])] \
+            == [int, int, float, int]
 
     def test_txt_is_line_oriented(self, tmp_path):
         rep = EvalReport(metric="demo", values={"x": 1.5}, seed=1)

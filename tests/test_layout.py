@@ -53,29 +53,41 @@ def test_import_loads_no_scipy_submodule():
     assert out.stdout.strip() == "[]"
 
 
-def code_names(path: Path) -> set[str]:
-    """Every name, attribute and imported name that the code of ``path`` uses."""
-    found = set()
+def code_names(path: Path) -> tuple[set[str], set[str]]:
+    """``(names, attributes)`` that the code of ``path`` uses: every name and
+    imported name, and every attribute read (``x.name``)."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            found.add(node.name.rpartition(".")[2])
-    return found
+            names.add(node.name.rpartition(".")[2])
+    return names, attributes
 
 
 def test_every_public_name_has_a_library_demo_or_benchmark_caller():
     """Each public top-level def or class is used by package code (its own
-    module's included, ``__init__``'s re-export not), a demo or the benchmark."""
+    module's included, ``__init__``'s re-export not), a demo or the benchmark,
+    as is each public method or property of a public class. A method counts as
+    used only where that code reads it as an attribute: a bare name of the same
+    spelling (a local ``load``) is not a call of it."""
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     callers = modules + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
-    used = set().union(*map(code_names, callers))
-    unused = [f"{path.name}: {node.name}" for path in modules
-              for node in ast.parse(path.read_text(encoding="utf-8")).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in used]
+    names, attributes = (set().union(*found) for found in zip(*map(code_names, callers)))
+    unused = []
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if node.name not in names | attributes:
+                unused.append(f"{path.name}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{path.name}: {node.name}.{m.name}" for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                           and m.name not in attributes]
     assert unused == []
 
 
