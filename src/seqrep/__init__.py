@@ -34,7 +34,6 @@ from .align import (
 from .embed import (
     EmbeddingModel,
     TrainConfig,
-    Whitener,
     embed_batch,
     fit_whitener,
     init_embedding_model,

@@ -22,6 +22,7 @@ from .core import (
     DimensionError,
     FormatError,
     RngState,
+    pairwise_sqdist,
     write_file,
 )
 from . import align as align_mod
@@ -61,9 +62,9 @@ def _cmd_gen(args, cfg) -> str:
 def _cmd_align(args, cfg, data, model) -> str:
     q = embed.embed_batch(model, data.by_id(args.query).frames)
     t = embed.embed_batch(model, data.by_id(args.target).frames)
-    penalties = cfg.penalties.resolve(q, t)
-    matchings = align_mod.match_features(q, t, penalties=penalties,
-                                         chunk_len=cfg.chunk_len)
+    d2 = pairwise_sqdist(q, t)
+    penalties = cfg.penalties._of(d2)
+    matchings = align_mod._match_pairs([(d2, penalties)], cfg.chunk_len)[0]
     # π indexes only its chunk's frames, so the target from the chunk's offset on scores alike
     payload = [{"target_offset": int(m.target_offset),
                 "pi": [int(v) for v in m.pi],
@@ -99,35 +100,33 @@ def _cmd_train_dyn(args, cfg, data, model) -> str:
             f"(final loss {log.epoch_loss[-1]:.6f}); predictor saved to {args.out}")
 
 
-def _cmd_eval_retrieval(args, cfg, data, model) -> str:
-    ev = cfg.eval
-    auc = evaluate.retrieval_auc(data, model, pose_epsilon=ev.pose_epsilon,
-                                 num_queries=ev.num_queries,
-                                 rng=RngState(cfg.seed).split(30))
-    whitener = embed.fit_whitener(data.all_frames())
-    auc_white = evaluate.retrieval_auc(data, whitener, pose_epsilon=ev.pose_epsilon,
-                                       num_queries=ev.num_queries,
-                                       rng=RngState(cfg.seed).split(30))
+def _report(args, cfg, metric, result, **config) -> None:
+    """Save ``result`` (a protocol's dataclass or a dict) as ``metric``'s EvalReport:
+    each sequence field a series of floats, every other field a value."""
+    fields = result if isinstance(result, dict) else dataclasses.asdict(result)
     evaluate.EvalReport(
-        metric="retrieval_auc",
-        values={"auc": auc, "auc_whitened_raw": auc_white},
-        config={"num_queries": ev.num_queries},
+        metric=metric,
+        values={k: float(v) for k, v in fields.items() if np.ndim(v) == 0},
+        series={k: [float(x) for x in v] for k, v in fields.items() if np.ndim(v)},
+        config=config,
         seed=cfg.seed,
     ).save(args.out)
+
+
+def _cmd_eval_retrieval(args, cfg, data, model) -> str:
+    ev = cfg.eval
+    auc, auc_white = (evaluate.retrieval_auc(data, embedder, pose_epsilon=ev.pose_epsilon,
+                                             num_queries=ev.num_queries,
+                                             rng=RngState(cfg.seed).split(30))
+                      for embedder in (model, embed.fit_whitener(data.all_frames())))
+    _report(args, cfg, "retrieval_auc", {"auc": auc, "auc_whitened_raw": auc_white},
+            num_queries=ev.num_queries)
     return f"retrieval auc {auc:.4f} (whitened-raw baseline {auc_white:.4f})"
 
 
 def _cmd_eval_zeroshot(args, cfg, data, test, model) -> str:
     zs = evaluate.zero_shot_pose_error(data, test, model)
-    evaluate.EvalReport(
-        metric="zero_shot_pose_error",
-        values={"mean_error": zs.mean_error,
-                "oracle_mean_error": zs.oracle_mean_error},
-        series={"thresholds": list(zs.thresholds),
-                "accuracy": list(zs.accuracy),
-                "oracle_accuracy": list(zs.oracle_accuracy)},
-        seed=cfg.seed,
-    ).save(args.out)
+    _report(args, cfg, "zero_shot_pose_error", zs)
     return (f"zero-shot mean latent error {zs.mean_error:.4f} "
             f"(oracle bound {zs.oracle_mean_error:.4f})")
 
@@ -136,16 +135,8 @@ def _cmd_eval_predict(args, cfg, data, model, pred) -> str:
     ev = cfg.eval
     curve = evaluate.knn_prediction_curve(data, model, pred, k_max=ev.k_max,
                                           exclusion_window=ev.exclusion_window)
-    evaluate.EvalReport(
-        metric="knn_prediction_curve",
-        values={"prediction_error_mean": curve.prediction_error_mean,
-                "prediction_error_std": curve.prediction_error_std},
-        series={"k": list(map(float, curve.k)),
-                "knn_mean": list(curve.knn_mean),
-                "knn_std": list(curve.knn_std)},
-        config={"k_max": ev.k_max, "exclusion_window": ev.exclusion_window},
-        seed=cfg.seed,
-    ).save(args.out)
+    _report(args, cfg, "knn_prediction_curve", curve,
+            k_max=ev.k_max, exclusion_window=ev.exclusion_window)
     evaluate.write_curve(str(args.out) + ".curve.dat", curve.k, curve.knn_mean,
                          header="k mean_knn_distance")
     return (f"prediction error {curve.prediction_error_mean:.4f}, "
@@ -154,19 +145,12 @@ def _cmd_eval_predict(args, cfg, data, model, pred) -> str:
 
 def _cmd_eval_alignment(args, cfg, model) -> str:
     ev = cfg.eval
-    dp_scores, nn_scores = evaluate.alignment_benchmark(
-        model, cfg.generator, ev.alignment_pairs, cfg.seed, cfg.penalties)
-    evaluate.EvalReport(
-        metric="alignment_accuracy",
-        values={"dp_mean": float(np.mean(dp_scores)),
-                "nn_mean": float(np.mean(nn_scores))},
-        series={"dp": [float(v) for v in dp_scores],
-                "nn": [float(v) for v in nn_scores]},
-        config={"pairs": ev.alignment_pairs},
-        seed=cfg.seed,
-    ).save(args.out)
-    return (f"alignment accuracy dp {np.mean(dp_scores):.4f} "
-            f"vs nearest-neighbor {np.mean(nn_scores):.4f}")
+    dp, nn = evaluate.alignment_benchmark(model, cfg.generator, ev.alignment_pairs,
+                                          cfg.seed, cfg.penalties)
+    _report(args, cfg, "alignment_accuracy",
+            {"dp_mean": np.mean(dp), "nn_mean": np.mean(nn), "dp": dp, "nn": nn},
+            pairs=ev.alignment_pairs)
+    return f"alignment accuracy dp {np.mean(dp):.4f} vs nearest-neighbor {np.mean(nn):.4f}"
 
 
 def _cmd_project(args, cfg, data, model) -> str:

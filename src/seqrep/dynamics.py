@@ -290,21 +290,18 @@ def train_predictor(dataset: Dataset, model: EmbeddingModel, context_len: int,
     :class:`DivergenceError`.
     """
     pred = init_predictor(model.embed_dim, config.hidden_dim, context_len, rng.split(0))
-    embedded = {}
     for s in dataset:
         if len(s) <= context_len:
             logger.warning("sequence %r has %d frames, needs > %d; skipped",
                            s.id, len(s), context_len)
-            continue
-        embedded[s.id] = embed_batch(model, s.frames).astype(pred.theta.dtype)
 
     # Each sequence's pairs form one block, blocks in sorted-id order. An
     # epoch permutes within every block, then takes rank 0 of each block,
     # rank 1 of each, and so on: the stable sort of the ranks.
-    ids = sorted(embedded)
-    sizes = [len(embedded[sid]) - context_len for sid in ids]
-    # popped: the concatenated frames under the windows are then the only copy
-    windows, first = transition_pairs([embedded.pop(sid) for sid in ids], context_len)
+    long = sorted((s for s in dataset if len(s) > context_len), key=lambda s: s.id)
+    sizes = [len(s) - context_len for s in long]
+    windows, first = transition_pairs(
+        [embed_batch(model, s.frames).astype(pred.theta.dtype) for s in long], context_len)
     starts = first[np.cumsum(sizes) - sizes]  # each block's first window
     round_robin = np.argsort(np.concatenate([np.arange(n) for n in sizes]), kind="stable")
 

@@ -261,21 +261,9 @@ def sequence_neighbors(dataset: Dataset, model: EmbeddingModel, k: int) -> dict[
     return {sid: [ids[j] for j in row] for sid, row in zip(ids, table)}
 
 
-@dataclass(frozen=True)
-class Whitener:
-    """ZCA whitening map fit on a frame collection."""
-
-    mean: np.ndarray
-    transform: np.ndarray
-
-    def __call__(self, frames) -> np.ndarray:
-        x = np.asarray(frames, dtype=np.float64)
-        return (x - self.mean) @ self.transform
-
-
-def fit_whitener(frames) -> Whitener:
-    """Regularized ZCA: eigenvalues are floored at 0.02 times their mean so
-    near-null noise directions are not blown up to unit variance."""
+def fit_whitener(frames):
+    """Regularized ZCA as a frames -> features map: eigenvalues are floored at
+    0.02 times their mean so near-null noise directions are not blown up to unit variance."""
     x = as_frames(frames)
     mean = x.mean(axis=0)
     cov = np.cov(x - mean, rowvar=False, bias=True)
@@ -283,7 +271,7 @@ def fit_whitener(frames) -> Whitener:
     evals, evecs = np.linalg.eigh(cov)
     eps = 0.02 * float(evals.mean()) + 1e-12
     transform = evecs @ np.diag(1.0 / np.sqrt(evals + eps)) @ evecs.T
-    return Whitener(mean=mean, transform=transform)
+    return lambda frames: (np.asarray(frames, dtype=np.float64) - mean) @ transform
 
 
 @dataclass(frozen=True)

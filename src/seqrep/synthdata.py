@@ -11,7 +11,7 @@ latent track stays available as ground truth for evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,59 +58,35 @@ class GeneratorConfig:
                 raise ConfigError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class _FeatureMap:
+def _feature_map(cfg: GeneratorConfig, rng: RngState):
     """Fixed smooth nonlinearity g: R^q -> R^f shared by all sequences."""
-
-    frequencies: np.ndarray  # (f, q)
-    phases: np.ndarray       # (f,)
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return np.sin(z @ self.frequencies.T + self.phases)
-
-
-def _draw_feature_map(cfg: GeneratorConfig, rng: RngState) -> _FeatureMap:
     g = rng.gen
-    return _FeatureMap(
-        frequencies=g.normal(0.0, 1.8, size=(cfg.feature_dim, cfg.latent_dim)),
-        phases=g.uniform(0.0, 2.0 * math.pi, size=cfg.feature_dim),
-    )
+    frequencies = g.normal(0.0, 1.8, size=(cfg.feature_dim, cfg.latent_dim))  # (f, q)
+    phases = g.uniform(0.0, 2.0 * math.pi, size=cfg.feature_dim)               # (f,)
+    return lambda z: np.sin(z @ frequencies.T + phases)
 
 
-@dataclass(frozen=True)
-class _Trajectory:
-    """Continuous latent path over progress u in [0, 1]."""
+def _trajectory(cfg: GeneratorConfig, rng: RngState):
+    """Continuous latent path u -> z over progress u in [0, 1]."""
+    g = rng.gen
+    q, k = cfg.latent_dim, _DRIFT_COMPONENTS
+    phase0 = float(g.uniform(0.0, 2.0 * math.pi))
+    cycles = float(g.uniform(*cfg.cycles_range))
+    # (q, K) drift amplitudes: U[-1, 1] at the drift strength, split over the K components
+    amp = cfg.drift_strength * g.uniform(-1.0, 1.0, size=(q, k)) / k
+    freq = g.uniform(_DRIFT_FREQ_LO, _DRIFT_FREQ_HI, size=(q, k))
+    phase = g.uniform(0.0, 2.0 * math.pi, size=(q, k))
 
-    phase0: float
-    cycles: float
-    drift_amp: np.ndarray   # (q, K) in [-1, 1]
-    drift_freq: np.ndarray  # (q, K)
-    drift_phase: np.ndarray # (q, K)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        phi = self.phase0 + 2.0 * math.pi * self.cycles * u
-        drift = np.einsum(
-            "qk,tqk->tq",
-            self.drift_amp / _DRIFT_COMPONENTS,
-            np.sin(2.0 * math.pi * self.drift_freq[None, :, :] * u[:, None, None]
-                   + self.drift_phase[None, :, :]),
-        )
-        z = drift
+    def path(u: np.ndarray) -> np.ndarray:
+        phi = phase0 + 2.0 * math.pi * cycles * u
+        z = np.einsum("qk,tqk->tq", amp,
+                      np.sin(2.0 * math.pi * freq[None, :, :] * u[:, None, None]
+                             + phase[None, :, :]))
         z[:, 0] += np.cos(phi)
         z[:, 1] += np.sin(phi)
         return z
 
-
-def _draw_trajectory(cfg: GeneratorConfig, rng: RngState) -> _Trajectory:
-    g = rng.gen
-    q, k = cfg.latent_dim, _DRIFT_COMPONENTS
-    return _Trajectory(
-        phase0=float(g.uniform(0.0, 2.0 * math.pi)),
-        cycles=float(g.uniform(*cfg.cycles_range)),
-        drift_amp=cfg.drift_strength * g.uniform(-1.0, 1.0, size=(q, k)),
-        drift_freq=g.uniform(_DRIFT_FREQ_LO, _DRIFT_FREQ_HI, size=(q, k)),
-        drift_phase=g.uniform(0.0, 2.0 * math.pi, size=(q, k)),
-    )
+    return path
 
 
 def _progress_grid(n: int, jitter: float, rng: RngState) -> np.ndarray:
@@ -121,7 +97,7 @@ def _progress_grid(n: int, jitter: float, rng: RngState) -> np.ndarray:
     return u / u[-1]
 
 
-def _render(cfg: GeneratorConfig, feature_map: _FeatureMap, z: np.ndarray,
+def _render(cfg: GeneratorConfig, feature_map, z: np.ndarray,
             rng: RngState) -> np.ndarray:
     """Per-sequence affine nuisance plus observation noise on top of g(z)."""
     g = rng.gen
@@ -138,13 +114,13 @@ def _render(cfg: GeneratorConfig, feature_map: _FeatureMap, z: np.ndarray,
 def generate_dataset(cfg: GeneratorConfig) -> Dataset:
     """Generate the full benchmark; identical config (incl. seed) => identical bits."""
     root = RngState(cfg.seed)
-    feature_map = _draw_feature_map(cfg, root.split(0))
+    feature_map = _feature_map(cfg, root.split(0))
     sequences = []
     for i in range(cfg.num_sequences):
         seq_rng = root.split(1, i)
         g = seq_rng.gen
         n = int(g.integers(cfg.frames_range[0], cfg.frames_range[1] + 1))
-        traj = _draw_trajectory(cfg, seq_rng)
+        traj = _trajectory(cfg, seq_rng)
         u = _progress_grid(n, cfg.speed_jitter, seq_rng)
         z = traj(u)
         x = _render(cfg, feature_map, z, seq_rng)
@@ -166,11 +142,11 @@ def resample_pair(cfg: GeneratorConfig, seed: int,
     if target_scale <= 0:
         raise ConfigError("target_scale must be positive")
     root = RngState(seed)
-    feature_map = _draw_feature_map(cfg, root.split(0))
+    feature_map = _feature_map(cfg, root.split(0))
     g = root.split(1).gen
     n_query = int(g.integers(cfg.frames_range[0], cfg.frames_range[1] + 1))
     n_target = max(2, int(round(n_query * target_scale)))
-    traj = _draw_trajectory(cfg, root.split(2))
+    traj = _trajectory(cfg, root.split(2))
 
     u_q = _progress_grid(n_query, cfg.speed_jitter, root.split(3))
     u_t = _progress_grid(n_target, cfg.speed_jitter, root.split(4))
@@ -196,9 +172,7 @@ def alignment_pair_config(base: GeneratorConfig) -> GeneratorConfig:
     A single latent cycle keeps the true correspondence unambiguous at
     frame resolution.
     """
-    import dataclasses
-
-    return dataclasses.replace(
+    return replace(
         base,
         cycles_range=(0.8, 1.2),
         nuisance_strength=0.1,

@@ -13,9 +13,10 @@ from seqrep import embed
 from seqrep.align import MatchPenalties, _chunk_bounds, alignment_cost
 from seqrep.cli import build_parser, main
 from seqrep.embed import EmbeddingModel, embed_batch
-from seqrep.evaluate import pca_project_2d
+from seqrep.config import load_config
+from seqrep.evaluate import knn_prediction_curve, pca_project_2d, zero_shot_pose_error
 from seqrep.core import Dataset
-from seqrep.seqpack import load_model, read_seqpack, save_model, write_seqpack
+from seqrep.seqpack import load_model, load_predictor, read_seqpack, save_model, write_seqpack
 
 from conftest import float64
 
@@ -105,6 +106,30 @@ class TestPipeline:
         curve = Path(str(out) + ".curve.dat").read_text().splitlines()
         assert curve[0].startswith("#")
         assert len(curve) == 1 + TINY["eval"]["k_max"]
+
+    def test_reports_carry_exactly_their_protocols_result(self, pipeline):
+        root, cfg, data, model, pred = pipeline
+        ds, emb, ev = read_seqpack(data), load_model(model), load_config(cfg).eval
+        assert main(["eval", "zeroshot", "--config", cfg, "--data", str(data), "--test",
+                     str(data), "--model", str(model), "--out", str(root / "zs")]) == 0
+        assert main(["eval", "predict", "--config", cfg, "--data", str(data), "--model",
+                     str(model), "--pred", str(pred), "--out", str(root / "kp")]) == 0
+        zs_rep, kp_rep = (json.loads((root / name).read_text()) for name in ("zs.json", "kp.json"))
+        zs = zero_shot_pose_error(ds, ds, emb)
+        assert zs_rep["values"] == {"mean_error": zs.mean_error,
+                                    "oracle_mean_error": zs.oracle_mean_error}
+        assert zs_rep["series"] == {"thresholds": list(zs.thresholds),
+                                    "accuracy": list(zs.accuracy),
+                                    "oracle_accuracy": list(zs.oracle_accuracy)}
+        curve = knn_prediction_curve(ds, emb, load_predictor(pred), k_max=ev.k_max,
+                                     exclusion_window=ev.exclusion_window)
+        assert kp_rep["values"] == {"prediction_error_mean": curve.prediction_error_mean,
+                                    "prediction_error_std": curve.prediction_error_std}
+        assert kp_rep["series"] == {"k": [float(k) for k in range(1, ev.k_max + 1)],
+                                    "knn_mean": list(curve.knn_mean),
+                                    "knn_std": list(curve.knn_std)}
+        assert all(type(k) is float for k in kp_rep["series"]["k"])  # "1.0", not "1"
+        assert kp_rep["config"] == {"k_max": ev.k_max, "exclusion_window": ev.exclusion_window}
 
     def test_eval_alignment(self, pipeline):
         root, cfg, _, model, _ = pipeline
