@@ -10,15 +10,16 @@ consecutive query positions, the global minimum is found exactly by a
 trellis dynamic program over per-frame assignment states; a brute-force
 enumerator serves as an optimality oracle on small instances.
 
-Each trellis step costs O(m) through prefix and suffix minima, so a solve
-takes O(n * (m+1)) time and memory. A crossing is never cheaper than making
-the frame before it an outlier when ``lambda1 >= outlier_cost``, as the
-default penalties have it, so a batch relaxes crossings (the suffix minima)
-only when one of its instances has ``lambda1 < outlier_cost``. Every chunk
-of every pair handed in together (one target's chunks, or all pairs of a
-training epoch) is solved in one padded batched pass, each under its own
-pair's penalties. Ties go to the smaller state index, and a cost is summed
-along its correspondence in the order the recurrence adds it.
+Each trellis step costs O(m) through prefix and suffix minima, and the
+backtrack reads its penalties from one by-offset vector per instance, so a
+solve takes O(n * (m+1)) time and memory. A crossing is never cheaper than
+making the frame before it an outlier when ``lambda1 >= outlier_cost``, as
+the default penalties have it, so a batch relaxes crossings (the suffix
+minima) only when one of its instances has ``lambda1 < outlier_cost``.
+Every chunk of every pair handed in together (one target's chunks, or all
+pairs of a training epoch) is solved in one padded batched pass, each under
+its own pair's penalties. Ties go to the smaller state index, and a cost is
+summed along its correspondence in the order the recurrence adds it.
 
 Pairs where either endpoint is an outlier contribute no pairwise penalty;
 each outlier frame pays a flat ``outlier_cost`` instead.
@@ -232,22 +233,6 @@ def solve_bruteforce(query_emb, target_emb, penalties: MatchPenalties) -> Matchi
     return Matching(pi=best_pi, total_cost=best_cost)
 
 
-def _transition_matrices(m: int, lam1, lam2, lam3) -> np.ndarray:
-    """Pairwise penalty of consecutive assignments v -> v', stored as ``w[k, v', v]``.
-
-    One (m+1, m+1) table per instance k, whose weights are the (K, 1)
-    columns ``lam1 lam2 lam3``. 0 when either state is the outlier. Between
-    frames the penalty depends only on the offset v' - v, so each row is a
-    reversed window of one table over the offsets.
-    """
-    o = np.arange(1 - m, m)  # v' - v
-    with np.errstate(over="ignore"):  # only offsets past an instance's own width overflow
-        by_offset = lam1 * (o < 0) + lam2 * (o == 0) + lam3 * np.where(o > 1, o, 0)
-    w = np.zeros((len(by_offset), m + 1, m + 1))
-    w[:, 1:, 1:] = np.lib.stride_tricks.sliding_window_view(by_offset, m, axis=1)[:, :, ::-1]
-    return w
-
-
 def _solve_batch(unary: np.ndarray, penalties) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimizers of K instances that share n, each under its own penalties.
 
@@ -263,9 +248,12 @@ def _solve_batch(unary: np.ndarray, penalties) -> tuple[np.ndarray, np.ndarray]:
     suffix minimum of d[v] over v > v' plus lambda1 (crossing); into 0 it is
     the minimum of all of d. The crossing term is relaxed only when some
     instance has lambda1 < outlier_cost; otherwise it never falls below d[0]
-    and moves no bit (see ``cross``). The backtrack then takes each
-    predecessor as the first argmin of d + w[pi[j]], and the total is summed
-    along pi in the order the relaxation ``d[v] + w[v', v] + unary[v']`` adds it.
+    and moves no bit (see ``cross``). A penalty w(v' - v) depends only on the
+    offset, so the backtrack reads the row into v' >= 1 as window M - v' of
+    one descending by-offset vector padded with M zeros (into 0, the zero
+    window). It adds that row into the spent d of the step before, takes the
+    first argmin as the predecessor, and sums the total along pi in the order
+    the relaxation ``d[v] + w(v' - v) + unary[v']`` adds it.
     """
     k_inst, n, width = unary.shape
     lam1, lam2, lam3 = (np.array([[getattr(p, f"lambda{i}")] for p in penalties])
@@ -303,20 +291,24 @@ def _solve_batch(unary: np.ndarray, penalties) -> tuple[np.ndarray, np.ndarray]:
         np.minimum.reduce(d, axis=1, out=e0)
         e += u
 
-    w = _transition_matrices(width - 1, lam1, lam2, lam3)
+    m = width - 1
+    o = np.arange(m - 1, -m, -1)  # v' - v, descending
+    by_offset = np.zeros((k_inst, 3 * m - 1))  # m zeros follow the offsets, for the outlier
+    with np.errstate(over="ignore"):  # only offsets past an instance's own width overflow
+        by_offset[:, :2 * m - 1] = lam1 * (o < 0) + lam2 * (o == 0) + lam3 * np.where(o > 1, o, 0)
+    win = np.lib.stride_tricks.sliding_window_view(by_offset, m, axis=1)
+    start = np.append(2 * m - 1, np.arange(m - 1, -1, -1))  # win[k, start[v'], v - 1] = w(v' - v)
     rows = np.arange(k_inst)
     pi = np.empty((n, k_inst), dtype=np.int64)
     pi[-1] = hist[-1].argmin(axis=1)
-    scores = np.empty((k_inst, width))
-    for j in range(n - 1, 0, -1):
-        np.add(hist[j - 1], w[rows, pi[j]], out=scores)
-        scores.argmin(axis=1, out=pi[j - 1])
+    for d, d1, p, p_prev in zip(hist[-2::-1], hist[-2::-1, :, 1:], pi[:0:-1], pi[-2::-1]):
+        np.add(d1, win[rows, start[p]], out=d1)  # d is spent, so the penalties go into it
+        d.argmin(axis=1, out=p_prev)
 
-    pi = pi.T
-    terms = np.empty((k_inst, 2 * n - 1))  # u_0, w_1, u_1, w_2, u_2, ...
-    terms[:, 0::2] = np.take_along_axis(unary, pi[:, :, None], axis=2)[:, :, 0]
-    terms[:, 1::2] = w[rows[:, None], pi[:, 1:], pi[:, :-1]]
-    return pi, np.add.accumulate(terms, axis=1)[:, -1]
+    terms = np.empty((2 * n - 1, k_inst))  # u_0, w_1, u_1, w_2, u_2, ...
+    terms[0::2] = np.take_along_axis(unary.transpose(1, 0, 2), pi[:, :, None], axis=2)[:, :, 0]
+    terms[1::2] = np.where(pi[:-1] > 0, win[rows, start[pi[1:]], pi[:-1] - 1], 0)
+    return pi.T, np.add.accumulate(terms, axis=0)[-1]
 
 
 def _match_pairs(pairs, chunk_len: int | None) -> list[list[Matching]]:
@@ -357,8 +349,7 @@ def solve_exact_dp(query_emb, target_emb, penalties: MatchPenalties | PenaltyCon
     edge weight is exact. Each step relaxes all m + 1 targets at once with
     prefix and suffix minima (the linear-cost distance transform of
     Felzenszwalb & Huttenlocher), so a solve takes O(n * (m+1)) time and
-    memory besides the (m+1)^2 transition table the backtrack reads one row
-    of per step. Ties break toward the smaller state index, both at the final
+    memory. Ties break toward the smaller state index, both at the final
     state and during backtracking. ``total_cost`` is summed along ``pi`` in
     the recurrence's order (unary, then each transition and unary in turn). A
     :class:`PenaltyConfig` resolves on the instance, bit for bit as its ``resolve``.

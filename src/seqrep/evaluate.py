@@ -309,9 +309,11 @@ def alignment_benchmark(model: EmbeddingModel, generator: GeneratorConfig,
     chunking) under ``penalties`` resolved for that pair, and scored by
     :func:`alignment_accuracy`. Returns the per-pair (dp, nn) accuracies.
     """
+    if pairs < 1:
+        raise ConfigError(f"pairs must be >= 1, got {pairs}")
     pair_cfg, seeds = alignment_pair_config(generator), range(seed, seed + pairs)
     dp_scores, nn_scores = [], []
-    for i in range(0, pairs, 20):  # one batched solve of 20 reference pairs holds about 21 MB
+    for i in range(0, pairs, 20):  # 20 reference pairs solve in 8 MB; memory grows with each pair
         block = [resample_pair(pair_cfg, seed=s) for s in seeds[i:i + 20]]
         d2s = [pairwise_sqdist(embed_batch(model, q.frames), embed_batch(model, t.frames))
                for q, t, _ in block]

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,10 +270,27 @@ class TestExactDP:
         assert time.perf_counter() - t0 < 5.0  # O(n * m): well under a second
         assert sol.pi.shape == (2000,)
 
+    def test_long_target_solves_in_linear_memory(self, rng):
+        # the solve's own arrays take about 10 MB; one (m+1)^2 float table would take 128 MB
+        q, t = random_instance(rng.gen, 100, 4000, 16)
+        tracemalloc.start()
+        try:
+            sol = solve_exact_dp(q, t, PEN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert sol.pi.shape == (100,)
+
 
 OVERFLOW = (np.array([[1e200], [2e200]]), np.array([[1e200], [-1e200], [3.0]]))
 
 GAP_OVERFLOW = MatchPenalties(1.0, 0.5, 1e308, 2.0)
+
+
+def narrow_and_wide(g):
+    """lambda3 = 1e308 fits a 1-frame target's ramp but not a 30-frame batch's width."""
+    return [(*random_instance(g, 4, 1, 2), GAP_OVERFLOW), (*random_instance(g, 7, 30, 2), PEN)]
 
 
 @pytest.mark.parametrize("solve, match", [
@@ -291,6 +309,16 @@ def test_overflow_rejections_keep_their_type_whatever_the_error_state(solve, mat
     # the overflow tests above, under a warning filter or errstate that raises
     with pytest.raises(DegenerateInputError, match=match):
         solve()
+
+
+def test_gap_weight_overflow_past_an_instance_width_stays_silent(rng, strict_numpy):
+    # the narrow instance's by-offset penalties overflow past its own width, where no solve reads
+    batch = narrow_and_wide(rng.gen)
+    solved = _match_pairs([(pairwise_sqdist(q, t), pen) for q, t, pen in batch], None)
+    for (got,), (q, t, pen) in zip(solved, batch, strict=True):
+        direct = solve_exact_dp(q, t, pen)
+        np.testing.assert_array_equal(got.pi, direct.pi)
+        assert got.total_cost == direct.total_cost
 
 
 def assert_exact(query, target, pen):
@@ -496,8 +524,7 @@ class TestMatchPairs:
         # lambda3 = 1e308 fits a 1-frame target's ramp but not the batch's
         # width: only pad columns would overflow, and they are never read
         g = rng.gen
-        narrow = (*random_instance(g, 4, 1, 2), MatchPenalties(1.0, 0.5, 1e308, 2.0))
-        wide = (*random_instance(g, 7, 30, 2), PEN)
+        narrow, wide = narrow_and_wide(g)
         solved = _match_pairs([(pairwise_sqdist(q, t), pen) for q, t, pen in (narrow, wide)], None)
         for got, (q, t, pen) in zip(solved, [narrow, wide]):
             direct = solve_exact_dp(q, t, pen)

@@ -460,6 +460,11 @@ class TestAlignmentBenchmark:
             nn.append(alignment_accuracy(nearest_neighbor_assignment(q, t), truth))
         assert evaluate.alignment_benchmark(model, self.GENERATOR, pairs, 7, penalties) == (dp, nn)
 
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_no_pairs_rejected(self, model, pairs):
+        with pytest.raises(ConfigError, match="pairs must be >= 1"):
+            evaluate.alignment_benchmark(model, self.GENERATOR, pairs, 7)
+
     def test_each_pair_computes_its_distances_once(self, model, monkeypatch):
         shapes = []
         sqdist = evaluate.pairwise_sqdist
