@@ -151,26 +151,27 @@ def read_seqpack(path) -> Dataset:
 
 def _write_container(path: Path, kind: int, dims: tuple[int, ...], extra: int,
                      theta: np.ndarray):
-    head = bytearray()
-    head += _MAGIC
-    head += struct.pack("<III", _CONTAINER_VERSION, kind, len(dims))
-    head += struct.pack(f"<{len(dims)}I", *dims)
-    head += struct.pack("<II", extra, theta.itemsize)
-    head += np.ascontiguousarray(theta, dtype=f"<f{theta.itemsize}").tobytes()
-    digest = hashlib.sha256(bytes(head)).digest()
-    write_file(path, bytes(head) + digest)
+    """Header, little-endian parameters and their SHA-256, hashed piece by piece and
+    joined once; a theta already in its container layout is not copied."""
+    head = _MAGIC + struct.pack(f"<III{len(dims)}III", _CONTAINER_VERSION, kind, len(dims),
+                                *dims, extra, theta.itemsize)
+    params = memoryview(np.ascontiguousarray(theta, dtype=f"<f{theta.itemsize}")).cast("B")
+    sha = hashlib.sha256(head)
+    sha.update(params)
+    write_file(path, b"".join((head, params, sha.digest())))
 
 
 def _read_container(path: Path, expect_kind: int, expect_ndims: int):
-    """Checked ``(dims, extra, parameter vector)`` of a container file."""
+    """Checked ``(dims, extra, parameter vector)`` of a container file; the vector is a
+    read-only view of the file's bytes."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"missing model file {path}")
     blob = path.read_bytes()
     if len(blob) < 4 + 12 + 32 or blob[:4] != _MAGIC:
         raise FormatError(f"{path}: not a model container")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(blob)[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
         raise FormatError(f"{path}: checksum mismatch, file corrupted")
     version, kind, ndims = struct.unpack_from("<III", body, 4)
     if version != _CONTAINER_VERSION:

@@ -245,8 +245,9 @@ class TestForward:
         assert hits >= 1
 
     @pytest.mark.parametrize("batch, length, d, m", [
-        (9, 1, 5, 12), (9, 2, 5, 12), (9, 4, 5, 12), (128, 4, 128, 512)],
-        ids=["1", "2", "4", "reference"])
+        (9, 1, 5, 12), (9, 2, 5, 12), (9, 4, 5, 12), (128, 4, 128, 512),
+        (1, 4, 5, 12), (1, 4, 128, 512)],  # B = 1: the context synthesize runs
+        ids=["1", "2", "4", "reference", "single", "single-reference"])
     def test_skipping_the_zero_state_product_is_bit_exact(self, rng, batch, length, d, m):
         pred = float64(init_predictor(d, m, length, RngState(7)))
         contexts = rng.gen.normal(size=(batch, length, d))
@@ -419,7 +420,7 @@ class TestGradient:
         assert self.reference_batch_peak(pred, rng) < 21_000_000 // 2
 
     @pytest.mark.parametrize("batch, length, d, m", [(7, 1, 5, 11), (7, 3, 5, 11),
-                                                     (128, 4, 128, 512)])
+                                                     (128, 4, 128, 512), (1, 4, 128, 512)])
     def test_float32_kernel_matches_the_float64_one(self, batch, length, d, m):
         pred = init_predictor(d, m, length, RngState(8))
         g = RngState(9).gen

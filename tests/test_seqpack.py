@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +293,23 @@ class TestModelContainer:
         np.testing.assert_array_equal(back.theta, model.theta)
         frames = rng.gen.normal(size=(5, small_dataset.dimension))
         np.testing.assert_array_equal(embed_batch(back, frames), embed_batch(model, frames))
+
+    def test_container_io_holds_no_copy_of_the_payload(self, tmp_path):
+        # the 5.5 MB reference predictor: a header bytearray and two bytes copies
+        # of it took a save to 3.0x the parameters, hashed in pieces and joined
+        # once it holds 1.0x; a load holds the file and the model's own copy
+        pred = init_predictor(128, 512, 4, RngState(2))
+        path = tmp_path / "p.bin"
+        peaks = []
+        for run in (lambda: save_predictor(pred, path), lambda: load_predictor(path)):
+            tracemalloc.start()
+            try:
+                back = run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / pred.theta.nbytes)
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(back.theta, pred.theta)
+        assert peaks[0] < 1.5 and peaks[1] < 2.5, peaks
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = init_embedding_model(6, 9, 4, RngState(5))
