@@ -37,7 +37,7 @@ logger = logging.getLogger(__name__)
 
 def _sigmoid_(z: np.ndarray) -> None:
     """Logistic in place, by the ops of ``1 / (1 + exp(-z))`` and so with their bits."""
-    np.negative(z, out=z)
+    np.multiply(z, -1.0, out=z)  # exact; numpy 2.4's in-place negative is wrong on strided float32
     np.exp(z, out=z)
     np.add(z, 1.0, out=z)
     np.divide(1.0, z, out=z)

@@ -167,6 +167,18 @@ def per_step_loss_and_grad(pred, contexts, targets):
     return loss, per_step_backward(pred, cache, h_last, 2.0 * resid / batch)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("step", [1, 3, 4])
+def test_sigmoid_in_place_keeps_the_bits_on_a_strided_view(dtype, step):
+    # numpy 2.4.6's in-place np.negative turned b[::4] of arange(1., 33.) in
+    # float32 into [-1, -2, -3, -4, 2, ...]
+    buf = (np.arange(-64, 64) / 8.0).astype(dtype)
+    view = buf[::step]
+    expect = 1 / (1 + np.exp(-view))
+    dynamics._sigmoid_(view)
+    assert view.dtype == dtype and view.tobytes() == expect.tobytes()
+
+
 class TestModel:
     def test_blocks_are_views_in_container_order(self):
         p = init_predictor(3, 6, 4, RngState(1))

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.spatial.distance import cdist, pdist
@@ -91,6 +91,12 @@ def latent_only_dataset(z, split):
                 elements=st.floats(-1e3, 1e3)),
        split=st.floats(0.0, 1.0),
        percentile=st.sampled_from([0.0, 5.0, 37.5, 50.0, 100.0]))
+# numpy interpolates up from the lower order statistic at gamma 0.25 and down
+# from the upper one at gamma 0.5; here the other way differs in the last bit
+@example(z=np.array([[0.2], [9.0], [-7.1], [9.0]]), split=0.5, percentile=5.0)
+@example(z=np.array([[5.6], [2.1], [4.2], [-8.2]]), split=0.5, percentile=50.0)
+# the 5 % smallest all lie in the first block of offsets; later blocks add none
+@example(z=np.arange(200.0)[:, None], split=0.5, percentile=5.0)
 def test_pose_epsilon_equals_pdist_percentile_bit_for_bit(z, split, percentile):
     ds = latent_only_dataset(z, 1 + int(split * (len(z) - 2)))
     assert default_pose_epsilon(ds, percentile) == np.percentile(pdist(z), percentile)
@@ -101,6 +107,28 @@ def test_pose_epsilon_on_the_reference_dataset_equals_pdist(ref_dataset, percent
     z = np.concatenate([s.latent for s in ref_dataset])
     expect = np.percentile(pdist(z), percentile)
     assert default_pose_epsilon(ref_dataset, percentile) == expect
+
+
+@pytest.mark.parametrize("percentile", [-1.0, 101.0, float("nan")])
+def test_pose_epsilon_rejects_a_percentile_outside_0_100(small_dataset, monkeypatch, percentile):
+    # numpy raised an untyped ValueError, after every distance had been computed
+    monkeypatch.setattr(evaluate, "_latent_distances", None)
+    with pytest.raises(ConfigError, match="percentile must be in"):
+        default_pose_epsilon(small_dataset, percentile)
+
+
+def test_pose_epsilon_never_holds_every_distance(ref_dataset):
+    # the n(n-1)/2 distances at the reference 1,757 frames are 12.3 MB: holding
+    # them took the protocol to 12.8 MB (1.04x); the streaming selection keeps
+    # about twice the 5 % smallest plus one block of offsets
+    n = sum(len(s) for s in ref_dataset)
+    tracemalloc.start()
+    try:
+        default_pose_epsilon(ref_dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * 8 * n * (n - 1) // 2
 
 
 class TestRetrieval:
@@ -285,6 +313,20 @@ class TestZeroShot:
         assert len(rep.accuracy) == len(rep.thresholds)
         assert all(0 <= a <= 1 for a in rep.accuracy)
 
+    def test_never_holds_the_distance_matrix(self, ref_dataset):
+        # the (895 test x 862 gallery) float64 matrix is 6.2 MB: the two whole
+        # matrices took the protocol to 1.39x of it, row blocks to 0.67x
+        model = init_embedding_model(ref_dataset.dimension, 256, 128, RngState(1))
+        train, test = _halves(ref_dataset)
+        matrix = 8 * sum(len(s) for s in train) * sum(len(s) for s in test)
+        tracemalloc.start()
+        try:
+            zero_shot_pose_error(train, test, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix
+
     def test_trained_beats_raw_on_reference(self, ref_dataset, ref_model):
         half = len(ref_dataset) // 2
         train = Dataset(dimension=ref_dataset.dimension,
@@ -294,6 +336,50 @@ class TestZeroShot:
         trained = zero_shot_pose_error(train, test, ref_model)
         raw = zero_shot_pose_error(train, test, lambda x: np.asarray(x))
         assert trained.mean_error < raw.mean_error
+
+
+def whole_matrix_zero_shot(train, test, embedder):
+    """The zero-shot report from one (test x gallery) distance matrix per argmin."""
+    f_train, f_test = (np.concatenate([embedder(s.frames) for s in ds]) for ds in (train, test))
+    z_train, z_test = (np.concatenate([s.latent for s in ds]) for ds in (train, test))
+    err = np.linalg.norm(z_test - z_train[np.argmin(pairwise_sqdist(f_test, f_train), axis=1)],
+                         axis=1)
+    oracle_err = np.linalg.norm(
+        z_test - z_train[np.argmin(pairwise_sqdist(z_test, z_train), axis=1)], axis=1)
+    thresholds = np.linspace(0.0, max(err.max(), oracle_err.max(), 1e-12), 21)[1:]
+    return evaluate.ZeroShotReport(
+        mean_error=float(err.mean()),
+        thresholds=tuple(float(t) for t in thresholds),
+        accuracy=tuple(float(np.mean(err <= t)) for t in thresholds),
+        oracle_mean_error=float(oracle_err.mean()),
+        oracle_accuracy=tuple(float(np.mean(oracle_err <= t)) for t in thresholds))
+
+
+def integer_rows(rows, width):
+    """(rows, width) small integers as float64: squared distances tie often."""
+    return arrays(np.float64, st.tuples(rows, st.just(width)),
+                  elements=st.integers(-2, 2).map(float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f_dim=st.integers(1, 3), z_dim=st.integers(1, 2), data=st.data())
+def test_blocked_nearest_rows_equal_the_whole_matrix_argmin(f_dim, z_dim, data):
+    # more test rows than one 256-row block, so a block boundary is crossed
+    def dataset(rows):
+        frames = data.draw(integer_rows(rows, f_dim))
+        latent = data.draw(integer_rows(st.just(len(frames)), z_dim))
+        cut = data.draw(st.integers(1, len(frames) - 1))
+        return Dataset(dimension=f_dim, sequences=(
+            Sequence(id="a", frames=frames[:cut], latent=latent[:cut]),
+            Sequence(id="b", frames=frames[cut:], latent=latent[cut:])))
+
+    train, test = dataset(st.integers(2, 40)), dataset(st.integers(257, 320))
+    embedder = lambda x: np.asarray(x)
+    assert zero_shot_pose_error(train, test, embedder) == \
+        whole_matrix_zero_shot(train, test, embedder)
+    q, t = test.all_frames(), train.all_frames()
+    assert np.array_equal(nearest_neighbor_assignment(q, t),
+                          np.argmin(pairwise_sqdist(q, t), axis=1) + 1)
 
 
 class TestKnnCurve:
