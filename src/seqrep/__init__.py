@@ -66,7 +66,6 @@ from .evaluate import (
     nearest_neighbor_assignment,
     pca_project_2d,
     retrieval_auc,
-    retrieval_auc_from_features,
     zero_shot_pose_error,
 )
 from .seqpack import (

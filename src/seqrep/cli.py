@@ -115,7 +115,9 @@ def _report(args, cfg, metric, result, **config) -> None:
 
 def _cmd_eval_retrieval(args, cfg, data, model) -> str:
     ev = cfg.eval
-    auc, auc_white = (evaluate.retrieval_auc(data, embedder, pose_epsilon=ev.pose_epsilon,
+    # one threshold, from the dataset's latents, for both embedders
+    eps = evaluate.default_pose_epsilon(data) if ev.pose_epsilon is None else ev.pose_epsilon
+    auc, auc_white = (evaluate.retrieval_auc(data, embedder, pose_epsilon=eps,
                                              num_queries=ev.num_queries,
                                              rng=RngState(cfg.seed).split(30))
                       for embedder in (model, embed.fit_whitener(data.all_frames())))

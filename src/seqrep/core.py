@@ -91,6 +91,17 @@ def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
+_ROW_BLOCK = 256  # rows of ``a`` per distance block in nearest_rows
+
+
+def nearest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Index of each row of ``a``'s nearest row of ``b`` by :func:`pairwise_sqdist`, the
+    first of a tie. Rows of ``a`` go 256 at a time, so the working set is one (256,
+    len(b)) block of distances, not the whole (len(a), len(b)) matrix."""
+    return np.concatenate([np.argmin(pairwise_sqdist(a[r:r + _ROW_BLOCK], b), axis=1)
+                           for r in range(0, len(a), _ROW_BLOCK)])
+
+
 def write_file(path, data: bytes | str) -> Path:
     """Write ``data`` to ``path`` (text as UTF-8), creating the parent directory.
 

@@ -29,6 +29,7 @@ from .core import (
     TrainLog,
     as_frames,
     block_views,
+    nearest_rows,
 )
 from .embed import EmbeddingModel, embed_batch
 
@@ -325,9 +326,11 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
                steps: int, codebook: Dataset) -> list[tuple[str, int]]:
     """Recursively predict embeddings and decode each by nearest codebook frame.
 
-    The decoded frame's own embedding (not the raw prediction) is fed back
-    into the context, which keeps the rollout on the embedding manifold.
-    Returns the decoded (sequence id, frame index) trail, one per step.
+    A prediction decodes to its :func:`~seqrep.core.nearest_rows` row of the
+    embedded codebook. The decoded frame's own embedding (not the raw
+    prediction) is fed back into the context, which keeps the rollout on the
+    embedding manifold. Returns the decoded (sequence id, frame index) trail,
+    one per step.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -339,11 +342,8 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
         raise ConfigError(f"expected exactly {pred.context_len} seed frames, got {seed.shape[0]}")
     ctx = embed_batch(model, seed)
     trail = []
-    diff = np.empty_like(cb_emb)  # every step's squared differences, in place
     for _ in range(steps):
-        guess = rnn_forward_batch(pred, ctx[None])[0]
-        np.subtract(cb_emb, guess, out=diff)
-        j = int(np.argmin(np.sum(np.multiply(diff, diff, out=diff), axis=1)))
+        j = int(nearest_rows(rnn_forward_batch(pred, ctx[None]), cb_emb)[0])
         trail.append(refs[j])
         ctx = np.concatenate([ctx[1:], cb_emb[j][None, :]], axis=0)
     return trail

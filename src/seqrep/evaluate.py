@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ConfigError, Dataset, DegenerateInputError, DimensionError, RngState,
-                   as_frames, pairwise_sqdist, write_file)
+                   as_frames, nearest_rows, pairwise_sqdist, write_file)
 from . import align
 from .embed import EmbeddingModel, embed_batch
 from .dynamics import RecurrentPredictor, rnn_forward_batch, transition_pairs
@@ -24,19 +24,10 @@ from .synthdata import GeneratorConfig, alignment_pair_config, resample_pair
 
 
 def _sequence_features(dataset: Dataset, embedder) -> list[np.ndarray]:
-    """Per-sequence feature arrays from a model or any frames->features callable."""
-    if isinstance(embedder, EmbeddingModel):
-        return [embed_batch(embedder, s.frames) for s in dataset]
-    if callable(embedder):
-        return _checked_features(dataset, [embedder(s.frames) for s in dataset])
-    raise ConfigError(f"cannot embed with object of type {type(embedder).__name__}")
-
-
-def _checked_features(dataset: Dataset, features) -> list[np.ndarray]:
-    """``features`` as finite float64 arrays, (len(s), d) for each sequence s, one d for all."""
-    if len(features) != len(dataset):
-        raise DimensionError("one feature array per sequence required")
-    out = [as_frames(f, f"features of sequence {s.id!r}") for s, f in zip(dataset, features)]
+    """Each sequence's features from an :class:`EmbeddingModel` or any frames ->
+    features callable: finite float64 arrays, (len(s), d) for sequence s, one d for all."""
+    embed = embedder if callable(embedder) else lambda f: embed_batch(embedder, f)
+    out = [as_frames(embed(s.frames), f"features of sequence {s.id!r}") for s in dataset]
     for s, f in zip(dataset, out):
         if f.shape != (len(s), out[0].shape[1]):
             raise DimensionError(f"features of sequence {s.id!r} have shape {f.shape}, "
@@ -44,9 +35,11 @@ def _checked_features(dataset: Dataset, features) -> list[np.ndarray]:
     return out
 
 
-def _require_latents(dataset: Dataset):
+def _latents(dataset: Dataset) -> np.ndarray:
+    """Every sequence's latent track, stacked; a sequence without one is a ConfigError."""
     if any(s.latent is None for s in dataset):
         raise ConfigError("this metric needs latent ground truth on every sequence")
+    return np.concatenate([s.latent for s in dataset], axis=0)
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -90,8 +83,7 @@ def default_pose_epsilon(dataset: Dataset, percentile: float = 5.0) -> float:
     """
     if not 0.0 <= percentile <= 100.0:
         raise ConfigError(f"percentile must be in [0, 100], got {percentile}")
-    _require_latents(dataset)
-    z = np.concatenate([s.latent for s in dataset], axis=0)
+    z = _latents(dataset)
     n = z.shape[0]
     count = n * (n - 1) // 2
     vi = (count - 1) * (percentile / 100)  # numpy's virtual index, with its bits
@@ -131,26 +123,31 @@ def _latent_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     return np.sqrt(out, out=out)
 
 
-def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
-                                pose_epsilon: float | None = None, *,
-                                num_queries: int, rng: RngState) -> tuple[float, list[float]]:
-    """Mean per-query ROC AUC of other-sequence retrieval by feature distance.
+def retrieval_auc(dataset: Dataset, embedder, pose_epsilon: float | None = None, *,
+                  num_queries: int, rng: RngState) -> float:
+    """Mean per-query ROC AUC of other-sequence retrieval by feature distance, the
+    features from an :class:`EmbeddingModel` or any frames -> features callable.
 
     ``rng`` draws ``num_queries >= 1`` query frames (all, if there are no more).
     A candidate counts as a true match when its latent pose lies within
-    ``pose_epsilon`` of the query's. A sequence's queries share one candidate
-    set, the other sequences' frames, and are scored together. Queries whose
-    candidate set is all-positive or all-negative are skipped.
+    ``pose_epsilon`` (by default :func:`default_pose_epsilon`) of the query's.
+    Queries whose candidate set is all-positive or all-negative are skipped.
     """
+    return float(np.mean(_query_aucs(dataset, _sequence_features(dataset, embedder),
+                                     pose_epsilon, num_queries, rng)))
+
+
+def _query_aucs(dataset: Dataset, features: list[np.ndarray], pose_epsilon: float | None,
+                num_queries: int, rng: RngState) -> list[float]:
+    """:func:`retrieval_auc`'s per-query AUCs, in query order. A sequence's queries
+    share one candidate set, the other sequences' frames, and are scored together."""
     if num_queries < 1:
         raise ConfigError(f"num_queries must be >= 1, got {num_queries}")
-    _require_latents(dataset)
-    features = _checked_features(dataset, features)
+    lats = _latents(dataset)
     if pose_epsilon is None:
         pose_epsilon = default_pose_epsilon(dataset)
 
     feats = np.concatenate(features, axis=0)
-    lats = np.concatenate([s.latent for s in dataset], axis=0)
     total = feats.shape[0]
 
     if num_queries >= total:
@@ -172,15 +169,7 @@ def retrieval_auc_from_features(dataset: Dataset, features: list[np.ndarray],
         aucs.extend((u[keep] / (n_pos[keep] * n_neg[keep])).tolist())
     if not aucs:
         raise ConfigError("no query produced both matches and non-matches")
-    return float(np.mean(aucs)), aucs
-
-
-def retrieval_auc(dataset: Dataset, embedder, pose_epsilon: float | None = None, *,
-                  num_queries: int, rng: RngState) -> float:
-    mean, _ = retrieval_auc_from_features(
-        dataset, _sequence_features(dataset, embedder),
-        pose_epsilon=pose_epsilon, num_queries=num_queries, rng=rng)
-    return mean
+    return aucs
 
 
 @dataclass(frozen=True)
@@ -198,19 +187,22 @@ def zero_shot_pose_error(train: Dataset, test: Dataset, embedder) -> ZeroShotRep
     Each test frame adopts the latent pose of its nearest training frame;
     reported against the ground-truth-similarity upper bound in which the
     neighbor is chosen by latent distance itself. Accuracies are read at 20
-    evenly spaced error thresholds up to the largest error of either. Blocks
-    of ``_TARGET_BLOCK`` test frames keep the reference halves (895 x 862
-    frames) at 4.1 MB of numpy allocations, where two whole matrices took 8.6 MB.
+    evenly spaced error thresholds up to the largest error of either. Features
+    or latents of different widths in ``train`` and ``test`` are a
+    :class:`DimensionError`. :func:`~seqrep.core.nearest_rows` keeps the
+    reference halves (895 x 862 frames) at 4.1 MB of numpy allocations, where
+    two whole matrices took 8.6 MB.
     """
-    _require_latents(train)
-    _require_latents(test)
+    z_train, z_test = _latents(train), _latents(test)
     f_train = np.concatenate(_sequence_features(train, embedder), axis=0)
     f_test = np.concatenate(_sequence_features(test, embedder), axis=0)
-    z_train = np.concatenate([s.latent for s in train], axis=0)
-    z_test = np.concatenate([s.latent for s in test], axis=0)
+    for what, a, b in (("features", f_test, f_train), ("latents", z_test, z_train)):
+        if a.shape[1] != b.shape[1]:
+            raise DimensionError(f"test {what} have width {a.shape[1]}, "
+                                 f"training {what} {b.shape[1]}")
 
-    err = np.linalg.norm(z_test - z_train[_nearest_rows(f_test, f_train)], axis=1)
-    oracle_err = np.linalg.norm(z_test - z_train[_nearest_rows(z_test, z_train)], axis=1)
+    err = np.linalg.norm(z_test - z_train[nearest_rows(f_test, f_train)], axis=1)
+    oracle_err = np.linalg.norm(z_test - z_train[nearest_rows(z_test, z_train)], axis=1)
 
     hi = float(max(err.max(), oracle_err.max(), 1e-12))
     thresholds = np.linspace(0.0, hi, 21)[1:]
@@ -234,7 +226,7 @@ class PredictionCurve:
     knn_std: tuple[float, ...]
 
 
-_TARGET_BLOCK = 256  # query rows per distance block; k-NN targets all from one sequence
+_TARGET_BLOCK = 256  # k-NN target rows per distance block, all from one sequence
 
 
 def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
@@ -261,7 +253,7 @@ def knn_prediction_curve(dataset: Dataset, model: EmbeddingModel,
         raise ConfigError(f"need exclusion_window >= 0 and k_max >= 1, got "
                           f"{exclusion_window} and {k_max}")
     l, w = predictor.context_len, exclusion_window
-    frames = np.concatenate([embed_batch(model, s.frames) for s in dataset])
+    frames = np.concatenate(_sequence_features(dataset, model))
     starts = np.cumsum([0] + [len(s) for s in dataset])
     emb = np.split(frames, starts[1:-1])  # views
     windows, first = transition_pairs(emb, l)
@@ -301,13 +293,7 @@ def nearest_neighbor_assignment(query_feats: np.ndarray,
                                 target_feats: np.ndarray) -> np.ndarray:
     """Per-frame nearest-neighbor baseline: no temporal terms, no outliers (1-based)."""
     q, t = align._check_instance(query_feats, target_feats)
-    return _nearest_rows(q, t).astype(np.int64) + 1
-
-
-def _nearest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row of ``a``'s nearest row of ``b`` (the first of a tie), a block of rows at a time."""
-    return np.concatenate([np.argmin(pairwise_sqdist(a[r:r + _TARGET_BLOCK], b), axis=1)
-                           for r in range(0, len(a), _TARGET_BLOCK)])
+    return nearest_rows(q, t).astype(np.int64) + 1
 
 
 def alignment_accuracy(predicted: align.Matching | np.ndarray, truth: np.ndarray) -> float:
@@ -384,11 +370,10 @@ def pca_project_2d(dataset: Dataset, embedder) -> Projection2D:
             degenerate=True,
             frame_refs=refs,
         )
+    # a zero column gives a single feature a zero second axis and singular value
+    centered = np.pad(centered, ((0, 0), (0, max(0, 2 - centered.shape[1]))))
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     axes = vt[:2]
-    if axes.shape[0] < 2:
-        axes = np.concatenate([axes, np.zeros((2 - axes.shape[0], feats.shape[1]))])
-        s = np.concatenate([s, [0.0]])
     # deterministic sign: largest-magnitude loading of each axis is positive
     for i in range(2):
         j = int(np.argmax(np.abs(axes[i])))

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import seqrep as sr
 from seqrep.core import RngState
@@ -130,3 +132,9 @@ def float64(model):
 def random_unit_rows(g: np.random.Generator, n: int, d: int) -> np.ndarray:
     x = g.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def integer_rows(rows, width):
+    """(rows, width) small integers as float64: squared distances tie often."""
+    return arrays(np.float64, st.tuples(rows, st.just(width)),
+                  elements=st.integers(-2, 2).map(float))

@@ -161,16 +161,17 @@ def test_criterion_05_representation_quality(ref_config, ref_dataset, ref_model,
     """
     eval_rng = RngState(EVAL_SEED)
     t0 = time.perf_counter()
-    auc_trained = sr.retrieval_auc(ref_dataset, ref_model, num_queries=500,
+    eps = sr.default_pose_epsilon(ref_dataset)  # the default each call would take
+    auc_trained = sr.retrieval_auc(ref_dataset, ref_model, eps, num_queries=500,
                                    rng=eval_rng.split(1))
     whitener = fit_whitener(ref_dataset.all_frames())
-    auc_white = sr.retrieval_auc(ref_dataset, whitener, num_queries=500,
+    auc_white = sr.retrieval_auc(ref_dataset, whitener, eps, num_queries=500,
                                  rng=eval_rng.split(1))
     random_model = init_embedding_model(ref_dataset.dimension,
                                         ref_config.train.hidden_dim,
                                         ref_config.train.embed_dim,
                                         RngState(606))
-    auc_random = sr.retrieval_auc(ref_dataset, random_model, num_queries=500,
+    auc_random = sr.retrieval_auc(ref_dataset, random_model, eps, num_queries=500,
                                   rng=eval_rng.split(1))
     eval_seconds = time.perf_counter() - t0
     total = (pipeline_timings.get("generate", 0.0)

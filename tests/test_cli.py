@@ -236,6 +236,22 @@ class TestExitCodes:
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
 
+    def test_zeroshot_test_set_of_another_latent_width_is_validation_error(self, pipeline,
+                                                                             capsys):
+        # numpy's untyped broadcast error, raised after the nearest rows, exited 2
+        root, cfg, data, model, _ = pipeline
+        wide_cfg = root / "wide_latent_cfg.json"
+        wide_cfg.write_text(json.dumps(
+            {**TINY, "generator": {**TINY["generator"], "latent_dim": 3}}))
+        wide = root / "wide_latent_data"
+        assert main(["gen", "--config", str(wide_cfg), "--out", str(wide)]) == 0
+        code = main(["eval", "zeroshot", "--config", cfg, "--data", str(data),
+                     "--test", str(wide), "--model", str(model),
+                     "--out", str(root / "wide_zs")])
+        assert code == 1
+        assert "DimensionError: test latents have width 3, training latents 2" \
+            in capsys.readouterr().err
+
     def test_missing_data_is_validation_error(self, workspace, capsys):
         root, cfg = workspace
         code = main(["train-embed", "--config", cfg,

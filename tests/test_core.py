@@ -18,9 +18,11 @@ from seqrep.core import (
     RngState,
     Sequence,
     block_views,
+    nearest_rows,
     pairwise_sqdist,
     write_file,
 )
+from conftest import integer_rows
 
 finite_vec = arrays(np.float64, st.integers(1, 8),
                     elements=st.floats(-1e6, 1e6, allow_nan=False))
@@ -89,6 +91,18 @@ def test_squared_l2_symmetry(pair):
     # the expanded form cancels |a|^2 + |b|^2, so its error scales with them
     scale = float(np.sum(a * a) + np.sum(b * b))
     assert ab == pytest.approx(ba, rel=1e-12, abs=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.integers(1, 3), data=st.data())
+def test_blocked_nearest_rows_equal_the_whole_matrix_argmin(width, data):
+    # more rows of a than one 256-row block, so a block boundary is crossed;
+    # argmin over the whole matrix gives a tie to the first row
+    a = data.draw(integer_rows(st.integers(257, 320), width))
+    b = data.draw(integer_rows(st.integers(1, 40), width))
+    rows = nearest_rows(a, b)
+    assert rows.shape == (len(a),)
+    assert np.array_equal(rows, np.argmin(pairwise_sqdist(a, b), axis=1))
 
 
 def test_write_file_creates_parent_directories(tmp_path):

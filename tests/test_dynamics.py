@@ -702,24 +702,34 @@ class TestSynthesize:
         assert advances.mean() >= 0.8
 
 
-    def test_decoding_in_one_buffer_keeps_the_allocating_trail(self, ref_dataset, ref_model,
-                                                                ref_predictor):
-        refs = [(s.id, i) for s in ref_dataset for i in range(len(s))]
-        cb = np.concatenate([embed_batch(ref_model, s.frames) for s in ref_dataset])
-        seed_frames = ref_dataset.sequences[2].frames[:4]
-        ctx = embed_batch(ref_model, seed_frames)
+    @pytest.mark.parametrize("setup", ["reference", "random"])
+    def test_decoding_equals_the_exact_difference_argmin(self, request, setup):
+        # the decode before core.nearest_rows: each step's whole difference array
+        if setup == "reference":
+            ds, model, pred = (request.getfixturevalue(name) for name in
+                               ("ref_dataset", "ref_model", "ref_predictor"))
+            seed_frames = ds.sequences[2].frames[:4]
+        else:
+            g = RngState(21).gen
+            ds = Dataset(dimension=5, sequences=tuple(
+                Sequence(id=f"r{k}", frames=g.normal(size=(30, 5))) for k in range(4)))
+            model = init_embedding_model(5, 12, 6, RngState(22))
+            pred = init_predictor(6, 10, 4, RngState(23))
+            seed_frames = ds.sequences[1].frames[:4]
+        refs = [(s.id, i) for s in ds for i in range(len(s))]
+        cb = np.concatenate([embed_batch(model, s.frames) for s in ds])
+        ctx = embed_batch(model, seed_frames)
         trail = []
         for _ in range(40):
-            diff = cb - rnn_forward_batch(ref_predictor, ctx[None])[0]
+            diff = cb - rnn_forward_batch(pred, ctx[None])[0]
             j = int(np.argmin(np.sum(diff * diff, axis=1)))
             trail.append(refs[j])
             ctx = np.concatenate([ctx[1:], cb[j][None, :]])
-        assert synthesize(ref_predictor, ref_model, seed_frames, 40, ref_dataset) == trail
+        assert synthesize(pred, model, seed_frames, 40, ds) == trail
 
-    def test_decoding_holds_no_per_step_codebook_temporary(self):
-        # 4,000 codebook frames embedded in 64 dimensions are 2 MB; the
-        # embedded codebook and one difference buffer are 4 MB, and a step that
-        # allocated its difference and its square peaked 2 MB higher
+    def test_decoding_peaks_at_two_embedded_codebooks(self):
+        # 4,000 codebook frames embedded in 64 dimensions are 2 MB; a step
+        # holds the embedded codebook and, for a moment, its squares: 4 MB
         g = RngState(12).gen
         codebook = Dataset(dimension=8, sequences=tuple(
             Sequence(id=f"c{k}", frames=g.normal(size=(200, 8))) for k in range(20)))

@@ -24,10 +24,11 @@ from seqrep.evaluate import (
     nearest_neighbor_assignment,
     pca_project_2d,
     retrieval_auc,
-    retrieval_auc_from_features,
     write_curve,
     zero_shot_pose_error,
 )
+
+from conftest import integer_rows
 
 
 def roc_auc(scores_pos, scores_neg) -> float:
@@ -134,9 +135,8 @@ def test_pose_epsilon_never_holds_every_distance(ref_dataset):
 class TestRetrieval:
     def test_oracle_latents_dominate_any_embedding(self, small_dataset):
         rng = RngState(5)
-        oracle, _ = retrieval_auc_from_features(
-            small_dataset, [s.latent for s in small_dataset], num_queries=150,
-            rng=rng.split(0))
+        oracle = float(np.mean(evaluate._query_aucs(
+            small_dataset, [s.latent for s in small_dataset], None, 150, rng.split(0))))
         model = init_embedding_model(small_dataset.dimension, 16, 8, RngState(3))
         emb = retrieval_auc(small_dataset, model, num_queries=150, rng=rng.split(0))
         raw = retrieval_auc(small_dataset, lambda x: np.asarray(x),
@@ -176,16 +176,14 @@ class TestRetrieval:
         big = [np.array([[1e200], [-1e200]])] * 2
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DegenerateInputError, match="NaN"):
-            retrieval_auc_from_features(ds, big, pose_epsilon=0.5, num_queries=500,
-                                        rng=RngState(0))
+            evaluate._query_aucs(ds, big, 0.5, 500, RngState(0))
 
     @pytest.mark.parametrize("num_queries", [0, -3])
     def test_fewer_than_one_query_rejected(self, small_dataset, num_queries):
         # -3 reached numpy's untyped "negative dimensions are not allowed"
         feats = [s.frames for s in small_dataset]
         with pytest.raises(ConfigError, match=f"num_queries must be >= 1, got {num_queries}"):
-            retrieval_auc_from_features(small_dataset, feats, num_queries=num_queries,
-                                        rng=RngState(0))
+            evaluate._query_aucs(small_dataset, feats, None, num_queries, RngState(0))
         with pytest.raises(ConfigError, match="num_queries must be >= 1"):
             retrieval_auc(small_dataset, lambda x: np.asarray(x), num_queries=num_queries,
                           rng=RngState(0))
@@ -271,12 +269,12 @@ class TestRetrievalOracle:
         expect = per_query_reference(dataset, features, eps, num_queries, RngState(seed))
         if not expect:
             with pytest.raises(ConfigError):
-                retrieval_auc_from_features(dataset, features, pose_epsilon=eps,
-                                            num_queries=num_queries, rng=RngState(seed))
+                evaluate._query_aucs(dataset, features, eps, num_queries, RngState(seed))
             return
-        mean, aucs = retrieval_auc_from_features(dataset, features, pose_epsilon=eps,
-                                                 num_queries=num_queries,
-                                                 rng=RngState(seed))
+        aucs = evaluate._query_aucs(dataset, features, eps, num_queries, RngState(seed))
+        # the instance's features are its frames, so the identity embeds them
+        mean = retrieval_auc(dataset, np.asarray, pose_epsilon=eps, num_queries=num_queries,
+                             rng=RngState(seed))
         assert aucs == expect
         assert mean == float(np.mean(expect))
 
@@ -288,8 +286,7 @@ class TestRetrievalOracle:
         ds = Dataset(dimension=1, sequences=(Sequence(id="a", frames=z0, latent=z0),
                                              Sequence(id="b", frames=z1, latent=z1)))
         feats = [np.array([[0.0], [2.0], [5.0]]), np.array([[4.0], [0.0], [1.0]])]
-        _, aucs = retrieval_auc_from_features(ds, feats, pose_epsilon=1.0, num_queries=6,
-                                              rng=RngState(0))
+        aucs = evaluate._query_aucs(ds, feats, 1.0, 6, RngState(0))
         expect = per_query_reference(ds, feats, 1.0, 6, RngState(0))
         assert aucs == expect and len(aucs) == 4
         assert aucs[0] == roc_auc([-16.0, -0.0], [-1.0])  # a0: b0, b1 match, b2 does not
@@ -327,6 +324,22 @@ class TestZeroShot:
             tracemalloc.stop()
         assert peak < matrix
 
+    @pytest.mark.parametrize("what", ["features", "latents"])
+    def test_train_and_test_widths_must_agree(self, small_dataset, monkeypatch, what):
+        # the latent case reached numpy's untyped broadcast error; a callable's
+        # features, its matmul error; either after a whole nearest-row pass
+        train, test = _halves(small_dataset)
+        embedder = np.asarray
+        if what == "features":
+            embedder = lambda x: x[:, :2] if any(x is s.frames for s in test) else x
+        else:
+            test = Dataset(dimension=test.dimension, sequences=tuple(
+                Sequence(id=s.id, frames=s.frames, latent=np.c_[s.latent, s.latent[:, :1]])
+                for s in test))
+        monkeypatch.setattr(evaluate, "nearest_rows", None)  # no distance is computed
+        with pytest.raises(DimensionError, match=f"test {what} have width"):
+            zero_shot_pose_error(train, test, embedder)
+
     def test_trained_beats_raw_on_reference(self, ref_dataset, ref_model):
         half = len(ref_dataset) // 2
         train = Dataset(dimension=ref_dataset.dimension,
@@ -355,15 +368,9 @@ def whole_matrix_zero_shot(train, test, embedder):
         oracle_accuracy=tuple(float(np.mean(oracle_err <= t)) for t in thresholds))
 
 
-def integer_rows(rows, width):
-    """(rows, width) small integers as float64: squared distances tie often."""
-    return arrays(np.float64, st.tuples(rows, st.just(width)),
-                  elements=st.integers(-2, 2).map(float))
-
-
 @settings(max_examples=40, deadline=None)
 @given(f_dim=st.integers(1, 3), z_dim=st.integers(1, 2), data=st.data())
-def test_blocked_nearest_rows_equal_the_whole_matrix_argmin(f_dim, z_dim, data):
+def test_nearest_row_protocols_equal_the_whole_matrix_argmin(f_dim, z_dim, data):
     # more test rows than one 256-row block, so a block boundary is crossed
     def dataset(rows):
         frames = data.draw(integer_rows(rows, f_dim))
@@ -592,6 +599,26 @@ class TestProjection:
         assert proj.degenerate
         np.testing.assert_array_equal(proj.coords, 0.0)
 
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_padded_svd_keeps_the_bits_of_the_padded_axes(self, small_dataset, width):
+        # the formula before the zero column: one SVD of the centred features,
+        # then a zero second axis and singular value when there was one feature
+        feats = np.concatenate([s.frames[:, :width] for s in small_dataset])
+        centered = feats - feats.mean(axis=0)
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        axes = vt[:2]
+        if axes.shape[0] < 2:
+            axes = np.concatenate([axes, np.zeros((2 - axes.shape[0], feats.shape[1]))])
+            s = np.concatenate([s, [0.0]])
+        for i in range(2):
+            j = int(np.argmax(np.abs(axes[i])))
+            if axes[i, j] < 0:
+                axes[i] = -axes[i]
+        ratios = (s[:2] ** 2) / float(np.sum(s ** 2))
+        proj = pca_project_2d(small_dataset, lambda x: np.asarray(x)[:, :width])
+        assert proj.coords.tobytes() == (centered @ axes.T).tobytes()
+        assert np.array(proj.explained_variance_ratio).tobytes() == ratios.tobytes()
+
     def test_frame_refs_order(self, small_dataset):
         proj = pca_project_2d(small_dataset, lambda x: np.asarray(x)[:, :2])
         expect = [(s.id, i) for s in small_dataset for i in range(len(s))]
@@ -674,10 +701,10 @@ def test_protocols_reject_malformed_embedder_output(small_dataset, protocol, bad
 
 
 def test_retrieval_from_features_checks_every_array(small_dataset):
-    feats = [s.frames for s in small_dataset]
-    narrow = [feats[0][:, :2]] + feats[1:]
+    first, last = small_dataset.sequences[0].frames, small_dataset.sequences[-1].frames
+    narrow = lambda x: x[:, :2] if x is first else x
     with pytest.raises(DimensionError, match=r"expected \(\d+, 2\)"):
-        retrieval_auc_from_features(small_dataset, narrow, num_queries=20, rng=RngState(0))
-    holed = feats[:-1] + [np.where(feats[-1] > 0, np.inf, feats[-1])]
+        retrieval_auc(small_dataset, narrow, num_queries=20, rng=RngState(0))
+    holed = lambda x: np.where(x > 0, np.inf, x) if x is last else x
     with pytest.raises(DegenerateInputError):
-        retrieval_auc_from_features(small_dataset, holed, num_queries=20, rng=RngState(0))
+        retrieval_auc(small_dataset, holed, num_queries=20, rng=RngState(0))
