@@ -12,9 +12,8 @@
 import time
 
 import seqrep as sr
-from seqrep.config import reference_run_config
 
-run = reference_run_config()
+run = sr.RunConfig()
 ds = sr.generate_dataset(run.generator)
 rng = sr.RngState(1)
 

@@ -13,9 +13,8 @@ import time
 import numpy as np
 
 import seqrep as sr
-from seqrep.config import reference_run_config
 
-run = reference_run_config()
+run = sr.RunConfig()
 ds = sr.generate_dataset(run.generator)
 
 t0 = time.time()

@@ -17,12 +17,11 @@ from seqrep.cli import main as seqrep_cli
 # exclusion window are the run defaults, as the CLI run below takes them.
 run = sr.RunConfig()
 cfg = sr.GeneratorConfig(num_sequences=8, frames_range=(80, 90), seed=5)
-train_cfg = sr.TrainConfig(max_epochs=12, learning_rate=0.02, bootstrap_epochs=4)
+train_cfg = sr.TrainConfig(max_epochs=12, bootstrap_epochs=4)
 ds = sr.generate_dataset(cfg)
 model, _ = sr.train(ds, train_cfg, chunk_len=45, rng=sr.RngState(2))
 pred, _ = sr.train_predictor(ds, model, context_len=run.context_len,
-                             config=sr.PredictorConfig(max_epochs=15,
-                                                       learning_rate=0.03),
+                             config=sr.PredictorConfig(max_epochs=15),
                              rng=sr.RngState(3))
 
 rng = sr.RngState(1)
@@ -53,8 +52,8 @@ run_cfg = {
     "seed": 5,
     "chunk_len": 45,
     "generator": {"num_sequences": 8, "frames_range": [80, 90], "seed": 5},
-    "train": {"max_epochs": 12, "learning_rate": 0.02, "bootstrap_epochs": 4},
-    "predictor": {"max_epochs": 15, "learning_rate": 0.03},
+    "train": {"max_epochs": 12, "bootstrap_epochs": 4},
+    "predictor": {"max_epochs": 15},
     "eval": {"num_queries": 200, "k_max": 5, "alignment_pairs": 5},
 }
 with tempfile.TemporaryDirectory() as tmp:

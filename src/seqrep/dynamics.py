@@ -242,9 +242,9 @@ def batch_loss_and_grad(pred: RecurrentPredictor, contexts: np.ndarray,
 @dataclass(frozen=True)
 class PredictorConfig:
     hidden_dim: int = 512
-    learning_rate: float = 0.02
+    learning_rate: float = 0.03
     momentum: float = 0.9
-    max_epochs: int = 20
+    max_epochs: int = 40
     batch_size: int = 128
 
     def __post_init__(self):

@@ -283,7 +283,7 @@ class TrainConfig:
     percentile_start: float = 100.0
     percentile_step: float = 10.0
     percentile_floor: float = 30.0
-    learning_rate: float = 0.01
+    learning_rate: float = 0.02  # hotter: 0.01 with 40-frame chunks gave retrieval AUC 0.76-0.78
     momentum: float = 0.9
     max_epochs: int = 30
     neighborhood_size: int = 10

@@ -39,7 +39,7 @@ class GeneratorConfig:
     observation_noise: float = 0.05
     speed_jitter: float = 0.3
     drift_strength: float = 0.15
-    seed: int = 0
+    seed: int = 20240511  # also RunConfig's default seed
 
     def __post_init__(self):
         if self.num_sequences < 2:

@@ -17,7 +17,6 @@ from hypothesis.extra.numpy import arrays
 
 import seqrep as sr
 from seqrep.core import RngState
-from seqrep.config import reference_run_config
 
 TRAIN_SEED = 99
 PREDICTOR_SEED = 4
@@ -44,7 +43,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def ref_config():
-    return reference_run_config()
+    return sr.RunConfig()
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from seqrep.config import load_config
 from seqrep.evaluate import knn_prediction_curve, pca_project_2d, zero_shot_pose_error
 from seqrep.core import Dataset
 from seqrep.seqpack import load_model, load_predictor, read_seqpack, save_model, write_seqpack
+from seqrep.synthdata import GeneratorConfig, generate_dataset
 
 from conftest import float64
 
@@ -170,13 +171,13 @@ class TestPipeline:
             assert sum(chunk["breakdown"].values()) == pytest.approx(
                 chunk["total_cost"], rel=1e-9)
 
-    def test_align_default_chunk_len_is_40(self, pipeline):
+    def test_align_default_chunk_len_is_80(self, pipeline):
         root, _, data, model, _ = pipeline
-        out = root / "match40.json"
+        out = root / "match80.json"
         assert main(["align", "--data", str(data), "--model", str(model),
                      "--query", "seq000", "--target", "seq001",
                      "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["chunk_len"] == 40
+        assert json.loads(out.read_text())["chunk_len"] == 80
 
     def test_project(self, pipeline):
         root, cfg, data, model, _ = pipeline
@@ -540,6 +541,19 @@ class TestDeterminism:
         assert main(["gen", "--config", cfg, "--seed", "123", "--out", str(a)]) == 0
         assert main(["gen", "--config", cfg, "--out", str(b)]) == 0
         assert (a / "seq000.f32").read_bytes() != (b / "seq000.f32").read_bytes()
+
+    def test_gen_without_config_writes_the_reference_data(self, tmp_path):
+        """No ``--config`` runs ``RunConfig()``, whose generator is the reference
+        benchmark: the 12 sequences at seed 20240511, bit for bit."""
+        reference = GeneratorConfig(seed=20240511)
+        cli, lib = tmp_path / "cli", tmp_path / "lib"
+        assert main(["gen", "--out", str(cli)]) == 0
+        write_seqpack(generate_dataset(reference), lib)
+        names = sorted(p.name for p in lib.iterdir())
+        assert sorted(p.name for p in cli.iterdir()) == names
+        assert len(names) == 1 + 2 * 12  # the manifest, then frames and latents
+        for f in names:
+            assert (cli / f).read_bytes() == (lib / f).read_bytes()
 
 
 # every command path's flags: (required, type); -h/--help aside

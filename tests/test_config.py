@@ -18,9 +18,9 @@ from seqrep.config import (
 class TestDefaults:
     def test_top_level(self):
         cfg = RunConfig()
-        assert cfg.chunk_len == 40
+        assert cfg.chunk_len == 80
         assert cfg.context_len == 4
-        assert cfg.seed == 0
+        assert cfg.seed == 20240511
 
     def test_train_section(self):
         t = RunConfig().train
@@ -29,7 +29,7 @@ class TestDefaults:
         assert t.percentile_start == 100.0
         assert t.percentile_step == 10.0
         assert t.percentile_floor == 30.0
-        assert t.learning_rate == 0.01
+        assert t.learning_rate == 0.02
         assert t.momentum == 0.9
         assert t.neighborhood_size == 10
         assert t.exclusion_window == 2
@@ -53,10 +53,38 @@ class TestDefaults:
         q, t = rng.gen.normal(size=(4, 3)), rng.gen.normal(size=(5, 3))
         assert pc.resolve(q, t) == default_penalties(q, t)
 
+    def test_defaults_are_the_reference_run(self):
+        """Every default, written out: ``RunConfig()`` is the reference run."""
+        assert dataclasses.asdict(RunConfig()) == {
+            "seed": 20240511,
+            "chunk_len": 80,
+            "context_len": 4,
+            "penalties": {"lambda1": None, "lambda2": None, "lambda3": None,
+                          "outlier_cost": None},
+            "generator": {"num_sequences": 12, "frames_range": (140, 160), "latent_dim": 2,
+                          "cycles_range": (1.7, 2.3), "feature_dim": 64,
+                          "nuisance_strength": 1.0, "observation_noise": 0.05,
+                          "speed_jitter": 0.3, "drift_strength": 0.15, "seed": 20240511},
+            "train": {"triplets_per_batch": 300, "margin": 0.2, "percentile_start": 100.0,
+                      "percentile_step": 10.0, "percentile_floor": 30.0,
+                      "learning_rate": 0.02, "momentum": 0.9, "max_epochs": 30,
+                      "neighborhood_size": 10, "exclusion_window": 2, "hidden_dim": 256,
+                      "embed_dim": 128, "pairs_per_epoch": None, "bootstrap_epochs": 5},
+            "predictor": {"hidden_dim": 512, "learning_rate": 0.03, "momentum": 0.9,
+                          "max_epochs": 40, "batch_size": 128},
+            "eval": {"num_queries": 500, "pose_epsilon": None, "k_max": 10,
+                     "exclusion_window": 2, "alignment_pairs": 20},
+        }
+
+    @pytest.mark.parametrize("seed", [20240511, 0, 777])
+    def test_reference_run_config_is_an_alias(self, seed):
+        assert reference_run_config(seed) == RunConfig().with_seed(seed)
+        assert reference_run_config() == RunConfig()
+
 
 class TestLoading:
     def test_round_trip(self, tmp_path):
-        cfg = reference_run_config()
+        cfg = RunConfig()
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert load_config(path) == cfg
@@ -158,7 +186,7 @@ class TestPenaltyResolution:
 
 
 def test_with_seed_overrides_everywhere():
-    cfg = reference_run_config().with_seed(777)
+    cfg = RunConfig().with_seed(777)
     assert cfg.seed == 777
     assert cfg.generator.seed == 777
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqrep.core import ConfigError
-from seqrep.config import reference_run_config
+from seqrep.config import RunConfig
 from seqrep.synthdata import (
     _DRIFT_FREQ_HI,
     _MIN_SPEED,
@@ -40,7 +40,7 @@ class TestConfig:
             GeneratorConfig(observation_noise=-0.1)
 
     def test_reference_shape(self):
-        cfg = reference_run_config().generator
+        cfg = RunConfig().generator
         ds = generate_dataset(cfg)
         assert len(ds) == 12
         assert ds.dimension == 64
@@ -130,7 +130,7 @@ class TestResamplePair:
 
 
 def test_alignment_pair_config_derivation():
-    base = reference_run_config().generator
+    base = RunConfig().generator
     cfg = alignment_pair_config(base)
     assert cfg.cycles_range == (0.8, 1.2)
     assert cfg.nuisance_strength < base.nuisance_strength
