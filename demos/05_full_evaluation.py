@@ -5,6 +5,7 @@
 # line into report files.
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -56,17 +57,21 @@ run_cfg = {
     "predictor": {"max_epochs": 15},
     "eval": {"num_queries": 200, "k_max": 5, "alignment_pairs": 5},
 }
+# Relative paths inside a temporary directory keep the printed paths the same
+# on every run. (contextlib.chdir needs Python 3.11.)
+home = os.getcwd()
 with tempfile.TemporaryDirectory() as tmp:
-    root = Path(tmp)
-    (root / "cfg.json").write_text(json.dumps(run_cfg))
-    for argv in (
-        ["gen", "--config", str(root / "cfg.json"), "--out", str(root / "data")],
-        ["train-embed", "--config", str(root / "cfg.json"),
-         "--data", str(root / "data"), "--out", str(root / "model.bin")],
-        ["eval", "retrieval", "--config", str(root / "cfg.json"),
-         "--data", str(root / "data"), "--model", str(root / "model.bin"),
-         "--out", str(root / "retrieval")],
-    ):
-        code = seqrep_cli(argv)
-        assert code == 0, argv
-    print((root / "retrieval.txt").read_text().strip())
+    os.chdir(tmp)
+    try:
+        Path("cfg.json").write_text(json.dumps(run_cfg))
+        for argv in (
+            ["gen", "--config", "cfg.json", "--out", "data"],
+            ["train-embed", "--config", "cfg.json", "--data", "data", "--out", "model.bin"],
+            ["eval", "retrieval", "--config", "cfg.json", "--data", "data",
+             "--model", "model.bin", "--out", "retrieval"],
+        ):
+            code = seqrep_cli(argv)
+            assert code == 0, argv
+        print(Path("retrieval.txt").read_text().strip())
+    finally:
+        os.chdir(home)

@@ -77,9 +77,19 @@ def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     norms overflow) raises :class:`DegenerateInputError`, whatever numpy's
     error state, and without a warning first.
     """
+    return _sqdist(a, b, _sqnorms(b))
+
+
+def _sqnorms(x: np.ndarray) -> np.ndarray:
+    """Squared row norms; one that overflows is left for :func:`_sqdist` to raise on."""
     with np.errstate(over="ignore", invalid="ignore"):
-        aa = np.sum(a * a, axis=1)[:, None]
-        bb = np.sum(b * b, axis=1)[None, :]
+        return np.sum(x * x, axis=1)
+
+
+def _sqdist(a: np.ndarray, b: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """:func:`pairwise_sqdist` given ``b``'s squared row norms ``bb``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        aa = _sqnorms(a)[:, None]
         d = a @ b.T
         rows = max(1, _BLOCK // max(1, d.shape[1]))
         for lo in range(0, len(d), rows):
@@ -94,11 +104,12 @@ def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _ROW_BLOCK = 256  # rows of ``a`` per distance block in nearest_rows
 
 
-def nearest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def nearest_rows(a: np.ndarray, b: np.ndarray, bb: np.ndarray | None = None) -> np.ndarray:
     """Index of each row of ``a``'s nearest row of ``b`` by :func:`pairwise_sqdist`, the
-    first of a tie. Rows of ``a`` go 256 at a time, so the working set is one (256,
-    len(b)) block of distances, not the whole (len(a), len(b)) matrix."""
-    return np.concatenate([np.argmin(pairwise_sqdist(a[r:r + _ROW_BLOCK], b), axis=1)
+    first of a tie, 256 rows of ``a`` at a time: the working set is one (256, len(b))
+    block. ``b``'s squared row norms, ``np.sum(b * b, axis=1)``, are taken once or given."""
+    bb = _sqnorms(b) if bb is None else bb
+    return np.concatenate([np.argmin(_sqdist(a[r:r + _ROW_BLOCK], b, bb), axis=1)
                            for r in range(0, len(a), _ROW_BLOCK)])
 
 

@@ -327,7 +327,8 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
     """Recursively predict embeddings and decode each by nearest codebook frame.
 
     A prediction decodes to its :func:`~seqrep.core.nearest_rows` row of the
-    embedded codebook. The decoded frame's own embedding (not the raw
+    embedded codebook, whose squared row norms are taken once per rollout, not
+    at every step. The decoded frame's own embedding (not the raw
     prediction) is fed back into the context, which keeps the rollout on the
     embedding manifold. Returns the decoded (sequence id, frame index) trail,
     one per step.
@@ -336,6 +337,7 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
         raise ConfigError("steps must be >= 1")
     refs = [(s.id, i) for s in codebook for i in range(len(s))]
     cb_emb = np.concatenate([embed_batch(model, s.frames) for s in codebook], axis=0)
+    cb_sq = np.sum(cb_emb * cb_emb, axis=1)  # unit rows: no overflow
 
     seed = as_frames(seed_frames, "seed_frames")
     if seed.shape[0] != pred.context_len:
@@ -343,7 +345,7 @@ def synthesize(pred: RecurrentPredictor, model: EmbeddingModel, seed_frames,
     ctx = embed_batch(model, seed)
     trail = []
     for _ in range(steps):
-        j = int(nearest_rows(rnn_forward_batch(pred, ctx[None]), cb_emb)[0])
+        j = int(nearest_rows(rnn_forward_batch(pred, ctx[None]), cb_emb, cb_sq)[0])
         trail.append(refs[j])
         ctx = np.concatenate([ctx[1:], cb_emb[j][None, :]], axis=0)
     return trail

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (ConfigError, Dataset, DegenerateInputError, DimensionError, RngState,
-                   as_frames, nearest_rows, pairwise_sqdist, write_file)
+from .core import (ConfigError, Dataset, DimensionError, RngState, as_frames, nearest_rows,
+                   pairwise_sqdist, write_file)
 from . import align
 from .embed import EmbeddingModel, embed_batch
 from .dynamics import RecurrentPredictor, rnn_forward_batch, transition_pairs
@@ -40,30 +40,6 @@ def _latents(dataset: Dataset) -> np.ndarray:
     if any(s.latent is None for s in dataset):
         raise ConfigError("this metric needs latent ground truth on every sequence")
     return np.concatenate([s.latent for s in dataset], axis=0)
-
-
-def _average_ranks(a: np.ndarray) -> np.ndarray:
-    """Ranks 1..n along the last axis of ``a``, tied values sharing their mean rank.
-
-    Equal to ``scipy.stats.rankdata(a, axis=-1)``: every rank is a whole or
-    half integer, exact in float64. A run of tied values gets its mean rank
-    whatever the order of its members, so the sort need not be stable. NaN
-    has no rank: it is a :class:`DegenerateInputError`.
-    """
-    order = np.argsort(a, axis=-1)
-    s = np.take_along_axis(a, order, axis=-1)
-    if np.isnan(s[..., -1]).any():  # argsort puts NaN last
-        raise DegenerateInputError("cannot rank NaN scores")
-    first = np.ones(s.shape, dtype=bool)  # s[..., p] starts a run of equal values
-    np.not_equal(s[..., 1:], s[..., :-1], out=first[..., 1:])
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=first.size)
-    # each run's mean 1-based flat position, less its row's flat offset
-    sorted_ranks = np.repeat(starts + (counts + 1) / 2.0, counts).reshape(a.shape)
-    sorted_ranks -= np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1] + (1,))
-    ranks = np.empty(a.shape)
-    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
-    return ranks
 
 
 _OFFSET_BLOCK = 16  # pair offsets per block in default_pose_epsilon; (16, N) stays in cache
@@ -140,7 +116,10 @@ def retrieval_auc(dataset: Dataset, embedder, pose_epsilon: float | None = None,
 def _query_aucs(dataset: Dataset, features: list[np.ndarray], pose_epsilon: float | None,
                 num_queries: int, rng: RngState) -> list[float]:
     """:func:`retrieval_auc`'s per-query AUCs, in query order. A sequence's queries
-    share one candidate set, the other sequences' frames, and are scored together."""
+    share one candidate set, the other sequences' frames, and are scored together.
+    A query's Mann-Whitney U takes one sort of its m squared feature distances d:
+    twice a match's mean rank by score -d is 2m + 1 - left - right, where left and
+    right place it in the sorted row from either side, so every U is exact."""
     if num_queries < 1:
         raise ConfigError(f"num_queries must be >= 1, got {num_queries}")
     lats = _latents(dataset)
@@ -159,14 +138,17 @@ def _query_aucs(dataset: Dataset, features: list[np.ndarray], pose_epsilon: floa
     aucs = []
     for lo, hi in zip(starts, starts[1:]):
         qs, others = queries[(lo <= queries) & (queries < hi)], np.r_[0:lo, hi:total]
+        m = len(others)
         labels = _latent_distances(lats[qs].T[:, :, None], lats[others].T[:, None, :],
-                                   np.empty((len(qs), len(others)))) <= pose_epsilon
-        ranks = _average_ranks(-pairwise_sqdist(feats[qs], feats[others]))
-        # Mann-Whitney U per row; average ranks are half-integers, so the sums are exact
-        n_pos, n_neg = labels.sum(axis=1), (~labels).sum(axis=1)
-        u = np.where(labels, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
-        keep = (n_pos > 0) & (n_neg > 0)
-        aucs.extend((u[keep] / (n_pos[keep] * n_neg[keep])).tolist())
+                                   np.empty((len(qs), m))) <= pose_epsilon
+        for row, match in zip(pairwise_sqdist(feats[qs], feats[others]), labels):
+            n_pos = int(match.sum())
+            if 0 < n_pos < m:  # else all-negative or all-positive: skipped
+                d = row[match]
+                row.sort()  # in place: the row is this loop's own
+                place = np.searchsorted(row, d, "left") + np.searchsorted(row, d, "right")
+                twice_u = (2 * m + 1) * n_pos - int(place.sum()) - n_pos * (n_pos + 1)
+                aucs.append(twice_u / (2 * n_pos * (m - n_pos)))
     if not aucs:
         raise ConfigError("no query produced both matches and non-matches")
     return aucs

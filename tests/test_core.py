@@ -73,6 +73,8 @@ def test_squared_l2_overflow_raises(a, b):
 def test_squared_l2_overflow_raises_whatever_the_error_state(a, b, strict_numpy):
     with pytest.raises(DegenerateInputError, match="overflow"):
         pairwise_sqdist(np.array(a), np.array(b))
+    with pytest.raises(DegenerateInputError, match="overflow"):  # b squared before its blocks
+        nearest_rows(np.array(a), np.array(b))
 
 
 def test_squared_l2_dimension_mismatch():
@@ -103,6 +105,8 @@ def test_blocked_nearest_rows_equal_the_whole_matrix_argmin(width, data):
     rows = nearest_rows(a, b)
     assert rows.shape == (len(a),)
     assert np.array_equal(rows, np.argmin(pairwise_sqdist(a, b), axis=1))
+    # the gallery's squared norms, given once, as synthesize gives its codebook's
+    assert np.array_equal(nearest_rows(a, b, np.sum(b * b, axis=1)), rows)
 
 
 def test_write_file_creates_parent_directories(tmp_path):

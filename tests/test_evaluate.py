@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist
 from scipy.stats import rankdata
 
@@ -32,11 +32,10 @@ from conftest import integer_rows
 
 
 def roc_auc(scores_pos, scores_neg) -> float:
-    """Rank-based (Mann-Whitney) AUC with tie correction, one query's worth;
-    a NaN score is rejected by the protocol's own ranking."""
+    """Rank-based (Mann-Whitney) AUC with tie correction, one query's worth."""
     pos = np.asarray(scores_pos, dtype=np.float64)
     neg = np.asarray(scores_neg, dtype=np.float64)
-    ranks = evaluate._average_ranks(np.concatenate([pos, neg]))
+    ranks = rankdata(np.concatenate([pos, neg]))
     u = ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
 
@@ -56,28 +55,6 @@ class TestRocAuc:
         wins = sum(1.0 if p > n else 0.5 if p == n else 0.0
                    for p in pos for n in neg)
         assert roc_auc(pos, neg) == pytest.approx(wins / (20 * 30), rel=1e-12)
-
-    def test_nan_score_is_rejected_and_infinities_keep_their_order(self):
-        for pos, neg in (([np.nan], [1.0]), ([1.0], [2.0, np.nan])):
-            with pytest.raises(DegenerateInputError, match="NaN"):
-                roc_auc(pos, neg)
-        assert roc_auc([np.inf], [1.0, np.inf]) == 0.75
-        assert roc_auc([-np.inf], [-np.inf, 0.0]) == 0.25
-
-
-rank_shapes = array_shapes(min_dims=1, max_dims=2, max_side=12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=st.one_of(
-    arrays(np.float64, rank_shapes, elements=st.integers(-3, 3).map(float)),  # many ties
-    arrays(np.float64, rank_shapes, elements=st.floats(allow_nan=False)),  # +-inf, +-0
-    rank_shapes.map(lambda shape: np.full(shape, 2.5)),  # all-equal rows
-))
-def test_average_ranks_equal_scipy_rankdata(a):
-    expect = rankdata(a, axis=-1)
-    got = evaluate._average_ranks(a)
-    assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
 def latent_only_dataset(z, split):
@@ -170,7 +147,7 @@ class TestRetrieval:
         assert eps == pytest.approx(old, rel=1e-12, abs=0)
 
     def test_overflowing_feature_distances_are_rejected(self):
-        # |a|^2 + |b|^2 - 2 a.b is inf - inf: a NaN distance has no rank
+        # |a|^2 + |b|^2 - 2 a.b is inf - inf: pairwise_sqdist raises before any sort
         z = np.array([[0.0], [1.0]])
         ds = latent_only_dataset(np.concatenate([z, z]), 2)
         big = [np.array([[1e200], [-1e200]])] * 2
@@ -235,6 +212,15 @@ def integer_retrieval_instances(draw):
     return dataset, features, pose_epsilon, num_queries, draw(st.integers(0, 2 ** 16))
 
 
+def retrieval_instance(*sequences, pose_epsilon, num_queries=100, seed=0):
+    """:func:`integer_retrieval_instances`' tuple of (features, latents) sequences."""
+    seqs = tuple(Sequence(id=f"s{i}", frames=np.array(f, dtype=np.float64),
+                          latent=np.array(z, dtype=np.float64))
+                 for i, (f, z) in enumerate(sequences))
+    return (Dataset(dimension=seqs[0].dimension, sequences=seqs), [s.frames for s in seqs],
+            pose_epsilon, num_queries, seed)
+
+
 def test_latent_distances_keep_the_bits_of_the_difference_array(ref_dataset):
     # the reference is the norm over the (q, N, 2) difference array; adding
     # squared differences in coordinate order keeps each distance's bits at
@@ -264,6 +250,15 @@ def test_latent_distances_equal_cdist_bit_for_bit(width, data):
 class TestRetrievalOracle:
     @settings(max_examples=150, deadline=None)
     @given(instance=integer_retrieval_instances())
+    # s0's query: a match and a non-match of s1 tie at distance 1
+    @example(instance=retrieval_instance(([[0.0]], [[0.0]]), ([[1.0], [-1.0], [3.0]],
+                                                             [[0.0], [5.0], [1.0]]),
+                                         pose_epsilon=1.0))
+    # s0's query: all four candidates tie at distance 4, two of them match
+    @example(instance=retrieval_instance(([[0.0, 0.0]], [[0.0]]),
+                                         ([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]],
+                                          [[0.0], [1.0], [3.0], [-4.0]]),
+                                         pose_epsilon=1.0))
     def test_block_scoring_equals_per_query_loop(self, instance):
         dataset, features, eps, num_queries, seed = instance
         expect = per_query_reference(dataset, features, eps, num_queries, RngState(seed))
@@ -277,6 +272,15 @@ class TestRetrievalOracle:
                              rng=RngState(seed))
         assert aucs == expect
         assert mean == float(np.mean(expect))
+
+    def test_reference_shapes_equal_per_query_loop(self, ref_dataset):
+        # 500 queries of real-valued whitened features over the 1,757 reference frames
+        wh = fit_whitener(ref_dataset.all_frames())
+        feats = [wh(s.frames) for s in ref_dataset]
+        eps = default_pose_epsilon(ref_dataset)
+        aucs = evaluate._query_aucs(ref_dataset, feats, eps, 500, RngState(11))
+        assert len(aucs) > 400
+        assert aucs == per_query_reference(ref_dataset, feats, eps, 500, RngState(11))
 
     def test_skipped_queries_keep_query_order(self):
         # a1 lies within epsilon of all of b (all-positive), a2 of none of b
